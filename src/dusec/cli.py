@@ -13,17 +13,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 from .model import (
-    ClassProfile,
+    SCHEMA_VERSION,
     ProblemInstance,
     ProfileMode,
     StructureError,
+    frac_json,
+    frac_str,
     iter_class_masks,
 )
 from .optimizer import assign_loads
@@ -41,10 +42,7 @@ from .storage import (
     profile_from_alpha,
 )
 from .straggler import StragglerConfig, redundant_assign
-
-SCHEMA_VERSION = 1
-
-THREADS_ENV = "ELASTIC_DUSEC_THREADS"
+from .straggler import filtered_for_redundancy as _filtered_for_redundancy
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -80,22 +78,6 @@ def _straggler(text: str) -> tuple[int, int]:
         return int(s_text), int(m_text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected s,m integers: {text!r}") from exc
-
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _both(x: Fraction) -> dict:
-    return {"frac": _frac_str(x), "decimal": float(x)}
-
-
-def _threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _build_parser() -> _Parser:
@@ -167,11 +149,11 @@ def _cmd_profile(args) -> int:
         obj["profile"] = {
             "mode": "exact",
             "classSizes": {
-                str(mask): _frac_str(sizes[mask - 1])
+                str(mask): frac_str(sizes[mask - 1])
                 for mask in iter_class_masks(args.N)
                 if sizes[mask - 1] > 0
             },
-            "cumulative": [_frac_str(x) for x in profile.cumulative],
+            "cumulative": [frac_str(x) for x in profile.cumulative],
         }
     print(json.dumps(obj, indent=2))
     return EXIT_OK
@@ -185,23 +167,6 @@ def _load_storage_file(path: str) -> ExplicitStorage:
     return ExplicitStorage.from_json_obj(obj)
 
 
-def _filtered_for_redundancy(profile: ClassProfile, r: int) -> ClassProfile:
-    """Drop classes too small for r-fold coverage (mirrors the planner)."""
-    if r == 1:
-        return profile
-    sizes = list(profile.dense_sizes())
-    for mask in iter_class_masks(profile.n_workers):
-        if mask.bit_count() < r:
-            sizes[mask - 1] = Fraction(0)
-    return ClassProfile(
-        mode=ProfileMode.EXACT,
-        n_workers=profile.n_workers,
-        alpha=profile.alpha,
-        beta=profile.beta,
-        class_sizes=tuple(sizes),
-    )
-
-
 def _cmd_solve(args) -> int:
     speeds = args.speeds
     if args.profile_file is not None:
@@ -211,23 +176,19 @@ def _cmd_solve(args) -> int:
                 f"storage has {storage.n_workers} workers but {len(speeds)} speeds given"
             )
         instance = ProblemInstance(K=storage.K, M=storage.M, speeds=speeds)
-        profile = exact_profile(storage)
+        # Class masks must name workers in sorted-speed order, as the instance does.
+        profile = exact_profile(storage.subset([i + 1 for i in instance.source_order]))
         mode = "exact"
     else:
-        if args.alpha < 1:
-            raise StructureError(f"alpha must be >= 1, got {args.alpha}")
         instance = ProblemInstance.from_alpha(args.alpha, speeds)
-        profile = profile_from_alpha(
-            None if args.alpha == 1 and instance.M == instance.K else args.alpha,
-            instance.N,
-        )
+        profile = profile_from_alpha(instance.alpha, instance.N)
         mode = "asymptotic"
 
     obj = {
         "schemaVersion": SCHEMA_VERSION,
         "mode": mode,
         "n": instance.N,
-        "speedsSorted": [_frac_str(s) for s in instance.speeds],
+        "speedsSorted": [frac_str(s) for s in instance.speeds],
         "sourceOrder": list(instance.source_order),
     }
     if args.straggler is not None:
@@ -247,19 +208,19 @@ def _cmd_solve(args) -> int:
         check_profile = profile
         check_redundancy = 1
 
-    obj["cStar"] = _both(time.c_star)
+    obj["cStar"] = frac_json(time.c_star)
     obj["nStar"] = time.n_star
-    obj["perVmTime"] = [_both(t) for t in time.per_worker_time]
-    obj["perVmLoad"] = [_both(x) for x in assignment.per_worker_loads()]
+    obj["perVmTime"] = [frac_json(t) for t in time.per_worker_time]
+    obj["perVmLoad"] = [frac_json(x) for x in assignment.per_worker_loads()]
     obj["loads"] = assignment.to_json_obj()
 
     if args.oracle:
         reference = lp_oracle(instance, check_profile, redundancy=check_redundancy)
-        obj["oracle"] = {"checked": True, "value": _both(reference)}
+        obj["oracle"] = {"checked": True, "value": frac_json(reference)}
         if reference != time.c_star:
             print(json.dumps(obj, indent=2))
             print(
-                f"oracle mismatch: solver {_frac_str(time.c_star)} vs oracle {_frac_str(reference)}",
+                f"oracle mismatch: solver {frac_str(time.c_star)} vs oracle {frac_str(reference)}",
                 file=sys.stderr,
             )
             return EXIT_ORACLE_MISMATCH
@@ -288,7 +249,6 @@ def _cmd_simulate(args) -> int:
         scenario.mode,
         straggler=scenario.straggler,
         baselines=scenario.baselines,
-        threads=_threads(),
     )
     Path(args.out).write_text(reports_to_csv(reports), encoding="utf-8")
     if args.json:

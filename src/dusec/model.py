@@ -19,6 +19,8 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
+SCHEMA_VERSION = 1  # of every JSON document read or written (scenarios, reports, CLI output)
+
 
 class StructureError(ValueError):
     """Shape mismatch between objects (wrong N, wrong lengths, bad mask).
@@ -38,6 +40,16 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         raise StructureError(f"refusing inexact float {value!r}; pass str or Fraction")
     return Fraction(value)
+
+
+def frac_str(x: Fraction) -> str:
+    """Exact JSON form of a rational: always "p/q", integers included."""
+    return f"{x.numerator}/{x.denominator}"
+
+
+def frac_json(x: Fraction) -> dict:
+    """A rational as both its exact form and a decimal for plotting."""
+    return {"frac": frac_str(x), "decimal": float(x)}
 
 
 def mask_of(workers: Iterable[int]) -> int:
@@ -73,6 +85,14 @@ def iter_submasks(mask: int) -> Iterator[int]:
         if sub == 0:
             return
         sub = (sub - 1) & mask
+
+
+def check_pair(instance: ProblemInstance, profile: ClassProfile) -> None:
+    """Refuse a profile built for a different number of workers than the instance."""
+    if profile.n_workers != instance.N:
+        raise StructureError(
+            f"profile covers {profile.n_workers} workers, instance has {instance.N}"
+        )
 
 
 @dataclass(frozen=True)
@@ -283,7 +303,7 @@ class LoadAssignment:
 
     def to_json_obj(self) -> list[dict]:
         return [
-            {"n": n, "classMask": m, "share": f"{v.numerator}/{v.denominator}"}
+            {"n": n, "classMask": m, "share": frac_str(v)}
             for n, m, v in self.sorted_items()
         ]
 
@@ -298,14 +318,10 @@ class TimeResult:
 
     def to_json_obj(self) -> dict:
         return {
-            "cStar": _both_forms(self.c_star),
+            "cStar": frac_json(self.c_star),
             "nStar": self.n_star,
-            "perVmTime": [_both_forms(t) for t in self.per_worker_time],
+            "perVmTime": [frac_json(t) for t in self.per_worker_time],
         }
-
-
-def _both_forms(x: Fraction) -> dict:
-    return {"frac": f"{x.numerator}/{x.denominator}", "decimal": float(x)}
 
 
 @dataclass(frozen=True)
@@ -335,10 +351,7 @@ def validate(
     Shape mismatches raise StructureError instead of being reported as
     violations.
     """
-    if profile.n_workers != instance.N:
-        raise StructureError(
-            f"profile covers {profile.n_workers} workers, instance has {instance.N}"
-        )
+    check_pair(instance, profile)
     if assignment.n_workers != instance.N:
         raise StructureError(
             f"assignment covers {assignment.n_workers} workers, instance has {instance.N}"

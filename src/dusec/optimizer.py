@@ -27,6 +27,8 @@ from .model import (
     ProblemInstance,
     StructureError,
     TimeResult,
+    check_pair,
+    iter_class_masks,
     iter_submasks,
 )
 
@@ -65,25 +67,41 @@ class CutsetBound:
     value: Fraction
 
 
-def _check_pair(instance: ProblemInstance, profile: ClassProfile) -> None:
-    if profile.n_workers != instance.N:
-        raise StructureError(
-            f"profile covers {profile.n_workers} workers, instance has {instance.N}"
-        )
-
-
 def _staircase(
-    L: tuple[Fraction, ...], S: tuple[Fraction, ...], n: int
+    L: tuple[Fraction, ...],
+    S: tuple[Fraction, ...],
+    n: int,
+    events: list | None = None,
 ) -> list[list]:
-    """Equal-time groups [start, end, time] with strictly decreasing times."""
+    """Equal-time groups [start, end, time] with strictly decreasing times.
+
+    Worker i tentatively finishes its frontier at (L(i) - L(i-1)) / s_i;
+    whenever that ties or exceeds the group below, the two groups merge.
+    ``events``, when given, collects ("tentative", i, t) and
+    ("merge", RearrangeDelta) in the order they happen; each delta is the
+    load the merge moves from the faster group onto the slower one.
+    """
     groups: list[list] = []
     for i in range(1, n + 1):
-        groups.append([i, i, (L[i] - L[i - 1]) / (S[i] - S[i - 1])])
+        t = (L[i] - L[i - 1]) / (S[i] - S[i - 1])
+        if events is not None:
+            events.append(("tentative", i, t))
+        groups.append([i, i, t])
         while len(groups) >= 2 and groups[-1][2] >= groups[-2][2]:
             top = groups.pop()
             prev = groups.pop()
             start, end = prev[0], top[1]
-            groups.append([start, end, (L[end] - L[start - 1]) / (S[end] - S[start - 1])])
+            merged_time = (L[end] - L[start - 1]) / (S[end] - S[start - 1])
+            if events is not None:
+                events.append(("merge", RearrangeDelta(
+                    delta=(merged_time - prev[2]) * (S[prev[1]] - S[start - 1]),
+                    receiver_start=prev[0],
+                    receiver_end=prev[1],
+                    donor_start=top[0],
+                    donor_end=top[1],
+                    group_time=merged_time,
+                )))
+            groups.append([start, end, merged_time])
     return groups
 
 
@@ -93,22 +111,12 @@ def optimal_time(instance: ProblemInstance, profile: ClassProfile) -> TimeResult
     Workers 1..n* all finish exactly at c*; later workers finish at the
     strictly smaller times of their own equal-time groups.
     """
-    _check_pair(instance, profile)
-    L = profile.cumulative
-    S = instance.prefix_speed_sums()
-    c_star = None
-    n_star = 0
-    for n in range(1, instance.N + 1):
-        value = L[n] / S[n]
-        if c_star is None or value >= c_star:
-            c_star = value
-            n_star = n
-    groups = _staircase(L, S, instance.N)
-    assert groups[0][2] == c_star and groups[0][1] == n_star, "staircase disagrees with scan"
+    check_pair(instance, profile)
+    groups = _staircase(profile.cumulative, instance.prefix_speed_sums(), instance.N)
     times: list[Fraction] = []
     for start, end, t in groups:
         times.extend([t] * (end - start + 1))
-    return TimeResult(c_star=c_star, n_star=n_star, per_worker_time=tuple(times))
+    return TimeResult(c_star=groups[0][2], n_star=groups[0][1], per_worker_time=tuple(times))
 
 
 def cutset_bounds(instance: ProblemInstance, profile: ClassProfile) -> tuple[CutsetBound, ...]:
@@ -120,7 +128,7 @@ def cutset_bounds(instance: ProblemInstance, profile: ClassProfile) -> tuple[Cut
     (L(n) - L(n*)) / (S(n) - S(n*)) <= c*.  The largest prefix bound is
     tight.
     """
-    _check_pair(instance, profile)
+    check_pair(instance, profile)
     L = profile.cumulative
     S = instance.prefix_speed_sums()
     n_star = optimal_time(instance, profile).n_star
@@ -276,44 +284,22 @@ def assign_loads(
     ``trace``, when given, collects ("tentative", n, t) and
     ("merge", RearrangeDelta) events for inspection.
     """
-    _check_pair(instance, profile)
+    check_pair(instance, profile)
     sizes = profile.dense_sizes()
-    L = profile.cumulative
-    S = instance.prefix_speed_sums()
-    shares: dict[tuple[int, int], Fraction] = {}
-    groups: list[list] = []
-    merges = 0
+    events: list = []
+    groups = _staircase(profile.cumulative, instance.prefix_speed_sums(), instance.N, events)
+    # Tentative split: every class sits whole on its fastest member.
+    shares = {
+        (mask.bit_length(), mask): sizes[mask - 1]
+        for mask in iter_class_masks(instance.N)
+        if sizes[mask - 1] > 0
+    }
     try:
-        for n in range(1, instance.N + 1):
-            bit = 1 << (n - 1)
-            for sub in iter_submasks(bit - 1):
-                w = sub | bit
-                size = sizes[w - 1]
-                if size > 0:
-                    shares[(n, w)] = size
-            t = (L[n] - L[n - 1]) / instance.speeds[n - 1]
+        for event in events:
+            if event[0] == "merge":
+                shares = _rearranged_shares(shares, event[1], profile)
             if trace is not None:
-                trace.append(("tentative", n, t))
-            groups.append([n, n, t])
-            while len(groups) >= 2 and groups[-1][2] >= groups[-2][2]:
-                top = groups.pop()
-                prev = groups.pop()
-                start, end = prev[0], top[1]
-                merged_time = (L[end] - L[start - 1]) / (S[end] - S[start - 1])
-                rd = RearrangeDelta(
-                    delta=(merged_time - prev[2]) * (S[prev[1]] - S[start - 1]),
-                    receiver_start=prev[0],
-                    receiver_end=prev[1],
-                    donor_start=top[0],
-                    donor_end=top[1],
-                    group_time=merged_time,
-                )
-                shares = _rearranged_shares(shares, rd, profile)
-                merges += 1
-                assert merges < instance.N, "more merges than groups ever created"
-                if trace is not None:
-                    trace.append(("merge", rd))
-                groups.append([start, end, merged_time])
+                trace.append(event)
     except InfeasibleRearrangement:
         return _oracle.flow_assign(instance, profile, redundancy=1)
     assignment = LoadAssignment(n_workers=instance.N, redundancy=1, shares=shares)

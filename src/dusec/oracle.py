@@ -27,6 +27,7 @@ from .model import (
     ProblemInstance,
     StructureError,
     TimeResult,
+    check_pair,
     iter_class_masks,
 )
 
@@ -180,10 +181,7 @@ def _bottleneck_r1(
 def _bottleneck(
     instance: ProblemInstance, profile: ClassProfile, redundancy: int
 ) -> tuple[Fraction, int]:
-    if profile.n_workers != instance.N:
-        raise StructureError(
-            f"profile covers {profile.n_workers} workers, instance has {instance.N}"
-        )
+    check_pair(instance, profile)
     if redundancy < 1:
         raise StructureError("redundancy must be >= 1")
     if instance.N > ORACLE_MAX_WORKERS:

@@ -15,7 +15,6 @@ transportation oracle, so the comparison is apples to apples.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -24,19 +23,18 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .model import (
+    SCHEMA_VERSION,
     ClassProfile,
     ProblemInstance,
     ProfileMode,
     StructureError,
-    TimeResult,
     as_fraction,
+    frac_json,
 )
-from .optimizer import assign_loads
+from .optimizer import optimal_time
 from .oracle import flow_assign, lp_oracle
 from .storage import (
     ExplicitStorage,
-    asymptotic_profile,
-    cumulative_exclusive,
     exact_profile,
     generate_worker_subset,
     profile_from_alpha,
@@ -48,8 +46,6 @@ from .straggler import (
     encode,
     redundant_assign,
 )
-
-SCHEMA_VERSION = 1
 
 BASELINE_KINDS = ("cyclic", "repetition", "man")
 
@@ -108,17 +104,13 @@ class StepReport:
             "step": self.step_index,
             "nAvailable": len(self.vm_ids),
             "vmIds": list(self.vm_ids),
-            "cStar": _both(self.c_star),
+            "cStar": frac_json(self.c_star),
             "nStar": self.n_star,
-            "perVmTime": [_both(t) for t in self.per_vm_time],
-            "coverage": _both(self.coverage),
+            "perVmTime": [frac_json(t) for t in self.per_vm_time],
+            "coverage": frac_json(self.coverage),
             "taskValue": list(self.task_value) if self.task_value is not None else None,
-            "baselines": {k: _both(v) for k, v in sorted(self.baseline_times.items())},
+            "baselines": {k: frac_json(v) for k, v in sorted(self.baseline_times.items())},
         }
-
-
-def _both(x: Fraction) -> dict:
-    return {"frac": f"{x.numerator}/{x.denominator}", "decimal": float(x)}
 
 
 @dataclass(frozen=True)
@@ -308,7 +300,7 @@ def _step_instance(
         )
         profile = exact_profile(storage)
     else:
-        profile = asymptotic_profile(instance)
+        profile = profile_from_alpha(instance.alpha, instance.N)
     return tuple(order), instance, profile
 
 
@@ -362,7 +354,7 @@ def _run_step(
     elif mode is ProfileMode.EXACT:
         _, time = flow_assign(instance, profile, redundancy=1)
     else:
-        _, time = assign_loads(instance, profile)
+        time = optimal_time(instance, profile)
     baseline_times: dict[str, Fraction] = {}
     for kind, r in baselines:
         try:
@@ -376,7 +368,7 @@ def _run_step(
         c_star=time.c_star,
         n_star=time.n_star,
         per_vm_time=time.per_worker_time,
-        coverage=cumulative_exclusive(profile, instance.N),
+        coverage=profile.cumulative[instance.N],
         task_value=task_value,
         baseline_times=baseline_times,
     )
@@ -387,13 +379,11 @@ def run_timeline(
     mode: ProfileMode,
     straggler: StragglerConfig | None = None,
     baselines: Sequence[tuple[str, int]] = (),
-    threads: int = 1,
 ) -> tuple[StepReport, ...]:
-    """Solve every step of the timeline independently.
+    """Solve every step of the timeline independently, in step order.
 
     Storage is drawn once per catalog worker (first appearance) and reused
-    across steps.  ``threads`` > 1 evaluates steps in a thread pool;
-    results keep step order either way.
+    across steps.
     """
     if not timeline.steps:
         raise ScenarioError("steps: timeline has no steps")
@@ -411,14 +401,10 @@ def run_timeline(
     for kind, _ in base:
         if kind not in BASELINE_KINDS:
             raise ScenarioError(f"baselines: unknown kind {kind!r}")
-    jobs = [
-        (timeline, step, i, mode, straggler, base, storage_cache)
+    return tuple(
+        _run_step(timeline, step, i, mode, straggler, base, storage_cache)
         for i, step in enumerate(timeline.steps)
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return tuple(pool.map(lambda args: _run_step(*args), jobs))
-    return tuple(_run_step(*args) for args in jobs)
+    )
 
 
 def baseline_assign(

@@ -17,7 +17,6 @@ import numpy as np
 
 from .model import (
     ClassProfile,
-    ProblemInstance,
     ProfileMode,
     StructureError,
     as_fraction,
@@ -170,11 +169,6 @@ def exact_profile(storage: ExplicitStorage) -> ClassProfile:
     )
 
 
-def asymptotic_profile(instance: ProblemInstance) -> ClassProfile:
-    """Limiting profile for K -> inf at fixed M/K: a(V) = beta*(alpha-1)^|V|."""
-    return profile_from_alpha(instance.alpha, instance.N)
-
-
 def profile_from_alpha(alpha, n_workers: int) -> ClassProfile:
     """Formula profile from the normalized storage ratio alpha = K/(K-M).
 
@@ -207,9 +201,3 @@ def profile_from_alpha(alpha, n_workers: int) -> ClassProfile:
         sizes_by_card=by_card,
     )
 
-
-def cumulative_exclusive(profile: ClassProfile, n: int) -> Fraction:
-    """L(n): total size of classes contained in the n slowest workers."""
-    if not 0 <= n <= profile.n_workers:
-        raise StructureError(f"n must lie in [0, {profile.n_workers}], got {n}")
-    return profile.cumulative[n]

@@ -31,6 +31,7 @@ from .model import (
     ProfileMode,
     StructureError,
     TimeResult,
+    check_pair,
     iter_class_masks,
     workers_of,
 )
@@ -126,6 +127,28 @@ class StragglerPlan:
     excluded_classes: tuple[int, ...]
 
 
+def filtered_for_redundancy(profile: ClassProfile, r: int) -> ClassProfile:
+    """The profile with every class stored by fewer than r workers zeroed.
+
+    Such classes cannot be covered r times.  Returns ``profile`` itself
+    when no class of nonzero size is too small.
+    """
+    sizes = profile.dense_sizes()
+    filtered = tuple(
+        Fraction(0) if mask.bit_count() < r else sizes[mask - 1]
+        for mask in iter_class_masks(profile.n_workers)
+    )
+    if filtered == sizes:
+        return profile
+    return ClassProfile(
+        mode=ProfileMode.EXACT,
+        n_workers=profile.n_workers,
+        alpha=profile.alpha,
+        beta=profile.beta,
+        class_sizes=filtered,
+    )
+
+
 def redundant_assign(
     instance: ProblemInstance, profile: ClassProfile, config: StragglerConfig
 ) -> StragglerPlan:
@@ -135,29 +158,14 @@ def redundant_assign(
     listed in the plan.  With s=0, m=1 this is exactly the plain elastic
     assignment problem.
     """
-    if profile.n_workers != instance.N:
-        raise StructureError(
-            f"profile covers {profile.n_workers} workers, instance has {instance.N}"
-        )
+    check_pair(instance, profile)
     r = config.redundancy
-    sizes = profile.dense_sizes()
+    filtered = filtered_for_redundancy(profile, r)
+    sizes, kept = profile.dense_sizes(), filtered.dense_sizes()
     excluded = tuple(
-        mask
-        for mask in iter_class_masks(instance.N)
-        if sizes[mask - 1] > 0 and mask.bit_count() < r
+        mask for mask in iter_class_masks(instance.N) if sizes[mask - 1] != kept[mask - 1]
     )
-    if excluded:
-        filtered = list(sizes)
-        for mask in excluded:
-            filtered[mask - 1] = Fraction(0)
-        profile = ClassProfile(
-            mode=ProfileMode.EXACT,
-            n_workers=profile.n_workers,
-            alpha=profile.alpha,
-            beta=profile.beta,
-            class_sizes=tuple(filtered),
-        )
-    assignment, time = flow_assign(instance, profile, redundancy=r)
+    assignment, time = flow_assign(instance, filtered, redundancy=r)
     return StragglerPlan(assignment=assignment, time=time, excluded_classes=excluded)
 
 

@@ -90,6 +90,19 @@ def test_profile_and_solve_roundtrip(tmp_path, capsys):
     assert solved["oracle"]["value"] == solved["cStar"]
 
 
+def test_profile_file_with_unsorted_speeds(tmp_path, capsys):
+    path = tmp_path / "storage.json"
+    path.write_text(json.dumps({"K": 4, "M": 2, "N": 3, "perVm": [[0, 1], [0, 1], [2, 3]]}))
+    code, out, _ = _run(
+        capsys, ["solve", "--speeds", "9,1,1", "--profile-file", str(path), "--oracle"]
+    )
+    assert code == 0
+    obj = json.loads(out)
+    # the third worker (speed 1) alone holds datasets 2 and 3, half the data
+    assert obj["cStar"]["frac"] == "1/2"
+    assert obj["oracle"]["value"]["frac"] == "1/2"
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.run(["solve", "--speeds", "1,2"])  # neither --alpha nor --profile-file
@@ -151,27 +164,6 @@ def test_simulate_is_byte_deterministic(tmp_path, capsys):
     assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert j1.read_bytes() == j2.read_bytes()
-
-
-def test_threads_env_does_not_change_output(tmp_path, capsys, monkeypatch):
-    base = tmp_path / "base.csv"
-    code, _, _ = _run(
-        capsys, ["simulate", "--scenario", "paper_example.json", "--out", str(base)]
-    )
-    assert code == 0
-    monkeypatch.setenv(cli.THREADS_ENV, "3")
-    threaded = tmp_path / "threaded.csv"
-    code, _, _ = _run(
-        capsys, ["simulate", "--scenario", "paper_example.json", "--out", str(threaded)]
-    )
-    assert code == 0
-    assert base.read_bytes() == threaded.read_bytes()
-    monkeypatch.setenv(cli.THREADS_ENV, "not-a-number")
-    again = tmp_path / "again.csv"
-    code, _, _ = _run(
-        capsys, ["simulate", "--scenario", "paper_example.json", "--out", str(again)]
-    )
-    assert code == 0  # unparseable env falls back to one thread
 
 
 def test_module_entry_point():

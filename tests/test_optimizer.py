@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dusec.model import (
     ClassProfile,
@@ -259,3 +261,21 @@ def test_extra_speed_never_hurts():
         bigger = profile_from_alpha(inst.alpha, inst.N + 1)
         # a larger fleet also stores more, so both effects push time down
         assert optimal_time(faster, bigger).c_star <= optimal_time(inst, prof).c_star
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.fractions(min_value=1, max_value=4, max_denominator=6).filter(lambda a: 1 < a < 4),
+    # a small pool forces ties; list order is the caller's, so usually unsorted
+    speeds=st.lists(
+        st.sampled_from([F(1), F(3, 2), F(2), F(7, 3), F(5)]), min_size=1, max_size=7
+    ),
+)
+def test_closed_form_equals_construction_and_oracle(alpha, speeds):
+    inst = ProblemInstance.from_alpha(alpha, speeds)
+    prof = profile_from_alpha(inst.alpha, inst.N)
+    res = optimal_time(inst, prof)
+    asg, built = assign_loads(inst, prof)
+    assert built == res
+    assert res.c_star == lp_oracle(inst, prof)
+    assert validate(inst, prof, asg) == []

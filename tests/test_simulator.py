@@ -176,16 +176,6 @@ def test_exact_mode_matches_direct_solve():
         assert 0 < rep.coverage <= 1
 
 
-def test_thread_pool_preserves_results():
-    scenario = load_scenario(_bundled("elastic_10step.json"))
-    seq = run_timeline(scenario.timeline, scenario.mode, baselines=scenario.baselines)
-    par = run_timeline(
-        scenario.timeline, scenario.mode, baselines=scenario.baselines, threads=4
-    )
-    assert reports_to_csv(seq) == reports_to_csv(par)
-    assert reports_to_json_obj(seq) == reports_to_json_obj(par)
-
-
 def _straggler_scenario(stragglers):
     return {
         "schemaVersion": 1,

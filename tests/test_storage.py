@@ -6,8 +6,6 @@ import pytest
 from dusec.model import ProblemInstance, StructureError, iter_class_masks
 from dusec.storage import (
     ExplicitStorage,
-    asymptotic_profile,
-    cumulative_exclusive,
     exact_profile,
     generate_decentralized,
     generate_worker_subset,
@@ -93,7 +91,7 @@ def test_class_counts_total():
 
 def test_asymptotic_profile_values():
     inst = ProblemInstance(K=16, M=8, speeds=(F(1), F(2), F(5), F(5)))
-    prof = asymptotic_profile(inst)
+    prof = profile_from_alpha(inst.alpha, inst.N)
     for mask in iter_class_masks(4):
         assert prof.a(mask) == F(1, 16)
     assert prof.cumulative == (F(0), F(1, 16), F(3, 16), F(7, 16), F(15, 16))
@@ -101,17 +99,7 @@ def test_asymptotic_profile_values():
 
 def test_profile_from_alpha_matches_instance():
     inst = ProblemInstance.from_alpha(F(5, 2), (F(1), F(2), F(3)))
-    assert profile_from_alpha(F(5, 2), 3).cumulative == asymptotic_profile(inst).cumulative
-
-
-def test_cumulative_exclusive_bounds():
-    prof = profile_from_alpha(F(2), 3)
-    assert cumulative_exclusive(prof, 0) == 0
-    assert cumulative_exclusive(prof, 3) == F(7, 8)
-    with pytest.raises(StructureError):
-        cumulative_exclusive(prof, 4)
-    with pytest.raises(StructureError):
-        cumulative_exclusive(prof, -1)
+    assert profile_from_alpha(F(5, 2), 3).cumulative == profile_from_alpha(inst.alpha, inst.N).cumulative
 
 
 def test_subset_reorders_workers():
