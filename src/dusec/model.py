@@ -240,10 +240,6 @@ class ClassProfile:
         by_card = self.sizes_by_card
         return tuple(by_card[mask.bit_count()] for mask in iter_class_masks(self.n_workers))
 
-    def nonzero_classes(self) -> list[int]:
-        sizes = self.dense_sizes()
-        return [mask for mask in iter_class_masks(self.n_workers) if sizes[mask - 1] > 0]
-
 
 @dataclass(frozen=True)
 class LoadAssignment:

@@ -25,6 +25,7 @@ from .model import (
     ClassProfile,
     LoadAssignment,
     ProblemInstance,
+    ProfileMode,
     StructureError,
     TimeResult,
     check_pair,
@@ -105,13 +106,25 @@ def _staircase(
     return groups
 
 
+def _check_formula_pair(instance: ProblemInstance, profile: ClassProfile) -> None:
+    """Refuse measured profiles: their bottleneck need not be a speed prefix,
+    so max_n L(n)/S(n) can fall below the optimum."""
+    check_pair(instance, profile)
+    if profile.mode is ProfileMode.EXACT:
+        raise StructureError(
+            "the closed form needs a formula profile; "
+            "solve measured profiles with flow_assign or lp_oracle"
+        )
+
+
 def optimal_time(instance: ProblemInstance, profile: ClassProfile) -> TimeResult:
     """c*, the largest critical prefix n*, and the per-worker completion times.
 
     Workers 1..n* all finish exactly at c*; later workers finish at the
-    strictly smaller times of their own equal-time groups.
+    strictly smaller times of their own equal-time groups.  Formula
+    profiles only.
     """
-    check_pair(instance, profile)
+    _check_formula_pair(instance, profile)
     groups = _staircase(profile.cumulative, instance.prefix_speed_sums(), instance.N)
     times: list[Fraction] = []
     for start, end, t in groups:
@@ -126,12 +139,11 @@ def cutset_bounds(instance: ProblemInstance, profile: ClassProfile) -> tuple[Cut
     nowhere else, so c* >= L(n)/S(n).  Pooled-tail bound n > n*: the load
     beyond the critical prefix, pooled over workers n*+1..n, gives
     (L(n) - L(n*)) / (S(n) - S(n*)) <= c*.  The largest prefix bound is
-    tight.
+    tight.  Formula profiles only.
     """
-    check_pair(instance, profile)
+    n_star = optimal_time(instance, profile).n_star
     L = profile.cumulative
     S = instance.prefix_speed_sums()
-    n_star = optimal_time(instance, profile).n_star
     bounds = [
         CutsetBound("prefix", n, L[n] / S[n]) for n in range(1, instance.N + 1)
     ]
@@ -318,8 +330,9 @@ def critical_conditions_hold(
 
     every prefix n < n* satisfies L(n)/S(n) <= c*, and every pooled tail
     n > n* satisfies (L(n) - L(n*)) / (S(n) - S(n*)) <= c*, with equality
-    of the prefix bound at n* itself.
+    of the prefix bound at n* itself.  Formula profiles only.
     """
+    _check_formula_pair(instance, profile)
     L = profile.cumulative
     S = instance.prefix_speed_sums()
     c, k = result.c_star, result.n_star

@@ -9,8 +9,10 @@ by max-flow/min-cut duality the optimum equals
          sum_V a(V) * max(0, r - |V \\ S|)  /  sum_{n in S} s_n,
 
 i.e. the load irrevocably locked onto some subset of workers divided by
-that subset's speed.  The candidate is then verified with an exact
-rational max-flow: feasible at T*, infeasible just below it.
+that subset's speed.  The locked load of every S comes from one ranked
+zeta transform in O(r * N * 2^N) (Bjorklund, Husfeldt, Kaski, Koivisto,
+"Fourier meets Mobius", STOC 2007).  The candidate is then verified with
+an exact rational max-flow: feasible at T*, infeasible just below it.
 
 Everything here is Fraction arithmetic end to end; nothing is shared with
 the closed-form solver in ``optimizer``, so the two routes check each
@@ -111,7 +113,17 @@ class _MaxFlow:
                 total += pushed
 
 
-def _active_classes(profile: ClassProfile, redundancy: int) -> list[tuple[int, Fraction]]:
+def _active_classes(
+    instance: ProblemInstance, profile: ClassProfile, redundancy: int
+) -> list[tuple[int, Fraction]]:
+    """(mask, size) of every nonzero class; checks the input before enumerating."""
+    check_pair(instance, profile)
+    if redundancy < 1:
+        raise StructureError("redundancy must be >= 1")
+    if instance.N > ORACLE_MAX_WORKERS:
+        raise OracleScopeError(
+            f"oracle enumerates worker subsets; N={instance.N} exceeds {ORACLE_MAX_WORKERS}"
+        )
     sizes = profile.dense_sizes()
     out = []
     bad = []
@@ -128,72 +140,49 @@ def _active_classes(profile: ClassProfile, redundancy: int) -> list[tuple[int, F
     return out
 
 
-def _bottleneck_general(
+def _bottleneck(
     classes: list[tuple[int, Fraction]], speeds: tuple[Fraction, ...], redundancy: int
 ) -> tuple[Fraction, int]:
-    n = len(speeds)
-    best = Fraction(0)
-    best_mask = (1 << n) - 1
-    for s_mask in range(1, 1 << n):
-        spd = sum(
-            (speeds[i] for i in range(n) if s_mask >> i & 1), Fraction(0)
-        )
-        num = Fraction(0)
-        for mask, size in classes:
-            short = redundancy - (mask & ~s_mask).bit_count()
-            if short > 0:
-                num += size * short
-        value = num / spd
-        if value > best or (value == best and s_mask.bit_count() > best_mask.bit_count()):
-            best = value
-            best_mask = s_mask
-    return best, best_mask
+    """max over S of locked(S) / speed(S), and the largest maximizing S.
 
-
-def _bottleneck_r1(
-    profile: ClassProfile, speeds: tuple[Fraction, ...]
-) -> tuple[Fraction, int]:
-    """r = 1: locked load of S is the subset-sum of sizes over classes in S."""
+    within[k][S], the size of the classes with at most k members outside S,
+    comes from one ranked zeta pass over the bits; locked(S) is the sum of
+    planes 0..r-1.  Plane 0 is the plain subset-sum (r = 1).
+    """
     n = len(speeds)
-    sizes = profile.dense_sizes()
-    locked = [Fraction(0)] * (1 << n)
-    for mask in iter_class_masks(n):
-        locked[mask] = sizes[mask - 1]
+    full = 1 << n
+    locked = [Fraction(0)] * full
+    for mask, size in classes:
+        locked[mask] = size
+    # r > n leaves no active class (none has more than n members), so n planes do
+    within = [locked] + [locked.copy() for _ in range(1, min(redundancy, n))]
     for b in range(n):
         bit = 1 << b
-        for s_mask in range(1 << n):
+        # descending k: plane k - 1 still holds its values from before bit b
+        for k in range(len(within) - 1, 0, -1):
+            plane, below = within[k], within[k - 1]
+            for hi in range(full):
+                if hi & bit:
+                    lo = hi ^ bit
+                    plane[hi], plane[lo] = plane[hi] + plane[lo], plane[lo] + below[hi]
+        for s_mask in range(full):
             if s_mask & bit:
                 locked[s_mask] += locked[s_mask ^ bit]
-    spd = [Fraction(0)] * (1 << n)
-    for s_mask in range(1, 1 << n):
+    for plane in within[1:]:  # plane 0 collects the sum
+        for s_mask in range(full):
+            locked[s_mask] += plane[s_mask]
+    spd = [Fraction(0)] * full
+    for s_mask in range(1, full):
         low = s_mask & -s_mask
         spd[s_mask] = spd[s_mask ^ low] + speeds[low.bit_length() - 1]
     best = Fraction(0)
-    best_mask = (1 << n) - 1
-    for s_mask in range(1, 1 << n):
+    best_mask = full - 1
+    for s_mask in range(1, full):
         value = locked[s_mask] / spd[s_mask]
         if value > best or (value == best and s_mask.bit_count() > best_mask.bit_count()):
             best = value
             best_mask = s_mask
     return best, best_mask
-
-
-def _bottleneck(
-    instance: ProblemInstance, profile: ClassProfile, redundancy: int
-) -> tuple[Fraction, int]:
-    check_pair(instance, profile)
-    if redundancy < 1:
-        raise StructureError("redundancy must be >= 1")
-    if instance.N > ORACLE_MAX_WORKERS:
-        raise OracleScopeError(
-            f"oracle enumerates worker subsets; N={instance.N} exceeds {ORACLE_MAX_WORKERS}"
-        )
-    if redundancy == 1:
-        return _bottleneck_r1(profile, instance.speeds)
-    classes = _active_classes(profile, redundancy)
-    if not classes:
-        return Fraction(0), (1 << instance.N) - 1
-    return _bottleneck_general(classes, instance.speeds, redundancy)
 
 
 def _build_flow(
@@ -222,15 +211,17 @@ def _build_flow(
     return net, demand, share_edges
 
 
+def _saturates(classes: list, speeds: tuple[Fraction, ...], redundancy: int, T: Fraction) -> bool:
+    net, demand, _ = _build_flow(classes, speeds, redundancy, T)
+    return net.max_flow(0, len(net.adj) - 1) == demand
+
+
 def feasible_at(
     instance: ProblemInstance, profile: ClassProfile, redundancy: int, T: Fraction
 ) -> bool:
     """Exact feasibility of covering every class r times within time T."""
-    classes = _active_classes(profile, redundancy)
-    if not classes:
-        return True
-    net, demand, _ = _build_flow(classes, instance.speeds, redundancy, T)
-    return net.max_flow(0, len(net.adj) - 1) == demand
+    classes = _active_classes(instance, profile, redundancy)
+    return _saturates(classes, instance.speeds, redundancy, T)
 
 
 def lp_oracle(
@@ -241,10 +232,11 @@ def lp_oracle(
     The enumerated candidate is cross-verified by max-flow: it must be
     feasible, and infeasible after shrinking by 2^-40.
     """
-    value, _ = _bottleneck(instance, profile, redundancy)
-    if not feasible_at(instance, profile, redundancy, value):
+    classes = _active_classes(instance, profile, redundancy)
+    value, _ = _bottleneck(classes, instance.speeds, redundancy)
+    if not _saturates(classes, instance.speeds, redundancy, value):
         raise AssertionError(f"oracle candidate {value} unexpectedly infeasible")
-    if value > 0 and feasible_at(instance, profile, redundancy, value * _EPS_SCALE):
+    if value > 0 and _saturates(classes, instance.speeds, redundancy, value * _EPS_SCALE):
         raise AssertionError(f"oracle candidate {value} is not tight")
     return value
 
@@ -258,18 +250,16 @@ def flow_assign(
     for redundant coverage.  The reported n* is the number of workers in
     the bottleneck subset.
     """
-    value, bottleneck_mask = _bottleneck(instance, profile, redundancy)
-    classes = _active_classes(profile, redundancy)
+    classes = _active_classes(instance, profile, redundancy)
+    value, bottleneck_mask = _bottleneck(classes, instance.speeds, redundancy)
+    net, demand, share_edges = _build_flow(classes, instance.speeds, redundancy, value)
+    if net.max_flow(0, len(net.adj) - 1) != demand:
+        raise AssertionError("flow at the oracle optimum failed to saturate demand")
     shares: dict[tuple[int, int], Fraction] = {}
-    if classes:
-        net, demand, share_edges = _build_flow(classes, instance.speeds, redundancy, value)
-        pushed = net.max_flow(0, len(net.adj) - 1)
-        if pushed != demand:
-            raise AssertionError("flow at the oracle optimum failed to saturate demand")
-        for idx, worker, mask in share_edges:
-            flow = net.cap[idx ^ 1]  # residual on the reverse edge = flow pushed
-            if flow != 0:
-                shares[(worker, mask)] = flow
+    for idx, worker, mask in share_edges:
+        flow = net.cap[idx ^ 1]  # residual on the reverse edge = flow pushed
+        if flow != 0:
+            shares[(worker, mask)] = flow
     assignment = LoadAssignment(
         n_workers=instance.N, redundancy=redundancy, shares=shares
     )

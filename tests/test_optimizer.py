@@ -23,7 +23,7 @@ from dusec.optimizer import (
     optimal_time,
     rearrange,
 )
-from dusec.oracle import lp_oracle
+from dusec.oracle import flow_assign, lp_oracle
 from dusec.storage import profile_from_alpha
 
 
@@ -214,6 +214,30 @@ def test_critical_conditions_worked_examples():
         inst = ProblemInstance.from_alpha(alpha, speeds)
         prof = profile_from_alpha(alpha, inst.N)
         assert critical_conditions_hold(inst, prof, optimal_time(inst, prof))
+
+
+def test_closed_form_refuses_measured_profiles():
+    # the fastest worker alone stores most of the data, so the bottleneck
+    # is not a speed prefix: max_n L(n)/S(n) is 1/13, the optimum is 9/100
+    sizes = [F(0)] * 7
+    sizes[0b001 - 1] = F(1, 20)
+    sizes[0b010 - 1] = F(1, 20)
+    sizes[0b100 - 1] = F(9, 10)
+    prof = ClassProfile(
+        mode=ProfileMode.EXACT, n_workers=3, alpha=None, beta=F(0),
+        class_sizes=tuple(sizes),
+    )
+    inst = ProblemInstance(K=20, M=7, speeds=(F(1), F(2), F(10)))
+    _, flow = flow_assign(inst, prof)
+    with pytest.raises(StructureError, match="flow_assign or lp_oracle"):
+        optimal_time(inst, prof)
+    with pytest.raises(StructureError, match="flow_assign or lp_oracle"):
+        cutset_bounds(inst, prof)
+    with pytest.raises(StructureError, match="flow_assign or lp_oracle"):
+        critical_conditions_hold(inst, prof, flow)
+    asg, res = assign_loads(inst, prof)  # falls back to flow
+    assert res.c_star == flow.c_star == F(9, 100)
+    assert validate(inst, prof, asg) == []
 
 
 def _random_case(rng):

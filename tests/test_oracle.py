@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dusec.model import (
     ClassProfile,
@@ -19,7 +22,12 @@ from dusec.oracle import (
     flow_assign,
     lp_oracle,
 )
-from dusec.storage import exact_profile, generate_decentralized, profile_from_alpha
+from dusec.storage import (
+    ExplicitStorage,
+    exact_profile,
+    generate_decentralized,
+    profile_from_alpha,
+)
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -181,3 +189,51 @@ def test_against_scipy_linprog_redundant():
             exact = lp_oracle(inst, prof, redundancy=r)
             ref = _scipy_reference(inst, prof, r)
             assert abs(float(exact) - ref) <= 1e-9 * max(1.0, ref)
+
+
+@st.composite
+def _placements(draw):
+    """A measured placement in sorted-speed order, with a redundancy in 1..N+1."""
+    n = draw(st.integers(1, 6))
+    K = draw(st.integers(1, 12))
+    M = draw(st.integers(0, K))
+    per_worker = tuple(
+        np.array(sorted(draw(st.permutations(range(K)))[:M]), dtype=np.int64)
+        for _ in range(n)
+    )
+    # a small pool forces ties; list order is the caller's, so usually unsorted
+    speeds = draw(st.lists(
+        st.sampled_from([F(1), F(3, 2), F(2), F(5)]), min_size=n, max_size=n
+    ))
+    inst = ProblemInstance(K=K, M=M, speeds=speeds)
+    storage = ExplicitStorage(K=K, M=M, per_worker=per_worker)
+    prof = exact_profile(storage.subset([i + 1 for i in inst.source_order]))
+    return inst, prof, draw(st.integers(1, n + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_placements())
+def test_oracle_equals_locked_load_formula(case):
+    inst, prof, r = case
+    classes = list(iter_class_masks(inst.N))
+    too_small = [v for v in classes if prof.a(v) > 0 and v.bit_count() < r]
+    if too_small:
+        for solve in (lp_oracle, flow_assign):
+            with pytest.raises(InfeasibleRedundancy) as exc:
+                solve(inst, prof, r)
+            assert exc.value.class_masks == too_small
+        return
+    # T* = max over S of sum_V a(V) * max(0, r - |V minus S|) / speed(S)
+    value = {}
+    for s in classes:
+        inside = set(workers_of(s))
+        locked = sum(
+            (prof.a(v) * max(0, r - len(set(workers_of(v)) - inside)) for v in classes), F(0)
+        )
+        value[s] = locked / sum(inst.speeds[n - 1] for n in inside)
+    best = max(value.values())
+    assert lp_oracle(inst, prof, r) == best
+    asg, res = flow_assign(inst, prof, r)
+    assert res.c_star == best
+    assert res.n_star == max(s.bit_count() for s in classes if value[s] == best)
+    assert validate(inst, prof, asg) == []
