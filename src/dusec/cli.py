@@ -25,7 +25,6 @@ from .model import (
     StructureError,
     frac_json,
     frac_str,
-    iter_class_masks,
 )
 from .optimizer import assign_loads
 from .oracle import flow_assign, lp_oracle
@@ -145,14 +144,9 @@ def _cmd_profile(args) -> int:
     obj = {"schemaVersion": SCHEMA_VERSION, "storage": storage.to_json_obj()}
     if args.exact:
         profile = exact_profile(storage)
-        sizes = profile.dense_sizes()
         obj["profile"] = {
             "mode": "exact",
-            "classSizes": {
-                str(mask): frac_str(sizes[mask - 1])
-                for mask in iter_class_masks(args.N)
-                if sizes[mask - 1] > 0
-            },
+            "classSizes": {str(mask): frac_str(size) for mask, size in profile.classes.items()},
             "cumulative": [frac_str(x) for x in profile.cumulative],
         }
     print(json.dumps(obj, indent=2))

@@ -16,8 +16,9 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 SCHEMA_VERSION = 1  # of every JSON document read or written (scenarios, reports, CLI output)
 
@@ -37,6 +38,8 @@ def as_fraction(value) -> Fraction:
     Floats are rejected: they would silently launder rounding error into
     the exact pipeline.
     """
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise StructureError(f"refusing inexact float {value!r}; pass str or Fraction")
     return Fraction(value)
@@ -173,72 +176,89 @@ class ProfileMode(enum.Enum):
 class ClassProfile:
     """Normalized storage-class sizes a(V) for the nonempty worker subsets V.
 
-    Exact mode carries a dense table indexed by mask-1 (measured from an
-    explicit placement).  Asymptotic mode carries sizes by cardinality
-    only, since the limiting law a(V) = beta*(alpha-1)^|V| depends on V
-    through |V| alone; this keeps the formula profile usable at worker
-    counts where 2^N tables are impossible.
+    A measured (exact) profile carries ``class_sizes``: only its nonzero
+    classes, as a read-only mask -> size map in ascending mask order.  Each
+    dataset lands in exactly one class, so there are at most
+    min(K, 2^N - 1) of them.  A formula (asymptotic) profile carries sizes
+    by cardinality only, since the limiting law a(V) = beta*(alpha-1)^|V|
+    depends on V through |V| alone; this keeps it usable at worker counts
+    where 2^N tables are impossible.  ``alpha`` and ``beta`` are set on
+    formula profiles only.  Read classes through :attr:`classes`.
     """
 
-    mode: ProfileMode
     n_workers: int
-    alpha: Fraction | None
-    beta: Fraction
+    alpha: Fraction | None = None
+    beta: Fraction | None = None
     sizes_by_card: tuple[Fraction, ...] | None = None
-    class_sizes: tuple[Fraction, ...] | None = None
+    class_sizes: Mapping[int, Fraction] | None = None
 
     def __post_init__(self):
         if self.n_workers < 1:
             raise StructureError("profile needs at least one worker")
-        if self.mode is ProfileMode.EXACT:
-            if self.class_sizes is None or len(self.class_sizes) != (1 << self.n_workers) - 1:
-                raise StructureError("exact profile needs 2^N - 1 class sizes")
-        else:
-            if self.sizes_by_card is None or len(self.sizes_by_card) != self.n_workers + 1:
+        if (self.class_sizes is None) == (self.sizes_by_card is None):
+            raise StructureError("a profile needs exactly one of class_sizes and sizes_by_card")
+        if self.class_sizes is None:
+            if len(self.sizes_by_card) != self.n_workers + 1:
                 raise StructureError("asymptotic profile needs N + 1 per-cardinality sizes")
+            return
+        clean: dict[int, Fraction] = {}
+        limit = 1 << self.n_workers
+        for mask, raw in sorted(self.class_sizes.items()):
+            if not 0 < mask < limit:
+                raise StructureError(f"class mask {mask} out of range for N={self.n_workers}")
+            size = as_fraction(raw)
+            if size.numerator < 0:
+                raise StructureError(f"class {mask} has negative size {size}")
+            if size:
+                clean[mask] = size
+        object.__setattr__(self, "class_sizes", MappingProxyType(clean))
+
+    @property
+    def mode(self) -> ProfileMode:
+        return ProfileMode.ASYMPTOTIC if self.class_sizes is None else ProfileMode.EXACT
 
     def a(self, mask: int) -> Fraction:
         """Normalized size of class ``mask`` (fraction of all datasets)."""
         if not 0 < mask < (1 << self.n_workers):
             raise StructureError(f"class mask {mask} out of range for N={self.n_workers}")
         if self.class_sizes is not None:
-            return self.class_sizes[mask - 1]
+            return self.class_sizes.get(mask, Fraction(0))
         return self.sizes_by_card[mask.bit_count()]  # type: ignore[index]
+
+    @cached_property
+    def classes(self) -> Mapping[int, Fraction]:
+        """The nonzero classes: a read-only mask -> size map, ascending by mask.
+
+        Formula profiles materialize it from their per-cardinality sizes.
+        """
+        if self.class_sizes is not None:
+            return self.class_sizes
+        if self.n_workers > 22:
+            raise StructureError(f"refusing to materialize 2^{self.n_workers} classes")
+        by_card = self.sizes_by_card
+        return MappingProxyType({
+            mask: by_card[mask.bit_count()]
+            for mask in iter_class_masks(self.n_workers)
+            if by_card[mask.bit_count()] != 0
+        })
 
     @cached_property
     def cumulative(self) -> tuple[Fraction, ...]:
         """L[n] = sum of a(V) over nonempty V contained in workers 1..n.
 
-        L[N] is the covered fraction of the dataset; 1 - L[N] = beta.
+        L[N] is the covered fraction of the dataset; 1 - L[N] is the share
+        stored nowhere (beta on formula profiles).
         """
         n = self.n_workers
-        if self.class_sizes is not None:
-            by_top = [Fraction(0)] * (n + 1)
-            for mask in iter_class_masks(n):
-                by_top[mask.bit_length()] += self.class_sizes[mask - 1]
-            out = [Fraction(0)]
-            for k in range(1, n + 1):
-                out.append(out[-1] + by_top[k])
-            return tuple(out)
-        if self.alpha is None:
-            # full-storage profile: only the all-workers class exists
-            return tuple([Fraction(0)] * n + [Fraction(1)])
-        return tuple(self.beta * (self.alpha**k - 1) for k in range(n + 1))
-
-    def dense_sizes(self) -> tuple[Fraction, ...]:
-        """Dense a(V) table (mask-1 indexed); materializes formula profiles."""
-        if self.class_sizes is not None:
-            return self.class_sizes
-        if self.n_workers > 22:
-            raise StructureError(f"refusing to materialize 2^{self.n_workers} classes")
-        if self.alpha is None:
-            full = (1 << self.n_workers) - 1
-            return tuple(
-                Fraction(1) if mask == full else Fraction(0)
-                for mask in iter_class_masks(self.n_workers)
-            )
-        by_card = self.sizes_by_card
-        return tuple(by_card[mask.bit_count()] for mask in iter_class_masks(self.n_workers))
+        if self.class_sizes is None:
+            if self.alpha is None:
+                # full-storage profile: only the all-workers class exists
+                return tuple([Fraction(0)] * n + [Fraction(1)])
+            return tuple(self.beta * (self.alpha**k - 1) for k in range(n + 1))
+        by_top = [Fraction(0)] * (n + 1)
+        for mask, size in self.classes.items():
+            by_top[mask.bit_length()] += size
+        return tuple(accumulate(by_top))
 
 
 @dataclass(frozen=True)
@@ -271,21 +291,11 @@ class LoadAssignment:
     def share(self, worker: int, mask: int) -> Fraction:
         return self.shares.get((worker, mask), Fraction(0))
 
-    def worker_load(self, worker: int) -> Fraction:
-        return sum(
-            (v for (n, _), v in self.shares.items() if n == worker), Fraction(0)
-        )
-
     def per_worker_loads(self) -> tuple[Fraction, ...]:
         loads = [Fraction(0)] * self.n_workers
         for (n, _), v in self.shares.items():
             loads[n - 1] += v
         return tuple(loads)
-
-    def class_total(self, mask: int) -> Fraction:
-        return sum(
-            (v for (_, m), v in self.shares.items() if m == mask), Fraction(0)
-        )
 
     def class_totals(self) -> dict[int, Fraction]:
         totals: dict[int, Fraction] = {}
@@ -353,13 +363,14 @@ def validate(
             f"assignment covers {assignment.n_workers} workers, instance has {instance.N}"
         )
     r = assignment.redundancy
+    classes = profile.classes
     violations: list[Violation] = []
     for n, mask, value in assignment.sorted_items():
         if not mask & (1 << (n - 1)):
             violations.append(
                 Violation("domain", n, mask, f"worker {n} holds class {mask} it does not store")
             )
-        size = profile.a(mask)
+        size = classes.get(mask, Fraction(0))
         if value < 0 or value > size:
             violations.append(
                 Violation(
@@ -367,12 +378,10 @@ def validate(
                 )
             )
     totals = assignment.class_totals()
-    for mask in iter_class_masks(instance.N):
-        size = profile.a(mask)
+    for mask in sorted(classes.keys() | totals.keys()):
+        size = classes.get(mask, Fraction(0))
         expected = r * size if mask.bit_count() >= r else Fraction(0)
         got = totals.get(mask, Fraction(0))
-        if size == 0 and got == 0:
-            continue
         if got != expected:
             violations.append(
                 Violation(

@@ -29,7 +29,6 @@ from .model import (
     StructureError,
     TimeResult,
     check_pair,
-    iter_class_masks,
     iter_submasks,
 )
 
@@ -297,15 +296,10 @@ def assign_loads(
     ("merge", RearrangeDelta) events for inspection.
     """
     check_pair(instance, profile)
-    sizes = profile.dense_sizes()
     events: list = []
     groups = _staircase(profile.cumulative, instance.prefix_speed_sums(), instance.N, events)
     # Tentative split: every class sits whole on its fastest member.
-    shares = {
-        (mask.bit_length(), mask): sizes[mask - 1]
-        for mask in iter_class_masks(instance.N)
-        if sizes[mask - 1] > 0
-    }
+    shares = {(mask.bit_length(), mask): size for mask, size in profile.classes.items()}
     try:
         for event in events:
             if event[0] == "merge":

@@ -30,7 +30,6 @@ from .model import (
     StructureError,
     TimeResult,
     check_pair,
-    iter_class_masks,
 )
 
 ORACLE_MAX_WORKERS = 12
@@ -124,20 +123,10 @@ def _active_classes(
         raise OracleScopeError(
             f"oracle enumerates worker subsets; N={instance.N} exceeds {ORACLE_MAX_WORKERS}"
         )
-    sizes = profile.dense_sizes()
-    out = []
-    bad = []
-    for mask in iter_class_masks(profile.n_workers):
-        size = sizes[mask - 1]
-        if size == 0:
-            continue
-        if mask.bit_count() < redundancy:
-            bad.append(mask)
-        else:
-            out.append((mask, size))
+    bad = [mask for mask in profile.classes if mask.bit_count() < redundancy]
     if bad:
         raise InfeasibleRedundancy(redundancy, bad)
-    return out
+    return list(profile.classes.items())
 
 
 def _bottleneck(

@@ -15,12 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import (
-    ClassProfile,
-    ProfileMode,
-    StructureError,
-    as_fraction,
-)
+from .model import ClassProfile, StructureError, as_fraction
 
 
 def _worker_rng(seed: int, stream_key: int) -> np.random.Generator:
@@ -156,17 +151,9 @@ def exact_profile(storage: ExplicitStorage) -> ClassProfile:
     n = storage.n_workers
     if n > 20:
         raise StructureError(f"exact profile limited to 20 workers, got {n}")
-    counts = storage.class_counts()
-    sizes = tuple(Fraction(int(counts[mask]), storage.K) for mask in range(1, 1 << n))
-    alpha = None if storage.M == storage.K else Fraction(storage.K, storage.K - storage.M)
-    beta = Fraction(storage.K - storage.M, storage.K) ** n
-    return ClassProfile(
-        mode=ProfileMode.EXACT,
-        n_workers=n,
-        alpha=alpha,
-        beta=beta,
-        class_sizes=sizes,
-    )
+    masks, counts = np.unique(storage.class_index, return_counts=True)
+    sizes = {mask: Fraction(c, storage.K) for mask, c in zip(masks.tolist(), counts.tolist()) if mask}
+    return ClassProfile(n_workers=n, class_sizes=sizes)
 
 
 def profile_from_alpha(alpha, n_workers: int) -> ClassProfile:
@@ -181,23 +168,11 @@ def profile_from_alpha(alpha, n_workers: int) -> ClassProfile:
         by_card = tuple(
             Fraction(1) if k == n_workers else Fraction(0) for k in range(n_workers + 1)
         )
-        return ClassProfile(
-            mode=ProfileMode.ASYMPTOTIC,
-            n_workers=n_workers,
-            alpha=None,
-            beta=Fraction(0),
-            sizes_by_card=by_card,
-        )
+        return ClassProfile(n_workers=n_workers, beta=Fraction(0), sizes_by_card=by_card)
     a = as_fraction(alpha)
     if a < 1:
         raise StructureError(f"alpha must be >= 1, got {a}")
     beta = (1 / a) ** n_workers
     by_card = tuple(beta * (a - 1) ** k for k in range(n_workers + 1))
-    return ClassProfile(
-        mode=ProfileMode.ASYMPTOTIC,
-        n_workers=n_workers,
-        alpha=a,
-        beta=beta,
-        sizes_by_card=by_card,
-    )
+    return ClassProfile(n_workers=n_workers, alpha=a, beta=beta, sizes_by_card=by_card)
 

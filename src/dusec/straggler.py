@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -28,11 +27,9 @@ from .model import (
     ClassProfile,
     LoadAssignment,
     ProblemInstance,
-    ProfileMode,
     StructureError,
     TimeResult,
     check_pair,
-    iter_class_masks,
     workers_of,
 )
 from .oracle import flow_assign
@@ -133,20 +130,10 @@ def filtered_for_redundancy(profile: ClassProfile, r: int) -> ClassProfile:
     Such classes cannot be covered r times.  Returns ``profile`` itself
     when no class of nonzero size is too small.
     """
-    sizes = profile.dense_sizes()
-    filtered = tuple(
-        Fraction(0) if mask.bit_count() < r else sizes[mask - 1]
-        for mask in iter_class_masks(profile.n_workers)
-    )
-    if filtered == sizes:
+    kept = {mask: size for mask, size in profile.classes.items() if mask.bit_count() >= r}
+    if len(kept) == len(profile.classes):
         return profile
-    return ClassProfile(
-        mode=ProfileMode.EXACT,
-        n_workers=profile.n_workers,
-        alpha=profile.alpha,
-        beta=profile.beta,
-        class_sizes=filtered,
-    )
+    return ClassProfile(n_workers=profile.n_workers, class_sizes=kept)
 
 
 def redundant_assign(
@@ -156,16 +143,16 @@ def redundant_assign(
 
     Classes with fewer than s+m members are dropped from the aggregate and
     listed in the plan.  With s=0, m=1 this is exactly the plain elastic
-    assignment problem.
+    assignment problem.  s+m > N is refused: no class could be covered.
     """
     check_pair(instance, profile)
     r = config.redundancy
-    filtered = filtered_for_redundancy(profile, r)
-    sizes, kept = profile.dense_sizes(), filtered.dense_sizes()
-    excluded = tuple(
-        mask for mask in iter_class_masks(instance.N) if sizes[mask - 1] != kept[mask - 1]
-    )
-    assignment, time = flow_assign(instance, filtered, redundancy=r)
+    if r > instance.N:
+        raise CodingConfigError(
+            f"redundancy r = s + m = {r} exceeds N = {instance.N}: no class can be covered {r} times"
+        )
+    excluded = tuple(mask for mask in profile.classes if mask.bit_count() < r)
+    assignment, time = flow_assign(instance, filtered_for_redundancy(profile, r), redundancy=r)
     return StragglerPlan(assignment=assignment, time=time, excluded_classes=excluded)
 
 

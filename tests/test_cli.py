@@ -62,6 +62,14 @@ def test_solve_straggler(capsys):
     assert obj["cStar"]["frac"] == "1/4"
 
 
+def test_straggler_beyond_the_fleet_exits_2(capsys):
+    code, out, err = _run(
+        capsys, ["solve", "--speeds", "1,2,5,5", "--alpha", "2", "--straggler", "9,9"]
+    )
+    assert code == 2 and out == ""
+    assert "r = s + m = 18 exceeds N = 4" in err
+
+
 def test_profile_and_solve_roundtrip(tmp_path, capsys):
     code, out, _ = _run(
         capsys, ["profile", "--K", "40", "--M", "20", "--N", "4", "--seed", "5", "--exact"]

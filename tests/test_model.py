@@ -129,12 +129,16 @@ def test_zero_storage_profile():
     assert prof.cumulative == (F(0), F(0), F(0), F(0))
 
 
-def test_exact_profile_requires_dense_table():
-    with pytest.raises(StructureError):
-        ClassProfile(
-            mode=ProfileMode.EXACT, n_workers=2, alpha=None, beta=F(0),
-            class_sizes=(F(1, 2),),  # needs 2^2 - 1 = 3 entries
-        )
+def test_exact_profile_checks_its_class_table():
+    for bad in ({0: F(1, 2)}, {4: F(1, 2)}, {1: F(-1, 2)}, {1: 0.5}):
+        with pytest.raises(StructureError):
+            ClassProfile(n_workers=2, class_sizes=bad)  # masks of N = 2 are 1..3
+    prof = ClassProfile(n_workers=2, class_sizes={3: "1/4", 2: F(0), 1: F(3, 4)})
+    assert dict(prof.class_sizes) == {1: F(3, 4), 3: F(1, 4)}  # zero sizes are dropped
+    assert list(prof.classes) == [1, 3]  # ascending by mask
+    assert prof.mode is ProfileMode.EXACT
+    assert prof.a(2) == 0 and prof.a(3) == F(1, 4)
+    assert prof.cumulative == (F(0), F(3, 4), F(1))
 
 
 def test_assignment_accessors():
@@ -142,10 +146,7 @@ def test_assignment_accessors():
     asg = LoadAssignment(n_workers=2, redundancy=1, shares=shares)
     assert asg.share(2, 2) == 0  # zero shares are dropped
     assert (2, 2) not in asg.shares
-    assert asg.worker_load(1) == F(3, 16)
-    assert asg.worker_load(2) == F(1, 8)
     assert asg.per_worker_loads() == (F(3, 16), F(1, 8))
-    assert asg.class_total(3) == F(3, 16)
     assert asg.class_totals() == {1: F(1, 8), 3: F(3, 16)}
     obj = asg.to_json_obj()
     assert {"n": 1, "classMask": 1, "share": "1/8"} in obj
@@ -225,6 +226,18 @@ def test_validate_domain_violation():
     asg = LoadAssignment(n_workers=4, redundancy=1, shares={(2, 0b0101): F(1, 16)})
     kinds = {v.kind for v in validate(inst, prof, asg)}
     assert "domain" in kinds
+
+
+def test_validate_reports_load_on_an_empty_class():
+    # class 0b10 is empty: a share of it breaks both its cap and its coverage
+    inst = ProblemInstance(K=2, M=1, speeds=(F(1), F(1)))
+    prof = ClassProfile(n_workers=2, class_sizes={0b11: F(1, 2)})
+    asg = LoadAssignment(n_workers=2, redundancy=1, shares={(1, 0b11): F(1, 2), (2, 0b10): F(1, 4)})
+    violations = validate(inst, prof, asg)
+    assert [(v.kind, v.worker, v.class_mask) for v in violations] == [
+        ("bounds", 2, 0b10),
+        ("coverage", None, 0b10),
+    ]
 
 
 def test_validate_shape_mismatch_raises():

@@ -9,7 +9,6 @@ from dusec.model import (
     ClassProfile,
     LoadAssignment,
     ProblemInstance,
-    ProfileMode,
     StructureError,
     iter_class_masks,
     validate,
@@ -138,13 +137,7 @@ def test_zero_storage_solves_to_zero():
 
 def _disjoint_profile():
     # two workers with disjoint storage: nothing can move between them
-    sizes = [F(0)] * 3
-    sizes[0b01 - 1] = F(1, 4)
-    sizes[0b10 - 1] = F(3, 4)
-    return ClassProfile(
-        mode=ProfileMode.EXACT, n_workers=2, alpha=None, beta=F(0),
-        class_sizes=tuple(sizes),
-    )
+    return ClassProfile(n_workers=2, class_sizes={0b01: F(1, 4), 0b10: F(3, 4)})
 
 
 def test_rearrange_infeasible_without_shared_classes():
@@ -219,13 +212,8 @@ def test_critical_conditions_worked_examples():
 def test_closed_form_refuses_measured_profiles():
     # the fastest worker alone stores most of the data, so the bottleneck
     # is not a speed prefix: max_n L(n)/S(n) is 1/13, the optimum is 9/100
-    sizes = [F(0)] * 7
-    sizes[0b001 - 1] = F(1, 20)
-    sizes[0b010 - 1] = F(1, 20)
-    sizes[0b100 - 1] = F(9, 10)
     prof = ClassProfile(
-        mode=ProfileMode.EXACT, n_workers=3, alpha=None, beta=F(0),
-        class_sizes=tuple(sizes),
+        n_workers=3, class_sizes={0b001: F(1, 20), 0b010: F(1, 20), 0b100: F(9, 10)}
     )
     inst = ProblemInstance(K=20, M=7, speeds=(F(1), F(2), F(10)))
     _, flow = flow_assign(inst, prof)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from dusec.model import (
     ClassProfile,
     ProblemInstance,
-    ProfileMode,
     iter_class_masks,
     validate,
     workers_of,
@@ -27,6 +26,12 @@ from dusec.storage import (
     exact_profile,
     generate_decentralized,
     profile_from_alpha,
+)
+from dusec.straggler import (
+    CodingConfigError,
+    StragglerConfig,
+    filtered_for_redundancy,
+    redundant_assign,
 )
 
 scipy_opt = pytest.importorskip("scipy.optimize")
@@ -77,17 +82,8 @@ def test_redundancy_needs_large_enough_classes():
 def _all_but_one_profile():
     # worker n misses exactly dataset n-1, so every class has 3 members
     K, N = 4, 4
-    sizes = [F(0)] * 15
-    for d in range(K):
-        mask = 0
-        for n in range(N):
-            if n != d:
-                mask |= 1 << n
-        sizes[mask - 1] += F(1, K)
-    prof = ClassProfile(
-        mode=ProfileMode.EXACT, n_workers=N, alpha=None, beta=F(0),
-        class_sizes=tuple(sizes),
-    )
+    full = (1 << N) - 1
+    prof = ClassProfile(n_workers=N, class_sizes={full ^ (1 << d): F(1, K) for d in range(K)})
     inst = ProblemInstance(K=K, M=3, speeds=(F(1), F(2), F(3), F(4)))
     return inst, prof
 
@@ -108,13 +104,8 @@ def test_time_grows_with_redundancy():
 
 def test_bottleneck_need_not_be_a_speed_prefix():
     # the fastest worker exclusively stores most of the data
-    sizes = [F(0)] * 7
-    sizes[0b001 - 1] = F(1, 20)
-    sizes[0b010 - 1] = F(1, 20)
-    sizes[0b100 - 1] = F(9, 10)
     prof = ClassProfile(
-        mode=ProfileMode.EXACT, n_workers=3, alpha=None, beta=F(0),
-        class_sizes=tuple(sizes),
+        n_workers=3, class_sizes={0b001: F(1, 20), 0b010: F(1, 20), 0b100: F(9, 10)}
     )
     inst = ProblemInstance(K=20, M=7, speeds=(F(1), F(2), F(10)))
     value = lp_oracle(inst, prof)
@@ -196,7 +187,7 @@ def _placements(draw):
     """A measured placement in sorted-speed order, with a redundancy in 1..N+1."""
     n = draw(st.integers(1, 6))
     K = draw(st.integers(1, 12))
-    M = draw(st.integers(0, K))
+    M = draw(st.one_of(st.just(K), st.integers(0, K)))  # full storage on purpose
     per_worker = tuple(
         np.array(sorted(draw(st.permutations(range(K)))[:M]), dtype=np.int64)
         for _ in range(n)
@@ -237,3 +228,22 @@ def test_oracle_equals_locked_load_formula(case):
     assert res.c_star == best
     assert res.n_star == max(s.bit_count() for s in classes if value[s] == best)
     assert validate(inst, prof, asg) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_placements())
+def test_redundant_assign_equals_oracle_on_measured_placements(case):
+    inst, prof, _ = case  # every redundancy is tried below
+    n = inst.N
+    for r in range(1, n + 1):
+        too_small = tuple(v for v in iter_class_masks(n) if prof.a(v) > 0 and v.bit_count() < r)
+        best = lp_oracle(inst, filtered_for_redundancy(prof, r), r)
+        for s in range(r):
+            plan = redundant_assign(inst, prof, StragglerConfig(s=s, m=r - s))
+            assert plan.excluded_classes == too_small
+            assert plan.time.c_star == best
+            assert plan.assignment.redundancy == r
+            assert validate(inst, prof, plan.assignment) == []
+    for s in range(n + 1):
+        with pytest.raises(CodingConfigError):
+            redundant_assign(inst, prof, StragglerConfig(s=s, m=n + 1 - s))

@@ -72,6 +72,17 @@ def test_no_tolerance_reduces_to_plain_assignment():
         assert plan.excluded_classes == ()
 
 
+def test_redundancy_beyond_the_fleet_is_refused():
+    # s + m = 18 > N = 4: no class can be covered 18 times, so there is no plan
+    inst = ProblemInstance.from_alpha(F(2), (F(1), F(2), F(5), F(5)))
+    prof = profile_from_alpha(F(2), 4)
+    with pytest.raises(CodingConfigError, match=r"r = s \+ m = 18 exceeds N = 4"):
+        redundant_assign(inst, prof, StragglerConfig(s=9, m=9))
+    plan = redundant_assign(inst, prof, StragglerConfig(s=2, m=2))  # r = N still plans
+    assert plan.excluded_classes == tuple(range(1, 15))
+    assert plan.time.c_star > 0
+
+
 def test_part_schedule_structure():
     inst = ProblemInstance.from_alpha(F(2), (F(1), F(100), F(100)))
     prof = profile_from_alpha(F(2), 3)
@@ -105,7 +116,7 @@ def test_part_schedule_counts_match_plan():
             for n in workers:
                 slots[(n, mask)] = slots.get((n, mask), 0) + 1
         for mask in covered:
-            size = plan.assignment.class_total(mask) / r
+            size = plan.assignment.class_totals()[mask] / r
             for n in workers_of(mask):
                 expected = cfg.m * plan.assignment.share(n, mask) / size
                 assert abs(slots.get((n, mask), 0) - expected) < 1
