@@ -202,9 +202,7 @@ def _cmd_solve(args) -> int:
         check_profile = profile
         check_redundancy = 1
 
-    obj["cStar"] = frac_json(time.c_star)
-    obj["nStar"] = time.n_star
-    obj["perVmTime"] = [frac_json(t) for t in time.per_worker_time]
+    obj.update(time.to_json_obj())
     obj["perVmLoad"] = [frac_json(x) for x in assignment.per_worker_loads()]
     obj["loads"] = assignment.to_json_obj()
 

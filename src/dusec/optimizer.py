@@ -153,13 +153,6 @@ def cutset_bounds(instance: ProblemInstance, profile: ClassProfile) -> tuple[Cut
     return tuple(bounds)
 
 
-def _group_span_masks(rd: RearrangeDelta) -> tuple[int, int, int]:
-    prefix = (1 << (rd.receiver_start - 1)) - 1
-    receiver = ((1 << rd.receiver_end) - 1) ^ prefix
-    donor = ((1 << rd.donor_end) - 1) ^ ((1 << (rd.donor_start - 1)) - 1)
-    return prefix, receiver, donor
-
-
 def _rearranged_shares(
     shares: Mapping[tuple[int, int], Fraction],
     rd: RearrangeDelta,
@@ -167,11 +160,14 @@ def _rearranged_shares(
 ) -> dict[tuple[int, int], Fraction]:
     """Apply one rebalancing move and return the new share table.
 
-    The delta is split across donor/receiver worker pairs in proportion to
-    the load each worker currently carries, and across the classes shared
-    by the two groups in proportion to class size.  Per-class totals are
-    conserved exactly; running out of room in the shared classes raises
-    InfeasibleRearrangement (nothing is applied in that case).
+    One descending walk over the merged span fills the carrier table: the
+    nonzero classes both groups store, keyed by (receiver part, donor part).
+    Current loads are summed per part and per worker.  The delta is split
+    across donor/receiver worker pairs in proportion to the load each holds,
+    and across the carriers of a pair of parts in proportion to class size.
+    Per-class totals are conserved exactly; running out of room in the
+    shared classes raises InfeasibleRearrangement (nothing is applied in
+    that case).  Negative shares are refused.
     """
     if rd.delta < 0:
         raise StructureError("delta must be nonnegative")
@@ -180,77 +176,70 @@ def _rearranged_shares(
     new_shares = dict(shares)
     if rd.delta == 0:
         return new_shares
-    prefix_mask, recv_mask, donor_mask = _group_span_masks(rd)
-    span_outside = ~(prefix_mask | recv_mask | donor_mask)
+    recv_span = (1 << rd.receiver_end) - 1  # the prefix plus the receiver group
+    span = (1 << rd.donor_end) - 1
+    recv_mask = recv_span ^ ((1 << (rd.receiver_start - 1)) - 1)
+    donor_mask = span ^ recv_span
 
-    shared_total = Fraction(0)
-    for w in iter_submasks(prefix_mask | recv_mask | donor_mask):
+    carriers: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    for w in iter_submasks(span):
         if w & recv_mask and w & donor_mask:
-            shared_total += profile.a(w)
+            size = profile.a(w)
+            if size:
+                carriers.setdefault((w & recv_mask, w & donor_mask), []).append((w, size))
+    shared_total = sum(size for group in carriers.values() for _, size in group)
     if rd.delta > shared_total:
         raise InfeasibleRearrangement(
             f"delta {rd.delta} exceeds shared class capacity {shared_total}"
         )
 
-    # Aggregate current loads: receiver side keyed by the class part inside
-    # the receiver group, donor side by the part inside the donor group.
-    recv_agg: dict[int, list[tuple[int, Fraction]]] = {}
-    donor_agg: dict[int, list[tuple[int, Fraction]]] = {}
-    recv_part_total: dict[int, Fraction] = {}
-    donor_part_total: dict[int, Fraction] = {}
-    total_recv = Fraction(0)
-    total_donor = Fraction(0)
+    # Current loads: receivers keyed by the class part inside the receiver
+    # group, donors by the part inside the donor group, then by worker.
+    recv_held: dict[int, dict[int, Fraction]] = {}
+    donor_held: dict[int, dict[int, Fraction]] = {}
     for (n, w), v in shares.items():
         if v == 0:
             continue
+        if v < 0:
+            raise StructureError(f"worker {n} holds a negative share {v} of class {w}")
         if rd.receiver_start <= n <= rd.receiver_end:
-            if w & (donor_mask | span_outside):
+            if w & ~recv_span:
                 raise StructureError(
                     f"receiver worker {n} holds class {w} outside its prefix span"
                 )
-            part = w & recv_mask
-            recv_agg.setdefault(part, []).append((n, v))
-            recv_part_total[part] = recv_part_total.get(part, Fraction(0)) + v
-            total_recv += v
+            held = recv_held.setdefault(w & recv_mask, {})
         elif rd.donor_start <= n <= rd.donor_end:
-            if w & span_outside:
+            if w & ~span:
                 raise StructureError(
                     f"donor worker {n} holds class {w} outside the merged span"
                 )
-            part = w & donor_mask
-            donor_agg.setdefault(part, []).append((n, v))
-            donor_part_total[part] = donor_part_total.get(part, Fraction(0)) + v
-            total_donor += v
-    if total_recv == 0 or total_donor == 0:
+            held = donor_held.setdefault(w & donor_mask, {})
+        else:
+            continue
+        held[n] = held.get(n, 0) + v
+    if not recv_held or not donor_held:
         raise InfeasibleRearrangement("cannot rebalance between groups with zero load")
-
-    scale = rd.delta / (total_recv * total_donor)
-    for v_part, recv_list in recv_agg.items():
-        for q_part, donor_list in donor_agg.items():
-            pair_move = scale * recv_part_total[v_part] * donor_part_total[q_part]
-            if pair_move == 0:
-                continue
-            carriers = []
-            carrier_total = Fraction(0)
-            for u in iter_submasks(prefix_mask):
-                w = u | v_part | q_part
-                size = profile.a(w)
-                if size > 0:
-                    carriers.append((w, size))
-                    carrier_total += size
-            if carrier_total == 0:
+    recv_part_total = {part: sum(held.values()) for part, held in recv_held.items()}
+    donor_part_total = {part: sum(held.values()) for part, held in donor_held.items()}
+    scale = rd.delta / (sum(recv_part_total.values()) * sum(donor_part_total.values()))
+    for v_part, recv_workers in recv_held.items():
+        for q_part, donor_workers in donor_held.items():
+            pair_carriers = carriers.get((v_part, q_part))
+            if pair_carriers is None:
                 raise InfeasibleRearrangement(
                     f"no shared class can carry load between parts {v_part} and {q_part}"
                 )
-            for w, size in carriers:
+            carrier_total = sum(size for _, size in pair_carriers)
+            for w, size in pair_carriers:
                 class_scale = scale * size / carrier_total
-                for n, held in recv_list:
+                gain_scale = class_scale * donor_part_total[q_part]
+                loss_scale = class_scale * recv_part_total[v_part]
+                for n, held in recv_workers.items():
                     key = (n, w)
-                    gain = class_scale * held * donor_part_total[q_part]
-                    new_shares[key] = new_shares.get(key, Fraction(0)) + gain
-                for n, held in donor_list:
+                    new_shares[key] = new_shares.get(key, Fraction(0)) + gain_scale * held
+                for n, held in donor_workers.items():
                     key = (n, w)
-                    loss = class_scale * held * recv_part_total[v_part]
+                    loss = loss_scale * held
                     remaining = new_shares.get(key, Fraction(0)) - loss
                     if remaining < 0:
                         raise InfeasibleRearrangement(

@@ -41,6 +41,7 @@ from .storage import (
 )
 from .straggler import (
     DEFAULT_FIELD_MODULUS,
+    CodingConfigError,
     StragglerConfig,
     decode,
     encode,
@@ -329,7 +330,10 @@ def _run_step(
         )
     task_value = None
     if straggler is not None:
-        plan = redundant_assign(instance, profile, straggler)
+        try:
+            plan = redundant_assign(instance, profile, straggler)
+        except CodingConfigError as exc:
+            raise CodingConfigError(f"steps[{step_index}]: {exc}") from exc
         time = plan.time
         messages = _demo_messages(sorted(plan.assignment.class_totals()), straggler)
         if messages:

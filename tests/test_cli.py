@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +69,20 @@ def test_straggler_beyond_the_fleet_exits_2(capsys):
     )
     assert code == 2 and out == ""
     assert "r = s + m = 18 exceeds N = 4" in err
+
+
+def test_simulate_straggler_beyond_a_step_names_the_step(tmp_path, capsys):
+    scenario = json.loads(
+        (Path(cli.__file__).parent / "scenarios" / "paper_example.json").read_text()
+    )
+    scenario["straggler"] = {"s": 1, "m": 2}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = _run(
+        capsys, ["simulate", "--scenario", str(path), "--out", str(tmp_path / "x.csv")]
+    )
+    assert code == 2 and out == ""
+    assert "error: steps[1]: redundancy r = s + m = 3 exceeds N = 2" in err
 
 
 def test_profile_and_solve_roundtrip(tmp_path, capsys):

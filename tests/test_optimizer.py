@@ -60,6 +60,40 @@ def test_worked_example_construction_trace():
     assert validate(inst, prof, asg) == []
 
 
+def test_worked_example_share_table():
+    inst, prof = _worked_example()
+    asg, _ = assign_loads(inst, prof)
+    # (worker, class mask, share) rows of the whole table
+    rows = """
+        1 1 1/16      1 5 1/312     1 9 1/312     1 13 1/312
+        2 2 1/16      2 3 1/16      2 6 1/312     2 7 1/312
+        2 10 1/312    2 11 1/312    2 14 1/312    2 15 1/312
+        3 4 1/16      3 5 37/624    3 6 37/624    3 7 37/624
+        3 12 1/32     3 13 37/1248  3 14 37/1248  3 15 37/1248
+        4 8 1/16      4 9 37/624    4 10 37/624   4 11 37/624
+        4 12 1/32     4 13 37/1248  4 14 37/1248  4 15 37/1248
+    """.split()
+    expected = {
+        (int(n), int(mask)): F(share)
+        for n, mask, share in zip(rows[0::3], rows[1::3], rows[2::3])
+    }
+    assert len(expected) == 28
+    assert dict(asg.shares) == expected
+
+
+def test_rearrange_refuses_negative_shares():
+    _, prof = _worked_example()
+    shares = {(mask.bit_length(), mask): prof.a(mask) for mask in iter_class_masks(4)}
+    shares[(3, 0b0110)] = F(-1, 64)
+    asg = LoadAssignment(n_workers=4, redundancy=1, shares=shares)
+    rd = RearrangeDelta(
+        delta=F(1, 8), receiver_start=3, receiver_end=3,
+        donor_start=4, donor_end=4, group_time=F(3, 40),
+    )
+    with pytest.raises(StructureError, match="negative share"):
+        rearrange(asg, rd, prof)
+
+
 def test_rearrange_replays_the_merges():
     inst, prof = _worked_example()
     trace = []
