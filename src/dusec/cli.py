@@ -91,7 +91,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--exact",
         action="store_true",
-        help="also report measured class sizes (needs N <= 20)",
+        help="also report measured class sizes",
     )
 
     s = sub.add_parser("solve", help="optimal assignment for one fleet snapshot")

@@ -179,27 +179,28 @@ class ClassProfile:
     A measured (exact) profile carries ``class_sizes``: only its nonzero
     classes, as a read-only mask -> size map in ascending mask order.  Each
     dataset lands in exactly one class, so there are at most
-    min(K, 2^N - 1) of them.  A formula (asymptotic) profile carries sizes
-    by cardinality only, since the limiting law a(V) = beta*(alpha-1)^|V|
-    depends on V through |V| alone; this keeps it usable at worker counts
-    where 2^N tables are impossible.  ``alpha`` and ``beta`` are set on
-    formula profiles only.  Read classes through :attr:`classes`.
+    min(K, 2^N - 1) of them.  A formula (asymptotic) profile has no
+    ``class_sizes``: N and ``alpha`` = K/(K-M) >= 1 fix it, and
+    ``alpha=None`` is full storage, as in :attr:`ProblemInstance.alpha`.
+    Its law a(V) = beta*(alpha-1)^|V| depends on V through |V| alone, so it
+    stays usable where 2^N tables are impossible.  Read classes through
+    :attr:`classes`.
     """
 
     n_workers: int
     alpha: Fraction | None = None
-    beta: Fraction | None = None
-    sizes_by_card: tuple[Fraction, ...] | None = None
     class_sizes: Mapping[int, Fraction] | None = None
 
     def __post_init__(self):
         if self.n_workers < 1:
             raise StructureError("profile needs at least one worker")
-        if (self.class_sizes is None) == (self.sizes_by_card is None):
-            raise StructureError("a profile needs exactly one of class_sizes and sizes_by_card")
+        if self.alpha is not None:
+            if self.class_sizes is not None:
+                raise StructureError("a measured profile takes class_sizes without alpha")
+            object.__setattr__(self, "alpha", as_fraction(self.alpha))
+            if self.alpha < 1:
+                raise StructureError(f"alpha must be >= 1, got {self.alpha}")
         if self.class_sizes is None:
-            if len(self.sizes_by_card) != self.n_workers + 1:
-                raise StructureError("asymptotic profile needs N + 1 per-cardinality sizes")
             return
         clean: dict[int, Fraction] = {}
         limit = 1 << self.n_workers
@@ -216,6 +217,22 @@ class ClassProfile:
     @property
     def mode(self) -> ProfileMode:
         return ProfileMode.ASYMPTOTIC if self.class_sizes is None else ProfileMode.EXACT
+
+    @property
+    def beta(self) -> Fraction | None:
+        """Formula profiles: the share stored nowhere, alpha^-N (0 at full storage)."""
+        if self.class_sizes is not None:
+            return None
+        return Fraction(0) if self.alpha is None else (1 / self.alpha) ** self.n_workers
+
+    @cached_property
+    def sizes_by_card(self) -> tuple[Fraction, ...] | None:
+        """Formula profiles: a(V) for |V| = 0..N; None on measured profiles."""
+        if self.class_sizes is not None:
+            return None
+        if self.alpha is None:
+            return tuple(Fraction(k == self.n_workers) for k in range(self.n_workers + 1))
+        return tuple(self.beta * (self.alpha - 1) ** k for k in range(self.n_workers + 1))
 
     def a(self, mask: int) -> Fraction:
         """Normalized size of class ``mask`` (fraction of all datasets)."""

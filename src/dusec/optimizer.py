@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from . import oracle as _oracle
 from .model import (
     ClassProfile,
     LoadAssignment,
@@ -268,35 +267,34 @@ def assign_loads(
     profile: ClassProfile,
     trace: list | None = None,
 ) -> tuple[LoadAssignment, TimeResult]:
-    """Constructive optimal assignment (redundancy 1).
+    """Constructive optimal assignment (redundancy 1).  Formula profiles only.
 
     Walks workers slowest to fastest.  Worker n tentatively takes every
     class of its frontier (classes whose fastest member is n), finishing
     at t_n = (L(n) - L(n-1)) / s_n.  Whenever a new tentative time ties or
     exceeds the group below, the groups merge and a rebalancing move
     equalizes them; at most N - 1 merges can ever run.  The result is
-    group times strictly decreasing, with the first group at c*.
-
-    Profiles without the prefix structure that guarantees those moves can
-    exhaust a shared class; in that case the transportation construction
-    takes over, so the returned assignment is optimal either way.
+    group times strictly decreasing, with the first group at c*.  At full
+    storage (alpha None) the merges would move load onto workers holding
+    none, so the one class is split in proportion to speed directly.
 
     ``trace``, when given, collects ("tentative", n, t) and
     ("merge", RearrangeDelta) events for inspection.
     """
-    check_pair(instance, profile)
+    _check_formula_pair(instance, profile)
     events: list = []
     groups = _staircase(profile.cumulative, instance.prefix_speed_sums(), instance.N, events)
-    # Tentative split: every class sits whole on its fastest member.
-    shares = {(mask.bit_length(), mask): size for mask, size in profile.classes.items()}
-    try:
+    if profile.alpha is None:
+        total = sum(instance.speeds)
+        shares = {(n, (1 << instance.N) - 1): s / total for n, s in enumerate(instance.speeds, 1)}
+    else:
+        # Tentative split: every class sits whole on its fastest member.
+        shares = {(mask.bit_length(), mask): size for mask, size in profile.classes.items()}
         for event in events:
             if event[0] == "merge":
                 shares = _rearranged_shares(shares, event[1], profile)
-            if trace is not None:
-                trace.append(event)
-    except InfeasibleRearrangement:
-        return _oracle.flow_assign(instance, profile, redundancy=1)
+    if trace is not None:
+        trace.extend(events)
     assignment = LoadAssignment(n_workers=instance.N, redundancy=1, shares=shares)
     loads = assignment.per_worker_loads()
     times = tuple(load / s for load, s in zip(loads, instance.speeds))

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ClassProfile, StructureError, as_fraction
+from .model import ClassProfile, StructureError
 
 
 def _worker_rng(seed: int, stream_key: int) -> np.random.Generator:
@@ -148,12 +148,9 @@ def generate_decentralized(K: int, M: int, N: int, seed: int = 0) -> ExplicitSto
 
 def exact_profile(storage: ExplicitStorage) -> ClassProfile:
     """Measured class sizes a(V) = |datasets stored by exactly V| / K."""
-    n = storage.n_workers
-    if n > 20:
-        raise StructureError(f"exact profile limited to 20 workers, got {n}")
     masks, counts = np.unique(storage.class_index, return_counts=True)
     sizes = {mask: Fraction(c, storage.K) for mask, c in zip(masks.tolist(), counts.tolist()) if mask}
-    return ClassProfile(n_workers=n, class_sizes=sizes)
+    return ClassProfile(n_workers=storage.n_workers, class_sizes=sizes)
 
 
 def profile_from_alpha(alpha, n_workers: int) -> ClassProfile:
@@ -162,17 +159,5 @@ def profile_from_alpha(alpha, n_workers: int) -> ClassProfile:
     alpha may be None (every worker stores everything): the only class is
     the full worker set, with size 1.
     """
-    if n_workers < 1:
-        raise StructureError("N must be >= 1")
-    if alpha is None:
-        by_card = tuple(
-            Fraction(1) if k == n_workers else Fraction(0) for k in range(n_workers + 1)
-        )
-        return ClassProfile(n_workers=n_workers, beta=Fraction(0), sizes_by_card=by_card)
-    a = as_fraction(alpha)
-    if a < 1:
-        raise StructureError(f"alpha must be >= 1, got {a}")
-    beta = (1 / a) ** n_workers
-    by_card = tuple(beta * (a - 1) ** k for k in range(n_workers + 1))
-    return ClassProfile(n_workers=n_workers, alpha=a, beta=beta, sizes_by_card=by_card)
+    return ClassProfile(n_workers=n_workers, alpha=alpha)
 

@@ -1,13 +1,22 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dusec.cli as cli
-from dusec.storage import generate_decentralized
+from dusec.model import LoadAssignment, ProblemInstance, validate
+from dusec.oracle import lp_oracle
+from dusec.storage import ExplicitStorage, exact_profile, generate_decentralized
+from dusec.straggler import filtered_for_redundancy
 
 
 def _run(capsys, argv):
@@ -113,6 +122,16 @@ def test_profile_and_solve_roundtrip(tmp_path, capsys):
     assert solved["oracle"]["value"] == solved["cStar"]
 
 
+def test_profile_exact_past_twenty_workers(capsys):
+    code, out, _ = _run(capsys, ["profile", "--K", "64", "--M", "32", "--N", "21", "--exact"])
+    assert code == 0
+    profile = json.loads(out)["profile"]
+    total = sum(F(v) for v in profile["classSizes"].values())
+    assert total == F(profile["cumulative"][21])
+    code, _, err = _run(capsys, ["profile", "--K", "4", "--M", "2", "--N", "63", "--exact"])
+    assert code == 2 and "62 workers" in err
+
+
 def test_profile_file_with_unsorted_speeds(tmp_path, capsys):
     path = tmp_path / "storage.json"
     path.write_text(json.dumps({"K": 4, "M": 2, "N": 3, "perVm": [[0, 1], [0, 1], [2, 3]]}))
@@ -124,6 +143,62 @@ def test_profile_file_with_unsorted_speeds(tmp_path, capsys):
     # the third worker (speed 1) alone holds datasets 2 and 3, half the data
     assert obj["cStar"]["frac"] == "1/2"
     assert obj["oracle"]["value"]["frac"] == "1/2"
+
+
+@st.composite
+def _storages(draw):
+    """A measured placement and its speeds, both in the caller's worker order."""
+    n = draw(st.integers(1, 6))
+    K = draw(st.integers(1, 12))
+    M = draw(st.one_of(st.just(0), st.just(K), st.integers(0, K)))
+    per_worker = tuple(
+        np.array(sorted(draw(st.permutations(range(K)))[:M]), dtype=np.int64)
+        for _ in range(n)
+    )
+    # a small pool forces ties; list order is the caller's, so usually unsorted
+    speeds = draw(st.lists(
+        st.sampled_from([F(1), F(3, 2), F(2), F(5)]), min_size=n, max_size=n
+    ))
+    return ExplicitStorage(K=K, M=M, per_worker=per_worker), speeds
+
+
+def _placement(K, M, per_worker, speeds):
+    arrays = tuple(np.array(datasets, dtype=np.int64) for datasets in per_worker)
+    return ExplicitStorage(K=K, M=M, per_worker=arrays), [F(s) for s in speeds]
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_storages())
+@example(case=_placement(4, 0, [[], [], []], ["2", "1", "2"]))
+@example(case=_placement(3, 3, [[0, 1, 2]] * 3, ["5", "3/2", "1"]))
+@example(case=_placement(6, 3, [[0, 1, 2], [2, 3, 4], [0, 4, 5], [1, 3, 5]], ["2", "1", "5", "1"]))
+def test_solve_profile_file_equals_oracle(case):
+    storage, speeds = case
+    inst = ProblemInstance(K=storage.K, M=storage.M, speeds=speeds)
+    prof = exact_profile(storage.subset([i + 1 for i in inst.source_order]))
+    n = inst.N
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "storage.json"
+        path.write_text(json.dumps({"storage": storage.to_json_obj()}))
+        argv = ["solve", "--profile-file", str(path),
+                "--speeds", ",".join(map(str, speeds)), "--oracle"]
+        runs = [(1, argv)] + [
+            (s + m, argv + ["--straggler", f"{s},{m}"])
+            for s in range(n + 1) for m in range(1, n + 2 - s)
+        ]
+        for r, args in runs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.run(args)
+            if r > n:
+                assert code == 2
+                continue
+            assert code == 0
+            obj = json.loads(out.getvalue())
+            assert F(obj["cStar"]["frac"]) == lp_oracle(inst, filtered_for_redundancy(prof, r), r)
+            shares = {(x["n"], x["classMask"]): F(x["share"]) for x in obj["loads"]}
+            asg = LoadAssignment(n_workers=n, redundancy=r, shares=shares)
+            assert validate(inst, prof, asg) == []
 
 
 def test_usage_errors_exit_1(capsys):

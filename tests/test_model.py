@@ -129,6 +129,22 @@ def test_zero_storage_profile():
     assert prof.cumulative == (F(0), F(0), F(0), F(0))
 
 
+def test_formula_profile_is_n_and_alpha():
+    prof = ClassProfile(n_workers=3, alpha=F(2))
+    ref = profile_from_alpha(F(2), 3)
+    assert prof.mode is ProfileMode.ASYMPTOTIC
+    assert [prof.a(m) for m in iter_class_masks(3)] == [ref.a(m) for m in iter_class_masks(3)]
+    assert dict(prof.classes) == dict(ref.classes) == {m: F(1, 8) for m in iter_class_masks(3)}
+    assert prof.cumulative == ref.cumulative == (F(0), F(1, 8), F(3, 8), F(7, 8))
+    assert ClassProfile(n_workers=3, alpha="5/2").alpha == F(5, 2)
+    for bad in ({"alpha": 2.0}, {"alpha": F(1, 2)}, {"alpha": F(2), "class_sizes": {1: F(1)}}):
+        with pytest.raises(StructureError):
+            ClassProfile(n_workers=3, **bad)
+    # sizes are derived from alpha, so they cannot be passed in to disagree with it
+    with pytest.raises(TypeError):
+        ClassProfile(n_workers=3, sizes_by_card=(F(0), F(1, 3), F(0), F(0)))
+
+
 def test_exact_profile_checks_its_class_table():
     for bad in ({0: F(1, 2)}, {4: F(1, 2)}, {1: F(-1, 2)}, {1: 0.5}):
         with pytest.raises(StructureError):

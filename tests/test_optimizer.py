@@ -1,15 +1,19 @@
+import ast
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dusec.optimizer
 from dusec.model import (
     ClassProfile,
     LoadAssignment,
     ProblemInstance,
     StructureError,
+    TimeResult,
     iter_class_masks,
     validate,
 )
@@ -188,23 +192,42 @@ def test_rearrange_infeasible_without_shared_classes():
     assert dict(asg.shares) == shares
 
 
-def test_assign_loads_falls_back_to_flow():
+def test_assign_loads_refuses_measured_before_the_sweep():
+    # the merge move would find no shared class here; the refusal comes first
     prof = _disjoint_profile()
     inst = ProblemInstance(K=4, M=2, speeds=(F(1), F(1)))
-    asg, res = assign_loads(inst, prof)
-    assert res.c_star == F(3, 4)  # worker 2 is stuck with its exclusive mass
-    assert validate(inst, prof, asg) == []
-    assert res.c_star == lp_oracle(inst, prof)
+    trace = []
+    with pytest.raises(StructureError, match="flow_assign or lp_oracle"):
+        assign_loads(inst, prof, trace=trace)
+    assert trace == []
 
 
-def test_full_storage_merges_through_flow():
-    # every dataset on every worker: tentative times are 0, ..., 0, 1/s_N,
-    # and the final merge has no receiver-side load to work with
-    inst = ProblemInstance(K=4, M=4, speeds=(F(1), F(3)))
-    prof = profile_from_alpha(None, 2)
-    asg, res = assign_loads(inst, prof)
-    assert res.c_star == F(1, 4)
-    assert validate(inst, prof, asg) == []
+def test_full_storage_splits_in_proportion_to_speed():
+    for speeds in [(F(1), F(3)), (F(2), F(1), F(2), F(7, 3)), (F(5),)]:
+        inst = ProblemInstance(K=4, M=4, speeds=speeds)
+        n, total = inst.N, sum(speeds)
+        prof = profile_from_alpha(None, n)
+        trace = []
+        asg, res = assign_loads(inst, prof, trace=trace)
+        full = (1 << n) - 1
+        assert dict(asg.shares) == {(i, full): s / total for i, s in enumerate(inst.speeds, 1)}
+        assert res == TimeResult(c_star=1 / total, n_star=n, per_worker_time=(1 / total,) * n)
+        assert validate(inst, prof, asg) == []
+        # tentative times 0, ..., 0, 1/s_N: each new worker merges into the one group
+        assert [e[0] for e in trace] == ["tentative"] + ["tentative", "merge"] * (n - 1)
+        assert [e[1].donor_end for e in trace if e[0] == "merge"] == list(range(2, n + 1))
+
+
+def test_optimizer_does_not_import_the_oracle():
+    # lp_oracle certifies the closed form and the sweep only while they share no code
+    tree = ast.parse(Path(dusec.optimizer.__file__).read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+    assert not [name for name in imported if "oracle" in name.split(".")]
 
 
 def test_cutset_bounds_worked_example():
@@ -257,9 +280,9 @@ def test_closed_form_refuses_measured_profiles():
         cutset_bounds(inst, prof)
     with pytest.raises(StructureError, match="flow_assign or lp_oracle"):
         critical_conditions_hold(inst, prof, flow)
-    asg, res = assign_loads(inst, prof)  # falls back to flow
-    assert res.c_star == flow.c_star == F(9, 100)
-    assert validate(inst, prof, asg) == []
+    with pytest.raises(StructureError, match="flow_assign or lp_oracle"):
+        assign_loads(inst, prof)
+    assert flow.c_star == F(9, 100)
 
 
 def _random_case(rng):
@@ -311,14 +334,20 @@ def test_extra_speed_never_hurts():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    alpha=st.fractions(min_value=1, max_value=4, max_denominator=6).filter(lambda a: 1 < a < 4),
+    # None is full storage; 1 is no storage at all
+    alpha=st.one_of(
+        st.none(), st.fractions(min_value=1, max_value=4, max_denominator=6).filter(lambda a: a < 4)
+    ),
     # a small pool forces ties; list order is the caller's, so usually unsorted
     speeds=st.lists(
         st.sampled_from([F(1), F(3, 2), F(2), F(7, 3), F(5)]), min_size=1, max_size=7
     ),
 )
 def test_closed_form_equals_construction_and_oracle(alpha, speeds):
-    inst = ProblemInstance.from_alpha(alpha, speeds)
+    if alpha is None:
+        inst = ProblemInstance(K=1, M=1, speeds=speeds)
+    else:
+        inst = ProblemInstance.from_alpha(alpha, speeds)
     prof = profile_from_alpha(inst.alpha, inst.N)
     res = optimal_time(inst, prof)
     asg, built = assign_loads(inst, prof)
