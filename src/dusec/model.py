@@ -91,10 +91,16 @@ def iter_submasks(mask: int) -> Iterator[int]:
 
 
 def check_pair(instance: ProblemInstance, profile: ClassProfile) -> None:
-    """Refuse a profile built for a different number of workers than the instance."""
+    """Refuse a profile built for a different fleet than the instance: another
+    number of workers, or, on a formula profile, another alpha (``None``,
+    full storage, on both sides counts as equal)."""
     if profile.n_workers != instance.N:
         raise StructureError(
             f"profile covers {profile.n_workers} workers, instance has {instance.N}"
+        )
+    if profile.class_sizes is None and profile.alpha != instance.alpha:
+        raise StructureError(
+            f"formula profile has alpha {profile.alpha}, instance has {instance.alpha}"
         )
 
 

@@ -20,8 +20,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 from types import MappingProxyType
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .model import (
     ClassProfile,
@@ -166,33 +170,49 @@ def part_schedule(
     stay exact) and slots are dealt round-robin across parts, so every part
     of every class ends up with exactly s+m distinct workers.
     Returns {(class mask, part j): sorted worker tuple}.
+
+    The quotas are worked out on integers: over a common denominator the
+    class's shares become numerators N_n summing to S, and the quota of
+    worker n is m*(s+m)*N_n / S.
     """
     m = config.m
     r = config.redundancy
+    slots = m * r
+    by_class: dict[int, dict[int, Fraction]] = {}
+    for (n, mask), value in assignment.shares.items():
+        by_class.setdefault(mask, {})[n] = value
     schedule: dict[tuple[int, int], tuple[int, ...]] = {}
-    totals = assignment.class_totals()
-    for mask in sorted(totals):
-        total = totals[mask]
+    for mask in sorted(by_class):
+        shares = by_class[mask]
+        common = lcm(*(v.denominator for v in shares.values()))
+        nums = {n: v.numerator * (common // v.denominator) for n, v in shares.items()}
+        total = sum(nums.values())
         if total == 0:
             continue
-        size = total / r  # coverage is r * a(V)
+        if total < 0:  # the quotas are unchanged with every sign flipped
+            total = -total
+            nums = {n: -v for n, v in nums.items()}
         members = workers_of(mask)
-        quotas = [(n, m * assignment.share(n, mask) / size) for n in members]
-        floors = {n: int(q) for n, q in quotas}
-        deficit = m * r - sum(floors.values())
-        if deficit < 0 or any(q > m for _, q in quotas):
+        floors: dict[int, int] = {}
+        remainders: list[tuple[int, int]] = []
+        for n in members:
+            floor, rem = divmod(slots * nums.get(n, 0), total)
+            if floor < 0 and rem:  # a negative quota rounds toward zero
+                floor, rem = floor + 1, rem - total
+            floors[n] = floor
+            remainders.append((rem, n))
+        deficit = slots - sum(floors.values())
+        if deficit < 0 or any(r * nums.get(n, 0) > total for n in members):
             raise StructureError(f"class {mask} coverage is not exactly {r} times its size")
-        remainders = sorted(
-            ((q - floors[n], n) for n, q in quotas), key=lambda t: (-t[0], t[1])
-        )
-        for frac_part, n in remainders[:deficit]:
-            if frac_part == 0:
+        remainders.sort(key=lambda t: (-t[0], t[1]))
+        for rem, n in remainders[:deficit]:
+            if rem == 0:
                 raise StructureError(f"class {mask} coverage is not exactly {r} times its size")
             floors[n] += 1
         tokens: list[int] = []
         for n in members:
             tokens.extend([n] * floors[n])
-        assert len(tokens) == m * r
+        assert len(tokens) == slots
         for j in range(1, m + 1):
             part_workers = tuple(sorted(tokens[j - 1 :: m]))
             assert len(set(part_workers)) == r, "part landed on a duplicate worker"
@@ -214,6 +234,69 @@ def _points(n_workers: int, config: StragglerConfig) -> tuple[list[int], list[in
     return [n % p for n in range(1, n_workers + 1)], [p - j for j in range(1, config.m + 1)]
 
 
+def _field_dtype(p: int):
+    """int64 holds every partial sum of :func:`_field_combine` for p < 2^31;
+    larger primes use exact Python integers."""
+    return np.int64 if p < 1 << 31 else object
+
+
+def _residues(rows: Sequence[Sequence[int]], p: int, dtype) -> np.ndarray:
+    """Equal-length rows as one array of ``dtype`` holding int(c) % p."""
+    if dtype is not object and not any(
+        isinstance(row, np.ndarray) and not np.can_cast(row.dtype, np.int64) for row in rows
+    ):
+        try:
+            return np.array(rows, dtype=np.int64) % p
+        except OverflowError:
+            pass  # an element int64 cannot hold: reduce every one exactly below
+    return np.array([[int(c) % p for c in row] for row in rows], dtype=dtype)
+
+
+# Terms per int64 product: with coefs below p < 2^31 and 16-bit limbs each
+# partial sum stays below (terms + 1) * 2^47 < 2^63.
+_MAX_TERMS = 1 << 15
+
+
+def _field_combine(coefs: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
+    """coefs @ rows mod p, exactly, for residues in [0, p) of :func:`_field_dtype`.
+
+    Rows are split into 16-bit limbs, so a coefficient times a limb stays
+    below 2^47 and int64 sums of up to ``_MAX_TERMS`` terms cannot overflow.
+    """
+    out = 0
+    for start in range(0, max(len(rows), 1), _MAX_TERMS):
+        c = coefs[..., start : start + _MAX_TERMS]
+        block = rows[start : start + _MAX_TERMS]
+        out = (out + ((c @ (block >> 16)) % p << 16) + c @ (block & 0xFFFF)) % p
+    return out
+
+
+def _lagrange_coefs(
+    part_workers: tuple[int, ...], j: int, xs: list[int], ys: list[int], p: int
+) -> tuple[int, ...]:
+    """Values at the computing workers' points of the polynomial that is 1 at
+    anchor y_j and vanishes at every other worker and every other anchor."""
+    computing = set(part_workers)
+    roots = [x for n, x in enumerate(xs, 1) if n not in computing]
+    roots += [y for k, y in enumerate(ys, 1) if k != j]
+    denom = 1
+    for z in roots:
+        denom = denom * (ys[j - 1] - z) % p
+    inv_denom = pow(denom, p - 2, p)
+    coefs = []
+    for n in part_workers:
+        coef = inv_denom
+        for z in roots:
+            coef = coef * (xs[n - 1] - z) % p
+        coefs.append(coef)
+    return tuple(coefs)
+
+
+# Classes whose messages enter one field product; bounds the message rows
+# held at once.
+_CLASS_CHUNK = 64
+
+
 def encode(
     assignment: LoadAssignment,
     config: StragglerConfig,
@@ -226,6 +309,12 @@ def encode(
     worker n evaluates, at x_n, polynomials that vanish on every worker not
     computing the given part and hit 1 at that part's anchor point, so the
     vector is supported exactly on parts worker n computes.
+
+    A coefficient depends only on the part's computing workers and its
+    index j, so it is worked out once per (workers, j) and reused across
+    classes.  The vectors are one field product, coefficient matrix times
+    message parts mod p, taken over chunks of ``_CLASS_CHUNK`` classes so
+    that the message rows are never all held at once.
     """
     p = config.field_modulus
     m = config.m
@@ -246,39 +335,30 @@ def encode(
         raise CodingConfigError(f"message length {length} is not a positive multiple of m={m}")
     part_len = length // m
     xs, ys = _points(n_workers, config)
-    schedule = part_schedule(assignment, config)
+    schedule = sorted(part_schedule(assignment, config).items())
+    dtype = _field_dtype(p)
 
-    vectors = {n: [0] * part_len for n in range(1, n_workers + 1)}
+    # column i*m + j - 1 of the matrix is part j of the i-th scheduled class
+    coef_matrix = np.zeros((n_workers, len(schedule)), dtype=dtype)
     rows: dict[int, dict[tuple[int, int], int]] = {n: {} for n in range(1, n_workers + 1)}
-    for (mask, j), part_workers in sorted(schedule.items()):
-        computing = set(part_workers)
-        y_j = ys[j - 1]
-        denom = 1
-        for n in range(1, n_workers + 1):
-            if n not in computing:
-                denom = denom * (y_j - xs[n - 1]) % p
-        for k in range(1, m + 1):
-            if k != j:
-                denom = denom * (y_j - ys[k - 1]) % p
-        inv_denom = pow(denom, p - 2, p)
-        message = messages[mask]
-        part = [int(c) % p for c in message[(j - 1) * part_len : j * part_len]]
-        for n in part_workers:
-            x = xs[n - 1]
-            coef = inv_denom
-            for other in range(1, n_workers + 1):
-                if other not in computing:
-                    coef = coef * (x - xs[other - 1]) % p
-            for k in range(1, m + 1):
-                if k != j:
-                    coef = coef * (x - ys[k - 1]) % p
+    memo: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
+    for col, ((mask, j), part_workers) in enumerate(schedule):
+        key = (part_workers, j)
+        if key not in memo:
+            memo[key] = _lagrange_coefs(part_workers, j, xs, ys, p)
+        for n, coef in zip(part_workers, memo[key]):
             rows[n][(mask, j)] = coef
-            acc = vectors[n]
-            for i, c in enumerate(part):
-                acc[i] = (acc[i] + coef * c) % p
+            coef_matrix[n - 1, col] = coef
+    masks = [mask for (mask, j), _ in schedule if j == 1]
+    vectors = np.zeros((n_workers, part_len), dtype=dtype)
+    for start in range(0, len(masks), _CLASS_CHUNK):
+        chunk = masks[start : start + _CLASS_CHUNK]
+        parts = _residues([messages[mask] for mask in chunk], p, dtype)
+        cols = coef_matrix[:, start * m : (start + len(chunk)) * m]
+        vectors = (vectors + _field_combine(cols, parts.reshape(len(chunk) * m, part_len), p)) % p
     return tuple(
         CodedTransmission(
-            vm_index=n, coded_vector=tuple(vectors[n]), encoding_row=rows[n]
+            vm_index=n, coded_vector=tuple(vectors[n - 1].tolist()), encoding_row=rows[n]
         )
         for n in range(1, n_workers + 1)
     )
@@ -298,12 +378,13 @@ def recompute_transmission(
     if len(lengths) != 1:
         raise CodingConfigError("message lengths differ")
     part_len = lengths.pop() // m
-    out = [0] * part_len
-    for (mask, j), coef in transmission.encoding_row.items():
-        part = messages[mask][(j - 1) * part_len : j * part_len]
-        for i, c in enumerate(part):
-            out[i] = (out[i] + coef * (int(c) % p)) % p
-    return tuple(out)
+    dtype = _field_dtype(p)
+    terms = list(transmission.encoding_row.items())
+    parts = _residues(
+        [messages[mask][(j - 1) * part_len : j * part_len] for (mask, j), _ in terms], p, dtype
+    )
+    coefs = np.array([coef % p for _, coef in terms], dtype=dtype)
+    return tuple(_field_combine(coefs, parts.reshape(len(terms), part_len), p).tolist())
 
 
 def decode(
@@ -318,7 +399,6 @@ def decode(
     alone cannot reveal.
     """
     p = config.field_modulus
-    m = config.m
     seen: dict[int, CodedTransmission] = {}
     for t in received:
         if t.vm_index in seen:
@@ -334,27 +414,25 @@ def decode(
     lengths = {len(t.coded_vector) for t in seen.values()}
     if len(lengths) != 1:
         raise StructureError(f"coded vector lengths differ: {sorted(lengths)}")
-    part_len = lengths.pop()
     xs_all, ys = _points(n_total, config)
     survivors = sorted(seen)
     xs = [xs_all[n - 1] for n in survivors]
-    out: list[int] = []
-    for j in range(1, m + 1):
-        y = ys[j - 1]
-        part = [0] * part_len
-        for n, x_n in zip(survivors, xs):
+    weights = []
+    for y in ys:
+        row = []
+        for x_n in xs:
             num = 1
             den = 1
             for x_k in xs:
                 if x_k != x_n:
                     num = num * (y - x_k) % p
                     den = den * (x_n - x_k) % p
-            lam = num * pow(den, p - 2, p) % p
-            vec = seen[n].coded_vector
-            for i in range(part_len):
-                part[i] = (part[i] + lam * vec[i]) % p
-        out.extend(part)
-    return tuple(out)
+            row.append(num * pow(den, p - 2, p) % p)
+        weights.append(row)
+    dtype = _field_dtype(p)
+    vectors = _residues([seen[n].coded_vector for n in survivors], p, dtype)
+    out = _field_combine(np.array(weights, dtype=dtype), vectors, p)
+    return tuple(out.ravel().tolist())
 
 
 _HEADER = struct.Struct("<IQQ")
@@ -363,13 +441,24 @@ _ELEMENT = struct.Struct("<Q")
 
 def serialize_transmission(transmission: CodedTransmission, config: StragglerConfig) -> bytes:
     """Wire format: header {vm_index u32, part length u64, modulus u64},
-    then the coded vector as little-endian u64 elements."""
-    chunks = [
-        _HEADER.pack(
-            transmission.vm_index, len(transmission.coded_vector), config.field_modulus
-        )
-    ]
-    chunks.extend(_ELEMENT.pack(e) for e in transmission.coded_vector)
+    then the coded vector as little-endian u64 elements.
+
+    A modulus or element outside 0..2^64 - 1 (any prime p >= 2^64, which
+    encoding and decoding accept) raises :class:`CodingConfigError`.
+    """
+    try:
+        chunks = [
+            _HEADER.pack(
+                transmission.vm_index, len(transmission.coded_vector), config.field_modulus
+            )
+        ]
+        chunks.extend(_ELEMENT.pack(e) for e in transmission.coded_vector)
+    except struct.error as exc:
+        raise CodingConfigError(
+            f"transmission of worker {transmission.vm_index} does not fit the wire format: "
+            f"the modulus {config.field_modulus} and every element must be u64 values "
+            f"below 2^64, the worker index a u32 ({exc})"
+        ) from exc
     return b"".join(chunks)
 
 

@@ -285,6 +285,19 @@ def test_closed_form_refuses_measured_profiles():
     assert flow.c_star == F(9, 100)
 
 
+def test_formula_profile_for_another_alpha_is_refused():
+    # the alpha = 3 profile would give c* = 80/1053 and full storage 1/13
+    inst = ProblemInstance.from_alpha(F(2), (F(1), F(2), F(5), F(5)))
+    with pytest.raises(StructureError, match="alpha 3, instance has 2"):
+        assign_loads(inst, profile_from_alpha(F(3), 4))
+    with pytest.raises(StructureError, match="alpha None, instance has 2"):
+        optimal_time(inst, profile_from_alpha(None, 4))
+    full = ProblemInstance(K=8, M=8, speeds=inst.speeds)
+    with pytest.raises(StructureError, match="alpha 2, instance has None"):
+        lp_oracle(full, profile_from_alpha(F(2), 4))
+    assert optimal_time(full, profile_from_alpha(None, 4)).c_star == F(1, 13)
+
+
 def _random_case(rng):
     n = rng.randint(2, 7)
     den = rng.randint(1, 6)

@@ -3,7 +3,10 @@ import struct
 from fractions import Fraction as F
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dusec.model import (
     LoadAssignment,
@@ -12,9 +15,15 @@ from dusec.model import (
     workers_of,
 )
 from dusec.optimizer import assign_loads
-from dusec.storage import exact_profile, generate_decentralized, profile_from_alpha
+from dusec.storage import (
+    ExplicitStorage,
+    exact_profile,
+    generate_decentralized,
+    profile_from_alpha,
+)
 from dusec.straggler import (
     DEFAULT_FIELD_MODULUS,
+    CodedTransmission,
     CodingConfigError,
     InsufficientResponses,
     StragglerConfig,
@@ -246,3 +255,106 @@ def test_serialization_layout_and_roundtrip():
     parsed = [deserialize_transmission(serialize_transmission(t, cfg))[0] for t in ts]
     expected_sum = _sum_mod(messages, 2, cfg.field_modulus)
     assert decode(parsed[:2], cfg, 3) == expected_sum
+
+
+def test_serialization_refuses_what_u64_cannot_carry():
+    p = (1 << 89) - 1
+    big = StragglerConfig(s=1, m=1, field_modulus=p)
+    inst = ProblemInstance.from_alpha(F(2), (F(1), F(2), F(3)))
+    plan = redundant_assign(inst, profile_from_alpha(F(2), 3), big)
+    covered = sorted(m for m, t in plan.assignment.class_totals().items() if t > 0)
+    messages = {mask: (p - mask, 1 << 80) for mask in covered}
+    ts = encode(plan.assignment, big, messages)  # encoding and decoding stay accepted
+    assert decode(ts[:2], big, 3) == _sum_mod(messages, 2, p)
+    with pytest.raises(CodingConfigError, match=r"below 2\^64"):
+        serialize_transmission(ts[0], big)
+    stray = CodedTransmission(vm_index=1, coded_vector=(3, -1), encoding_row=None)
+    with pytest.raises(CodingConfigError, match=r"below 2\^64"):
+        serialize_transmission(stray, StragglerConfig(s=1, m=1))
+
+
+def test_part_schedule_rounds_remainders_to_the_lowest_worker():
+    # one class on 4 workers, s=1, m=2: 6 slots, quotas 2*share = 2, 1, 3/2, 3/2;
+    # the floors leave one slot for the tied remainders of workers 3 and 4
+    cfg = StragglerConfig(s=1, m=2)
+    shares = {(1, 0b1111): F(1), (2, 0b1111): F(1, 2), (3, 0b1111): F(3, 4), (4, 0b1111): F(3, 4)}
+    asg = LoadAssignment(n_workers=4, redundancy=3, shares=shares)
+    assert part_schedule(asg, cfg) == {(0b1111, 1): (1, 2, 3), (0b1111, 2): (1, 3, 4)}
+
+
+P31, P61 = (1 << 31) - 1, (1 << 61) - 1
+
+
+def _reference_vector(t, messages, p, part_len):
+    """Sum of coef * (c mod p) over the encoding row, one element at a time."""
+    out = [0] * part_len
+    for (mask, j), coef in t.encoding_row.items():
+        for i, c in enumerate(messages[mask][(j - 1) * part_len : j * part_len]):
+            out[i] = (out[i] + coef * (int(c) % p)) % p
+    return tuple(out)
+
+
+_WIDE = st.one_of(
+    st.integers(0, P61), st.integers(-(1 << 70), -1), st.integers(1 << 63, 1 << 70)
+)
+_INT64 = st.integers(-(1 << 63), (1 << 63) - 1)
+
+
+@st.composite
+def _coded_rounds(draw):
+    """A measured placement, speeds, (s, m) with s + m <= N, a prime, a
+    message container and one message row per possible class."""
+    n = draw(st.integers(1, 7))
+    K = draw(st.integers(1, 10))
+    M = draw(st.integers(0, K))
+    per_worker = tuple(
+        np.array(sorted(draw(st.permutations(range(K)))[:M]), dtype=np.int64)
+        for _ in range(n)
+    )
+    speeds = draw(st.lists(st.sampled_from([F(1), F(3, 2), F(2), F(5)]), min_size=n, max_size=n))
+    s = draw(st.integers(0, n - 1))
+    m = draw(st.integers(1, n - s))
+    p = draw(st.sampled_from([P31, P61]))
+    container = draw(st.sampled_from(["tuple", "list", "int64"]))
+    length = m * draw(st.integers(1, 3))
+    element = _INT64 if container == "int64" else _WIDE
+    rows = draw(st.lists(st.lists(element, min_size=length, max_size=length), min_size=K, max_size=K))
+    return ExplicitStorage(K=K, M=M, per_worker=per_worker), speeds, s, m, p, container, rows
+
+
+def _round(K, M, per_worker, speeds, s, m, p, container, rows):
+    arrays = tuple(np.array(datasets, dtype=np.int64) for datasets in per_worker)
+    storage = ExplicitStorage(K=K, M=M, per_worker=arrays)
+    return storage, [F(v) for v in speeds], s, m, p, container, rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_coded_rounds())
+@example(case=_round(4, 3, [[0, 1, 2], [1, 2, 3], [0, 2, 3]], [1, 2, 5], 1, 1, P61, "tuple",
+                     [[-5, 1 << 63], [1 << 70, -(1 << 70)], [P61, P61 + 1], [0, -1]]))
+@example(case=_round(3, 3, [[0, 1, 2]] * 4, [1, 1, 2, 5], 1, 2, P31, "list",
+                     [[-1, (1 << 64) + 3, P31, 1 << 63]] * 3))
+@example(case=_round(5, 3, [[0, 1, 2], [2, 3, 4], [0, 3, 4], [1, 2, 4]], [5, 1, 2, 2], 2, 1, P31,
+                     "int64", [[-(1 << 63)], [(1 << 63) - 1], [-1], [P31], [12345]]))
+def test_coded_vectors_equal_the_element_wise_reference(case):
+    storage, speeds, s, m, p, container, rows = case
+    inst = ProblemInstance(K=storage.K, M=storage.M, speeds=speeds)
+    prof = exact_profile(storage.subset([i + 1 for i in inst.source_order]))
+    cfg = StragglerConfig(s=s, m=m, field_modulus=p)
+    plan = redundant_assign(inst, prof, cfg)
+    covered = sorted(mask for mask, t in plan.assignment.class_totals().items() if t > 0)
+    if not covered:
+        return
+    wrap = {"tuple": tuple, "list": list, "int64": lambda r: np.array(r, dtype=np.int64)}[container]
+    messages = {mask: wrap(row) for mask, row in zip(covered, rows)}
+    length = len(rows[0])
+    part_len = length // m
+    transmissions = encode(plan.assignment, cfg, messages)
+    for t in transmissions:
+        assert t.coded_vector == _reference_vector(t, messages, p, part_len)
+        assert recompute_transmission(t, cfg, messages) == t.coded_vector
+    expected = tuple(sum(int(v[i]) for v in messages.values()) % p for i in range(length))
+    n = inst.N
+    for k in range(n - s, n + 1):
+        for survivors in combinations(transmissions, k):
+            assert decode(list(survivors), cfg, n) == expected
