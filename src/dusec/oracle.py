@@ -2,26 +2,39 @@
 
 The min-max completion time of covering every storage class r times, with
 per-worker-per-class shares capped at the class size, is the optimum of a
-small linear program.  This module solves it by exact parametric search:
-by max-flow/min-cut duality the optimum equals
+small linear program.  By max-flow/min-cut duality the optimum equals
 
     T* = max over worker subsets S of
-         sum_V a(V) * max(0, r - |V \\ S|)  /  sum_{n in S} s_n,
+         locked(S) / speed(S),   locked(S) = sum_V a(V) * max(0, r - |V \\ S|),
 
 i.e. the load irrevocably locked onto some subset of workers divided by
-that subset's speed.  The locked load of every S comes from one ranked
-zeta transform in O(r * N * 2^N) (Bjorklund, Husfeldt, Kaski, Koivisto,
-"Fourier meets Mobius", STOC 2007).  The candidate is then verified with
-an exact rational max-flow: feasible at T*, infeasible just below it.
+that subset's speed.  Two routes compute it:
 
-Everything here is Fraction arithmetic end to end; nothing is shared with
-the closed-form solver in ``optimizer``, so the two routes check each
-other.
+* ``flow_assign`` runs a Newton (Dinkelbach) search on one flow network,
+  source -> class (r * a(V)) -> member workers (a(V)) -> sink (T * s_n).
+  It starts T at the best slowest-k prefix bound and runs one max-flow.
+  If the flow saturates, T is optimal and the flow is the assignment;
+  otherwise the workers the source still reaches form a set S with
+  locked(S) > T * speed(S), and T <- locked(S) / speed(S) is the next,
+  strictly larger, guess (Dinkelbach 1967; Radzik 1992).  There are
+  finitely many cuts, so the search ends; it enumerates no subsets.
+* ``lp_oracle`` takes the maximum over every S from one ranked zeta
+  transform in O(r * N * 2^N) (Bjorklund, Husfeldt, Kaski, Koivisto,
+  "Fourier meets Mobius", STOC 2007), so it stops at
+  ``ORACLE_MAX_WORKERS``.  The candidate is then verified with two
+  max-flows: feasible at T*, infeasible just below it.
+
+The flow runs on integers: every capacity is scaled by the lcm of the
+capacities' denominators, and flows are divided back by it, so results
+are exact Fractions.  Nothing is shared with the closed-form solver in
+``optimizer``, so the two routes check each other.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from typing import NamedTuple
 
 from .model import (
     ClassProfile,
@@ -53,73 +66,117 @@ class InfeasibleRedundancy(ValueError):
 
 
 class _MaxFlow:
-    """Dinic max-flow over exact rational capacities."""
+    """Dinic max-flow over integer capacities."""
 
     def __init__(self, n_nodes: int):
         self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
         self.to: list[int] = []
-        self.cap: list[Fraction] = []
+        self.cap: list[int] = []
 
-    def add_edge(self, u: int, v: int, cap: Fraction) -> int:
+    def add_edge(self, u: int, v: int, cap: int) -> int:
         idx = len(self.to)
         self.adj[u].append(idx)
         self.to.append(v)
         self.cap.append(cap)
         self.adj[v].append(idx + 1)
         self.to.append(u)
-        self.cap.append(Fraction(0))
+        self.cap.append(0)
         return idx
 
-    def _bfs(self, s: int, t: int) -> list[int] | None:
-        level = [-1] * len(self.adj)
+    def reached_from(self, s: int) -> list[int]:
+        """BFS level of every node over residual edges from ``s`` (-1: unreached)."""
+        adj, to, cap = self.adj, self.to, self.cap
+        level = [-1] * len(adj)
         level[s] = 0
         queue = [s]
         for u in queue:
-            for idx in self.adj[u]:
-                v = self.to[idx]
-                if self.cap[idx] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
+            next_level = level[u] + 1
+            for idx in adj[u]:
+                v = to[idx]
+                if cap[idx] > 0 and level[v] < 0:
+                    level[v] = next_level
                     queue.append(v)
-        return level if level[t] >= 0 else None
+        return level
 
-    def _dfs(self, u: int, t: int, pushed: Fraction, level: list[int], it: list[int]) -> Fraction:
-        if u == t:
-            return pushed
-        while it[u] < len(self.adj[u]):
-            idx = self.adj[u][it[u]]
-            v = self.to[idx]
-            if self.cap[idx] > 0 and level[v] == level[u] + 1:
-                flow = self._dfs(v, t, min(pushed, self.cap[idx]), level, it)
-                if flow > 0:
-                    self.cap[idx] -= flow
-                    self.cap[idx ^ 1] += flow
-                    return flow
-            it[u] += 1
-        return Fraction(0)
+    def reaching(self, t: int) -> list[bool]:
+        """Whether each node has a residual path to ``t``."""
+        adj, to, cap = self.adj, self.to, self.cap
+        seen = [False] * len(adj)
+        seen[t] = True
+        queue = [t]
+        for v in queue:
+            for idx in adj[v]:
+                u = to[idx]
+                if not seen[u] and cap[idx ^ 1] > 0:
+                    seen[u] = True
+                    queue.append(u)
+        return seen
 
-    def max_flow(self, s: int, t: int) -> Fraction:
-        total = Fraction(0)
-        inf = Fraction(1 << 62)
+    def _augment(self, s: int, t: int, bound: int, level: list[int], it: list[int]) -> int:
+        """Push one path's bottleneck along the first s-t path of the level graph.
+
+        ``it[u]`` is the next edge to try at u; it moves past an edge only
+        when that edge leads to a dead end, so a saturated path is tried
+        again from the same edges next time.  Returns 0 when no path is left.
+        """
+        adj, to, cap = self.adj, self.to, self.cap
+        path: list[int] = []
+        u = s
+        while u != t:
+            edges = adj[u]
+            want = level[u] + 1
+            i = it[u]
+            while i < len(edges):
+                idx = edges[i]
+                if cap[idx] > 0 and level[to[idx]] == want:
+                    break
+                i += 1
+            it[u] = i
+            if i < len(edges):
+                path.append(edges[i])
+                u = to[edges[i]]
+            elif path:  # dead end: step back and skip the edge that led here
+                u = to[path.pop() ^ 1]
+                it[u] += 1
+            else:
+                return 0
+        pushed = min(bound, *(cap[idx] for idx in path))
+        for idx in path:
+            cap[idx] -= pushed
+            cap[idx ^ 1] += pushed
+        return pushed
+
+    def max_flow(self, s: int, t: int, bound: int) -> int:
+        """Max flow from s to t; no augmenting path carries more than ``bound``."""
+        total = 0
         while True:
-            level = self._bfs(s, t)
-            if level is None:
+            level = self.reached_from(s)
+            if level[t] < 0:
                 return total
             it = [0] * len(self.adj)
             while True:
-                pushed = self._dfs(s, t, inf, level, it)
+                pushed = self._augment(s, t, bound, level, it)
                 if pushed == 0:
                     break
                 total += pushed
 
 
 def _active_classes(
-    instance: ProblemInstance, profile: ClassProfile, redundancy: int
+    instance: ProblemInstance,
+    profile: ClassProfile,
+    redundancy: int,
+    *,
+    enumerates: bool = False,
 ) -> list[tuple[int, Fraction]]:
-    """(mask, size) of every nonzero class; checks the input before enumerating."""
+    """(mask, size) of every nonzero class; checks the input first.
+
+    ``enumerates`` applies ``ORACLE_MAX_WORKERS``, for callers that go over
+    every worker subset.
+    """
     check_pair(instance, profile)
     if redundancy < 1:
         raise StructureError("redundancy must be >= 1")
-    if instance.N > ORACLE_MAX_WORKERS:
+    if enumerates and instance.N > ORACLE_MAX_WORKERS:
         raise OracleScopeError(
             f"oracle enumerates worker subsets; N={instance.N} exceeds {ORACLE_MAX_WORKERS}"
         )
@@ -127,6 +184,23 @@ def _active_classes(
     if bad:
         raise InfeasibleRedundancy(redundancy, bad)
     return list(profile.classes.items())
+
+
+class _IntClasses(NamedTuple):
+    """Active classes with their sizes as integer numerators over one denominator."""
+
+    masks: list[int]
+    units: list[int]
+    denom: int
+
+
+def _integer_classes(classes: list[tuple[int, Fraction]]) -> _IntClasses:
+    denom = lcm(*{size.denominator for _, size in classes})
+    return _IntClasses(
+        [mask for mask, _ in classes],
+        [size.numerator * (denom // size.denominator) for _, size in classes],
+        denom,
+    )
 
 
 def _bottleneck(
@@ -175,34 +249,78 @@ def _bottleneck(
 
 
 def _build_flow(
-    classes: list[tuple[int, Fraction]],
-    speeds: tuple[Fraction, ...],
-    redundancy: int,
-    T: Fraction,
-) -> tuple[_MaxFlow, Fraction, list[tuple[int, int, int]]]:
-    """Flow network: source -> class (r*a) -> member workers (cap a) -> sink (T*s)."""
+    classes: _IntClasses, speeds: tuple[Fraction, ...], redundancy: int, T: Fraction
+) -> tuple[_MaxFlow, int, int, list[tuple[int, int, int]]]:
+    """Flow network: source -> class (r*a) -> member workers (cap a) -> sink (T*s).
+
+    Every capacity is scaled by L, the lcm of their denominators, so the
+    network is integral.  Returns (network, demand, L, share edges); a flow
+    f on the network stands for f / L.
+    """
     n = len(speeds)
-    n_nodes = 2 + len(classes) + n
-    source = 0
-    sink = n_nodes - 1
-    net = _MaxFlow(n_nodes)
-    demand = Fraction(0)
+    sink_caps = [T * s for s in speeds]
+    scale = lcm(classes.denom, *{cap.denominator for cap in sink_caps})
+    factor = scale // classes.denom
+    first_worker = 1 + len(classes.masks)
+    net = _MaxFlow(first_worker + n + 1)
+    demand = 0
     share_edges: list[tuple[int, int, int]] = []  # (edge idx, worker, class mask)
-    for ci, (mask, size) in enumerate(classes):
-        net.add_edge(source, 1 + ci, redundancy * size)
+    for ci, (mask, unit) in enumerate(zip(classes.masks, classes.units)):
+        size = unit * factor
+        net.add_edge(0, 1 + ci, redundancy * size)
         demand += redundancy * size
-        for i in range(n):
-            if mask >> i & 1:
-                idx = net.add_edge(1 + ci, 1 + len(classes) + i, size)
-                share_edges.append((idx, i + 1, mask))
-    for i in range(n):
-        net.add_edge(1 + len(classes) + i, sink, T * speeds[i])
-    return net, demand, share_edges
+        rest = mask
+        while rest:
+            worker = (rest & -rest).bit_length()
+            idx = net.add_edge(1 + ci, first_worker + worker - 1, size)
+            share_edges.append((idx, worker, mask))
+            rest &= rest - 1
+    for i, cap in enumerate(sink_caps):
+        net.add_edge(first_worker + i, first_worker + n, cap.numerator * (scale // cap.denominator))
+    return net, demand, scale, share_edges
 
 
-def _saturates(classes: list, speeds: tuple[Fraction, ...], redundancy: int, T: Fraction) -> bool:
-    net, demand, _ = _build_flow(classes, speeds, redundancy, T)
-    return net.max_flow(0, len(net.adj) - 1) == demand
+def _saturates(
+    classes: _IntClasses, speeds: tuple[Fraction, ...], redundancy: int, T: Fraction
+) -> bool:
+    net, demand, _, _ = _build_flow(classes, speeds, redundancy, T)
+    return net.max_flow(0, len(net.adj) - 1, demand) == demand
+
+
+def _prefix_bound(classes: _IntClasses, speeds: tuple[Fraction, ...], redundancy: int) -> Fraction:
+    """max over k of locked(slowest k) / speed(slowest k), a lower bound on T*.
+
+    Speeds ascend, so the slowest k workers are bits 0..k-1.  A class locks
+    one more copy onto that prefix each time the prefix takes in one of its
+    r highest members, so one pass over the classes gives every prefix's
+    locked load, on integer numerators.  k = N gives r * sum(a) / sum(s).
+    """
+    gain = [0] * (len(speeds) + 1)
+    for mask, unit in zip(classes.masks, classes.units):
+        for _ in range(redundancy):  # active classes have at least r members
+            top = mask.bit_length()
+            gain[top] += unit
+            mask ^= 1 << (top - 1)
+    best = Fraction(0)
+    locked = 0
+    speed = Fraction(0)
+    for k, s in enumerate(speeds, start=1):
+        locked += gain[k]
+        speed += s
+        best = max(best, Fraction(locked, classes.denom) / speed)
+    return best
+
+
+def _locked_ratio(
+    classes: _IntClasses, speeds: tuple[Fraction, ...], redundancy: int, workers: int
+) -> Fraction:
+    """locked(S) / speed(S) for the worker set S = ``workers`` (a mask)."""
+    locked = sum(
+        unit * max(0, redundancy - (mask & ~workers).bit_count())
+        for mask, unit in zip(classes.masks, classes.units)
+    )
+    speed = sum((s for i, s in enumerate(speeds) if workers >> i & 1), Fraction(0))
+    return Fraction(locked, classes.denom) / speed
 
 
 def feasible_at(
@@ -210,22 +328,23 @@ def feasible_at(
 ) -> bool:
     """Exact feasibility of covering every class r times within time T."""
     classes = _active_classes(instance, profile, redundancy)
-    return _saturates(classes, instance.speeds, redundancy, T)
+    return _saturates(_integer_classes(classes), instance.speeds, redundancy, T)
 
 
 def lp_oracle(
     instance: ProblemInstance, profile: ClassProfile, redundancy: int = 1
 ) -> Fraction:
-    """Exact optimal min-max time, independent of the closed-form solver.
+    """Exact optimal min-max time by subset enumeration, independent of the solvers.
 
     The enumerated candidate is cross-verified by max-flow: it must be
     feasible, and infeasible after shrinking by 2^-40.
     """
-    classes = _active_classes(instance, profile, redundancy)
+    classes = _active_classes(instance, profile, redundancy, enumerates=True)
     value, _ = _bottleneck(classes, instance.speeds, redundancy)
-    if not _saturates(classes, instance.speeds, redundancy, value):
+    int_classes = _integer_classes(classes)
+    if not _saturates(int_classes, instance.speeds, redundancy, value):
         raise AssertionError(f"oracle candidate {value} unexpectedly infeasible")
-    if value > 0 and _saturates(classes, instance.speeds, redundancy, value * _EPS_SCALE):
+    if value > 0 and _saturates(int_classes, instance.speeds, redundancy, value * _EPS_SCALE):
         raise AssertionError(f"oracle candidate {value} is not tight")
     return value
 
@@ -233,28 +352,43 @@ def lp_oracle(
 def flow_assign(
     instance: ProblemInstance, profile: ClassProfile, redundancy: int = 1
 ) -> tuple[LoadAssignment, TimeResult]:
-    """Optimal assignment extracted from a max-flow at the oracle optimum.
+    """Optimal assignment by a Newton search over max-flows.
 
     Used for profiles without prefix structure (measured placements) and
-    for redundant coverage.  The reported n* is the number of workers in
-    the bottleneck subset.
+    for redundant coverage.  T starts at the best slowest-k prefix bound.
+    While the flow at T falls short of the demand, the workers the source
+    reaches in the residual graph form a set S with locked(S) > T *
+    speed(S), and T moves up to locked(S) / speed(S).  The first flow that
+    saturates is at T*, and it is the assignment.  n* is the size of the
+    largest bottleneck set: the workers with no residual path to the sink.
     """
-    classes = _active_classes(instance, profile, redundancy)
-    value, bottleneck_mask = _bottleneck(classes, instance.speeds, redundancy)
-    net, demand, share_edges = _build_flow(classes, instance.speeds, redundancy, value)
-    if net.max_flow(0, len(net.adj) - 1) != demand:
-        raise AssertionError("flow at the oracle optimum failed to saturate demand")
+    classes = _integer_classes(_active_classes(instance, profile, redundancy))
+    speeds = instance.speeds
+    first_worker = 1 + len(classes.masks)
+    value = _prefix_bound(classes, speeds, redundancy)
+    while True:
+        net, demand, scale, share_edges = _build_flow(classes, speeds, redundancy, value)
+        sink = len(net.adj) - 1
+        if net.max_flow(0, sink, demand) == demand:
+            break
+        level = net.reached_from(0)
+        source_side = sum(1 << i for i in range(instance.N) if level[first_worker + i] >= 0)
+        raised = _locked_ratio(classes, speeds, redundancy, source_side)
+        if raised <= value:  # the source side of a short flow locks more than T * speed(S)
+            raise AssertionError(f"Newton step from T = {value} did not raise T")
+        value = raised
     shares: dict[tuple[int, int], Fraction] = {}
+    loads = [0] * instance.N
     for idx, worker, mask in share_edges:
         flow = net.cap[idx ^ 1]  # residual on the reverse edge = flow pushed
         if flow != 0:
-            shares[(worker, mask)] = flow
+            shares[(worker, mask)] = Fraction(flow, scale)
+            loads[worker - 1] += flow
     assignment = LoadAssignment(
         n_workers=instance.N, redundancy=redundancy, shares=shares
     )
-    loads = assignment.per_worker_loads()
-    times = tuple(load / s for load, s in zip(loads, instance.speeds))
-    result = TimeResult(
-        c_star=value, n_star=bottleneck_mask.bit_count(), per_worker_time=times
-    )
+    times = tuple(Fraction(load, scale) / s for load, s in zip(loads, speeds))
+    to_sink = net.reaching(sink)
+    n_star = sum(not to_sink[first_worker + i] for i in range(instance.N))
+    result = TimeResult(c_star=value, n_star=n_star, per_worker_time=times)
     return assignment, result

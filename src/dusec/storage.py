@@ -68,7 +68,8 @@ class ExplicitStorage:
                 raise StructureError(f"worker {i + 1} stores {len(arr)} datasets, expected {self.M}")
             if len(arr) and (arr.min() < 0 or arr.max() >= self.K):
                 raise StructureError(f"worker {i + 1} stores a dataset outside [0, {self.K})")
-            if len(np.unique(arr)) != len(arr):
+            # a strictly increasing array (the usual, sorted case) has no duplicates
+            if not (arr[1:] > arr[:-1]).all() and len(np.unique(arr)) != len(arr):
                 raise StructureError(f"worker {i + 1} stores a duplicate dataset")
 
     @property
@@ -124,8 +125,17 @@ class ExplicitStorage:
         if len(per_vm) != N:
             raise StructureError(f"perVm has {len(per_vm)} workers, N says {N}")
         arrays = []
-        for lst in per_vm:
-            arr = np.asarray(sorted(int(d) for d in lst), dtype=np.int64)
+        for i, lst in enumerate(per_vm):
+            if not isinstance(lst, list):
+                raise StructureError(f"perVm[{i}] must be a list of integers")
+            arr = np.asarray(lst) if lst else np.empty(0, dtype=np.int64)  # [] gives floats
+            # numpy folds true/false into an int array when ints sit beside them;
+            # a valid list holds 0 and 1 at most once each, so few entries are looked at
+            if arr.ndim != 1 or arr.dtype.kind != "i" or any(
+                type(lst[j]) is bool for j in np.flatnonzero(arr <= 1)
+            ):
+                raise StructureError(f"perVm[{i}] must be a list of integers")
+            arr = np.sort(arr.astype(np.int64, copy=False))
             arr.setflags(write=False)
             arrays.append(arr)
         seed = obj.get("seed")

@@ -212,10 +212,12 @@ def part_schedule(
         tokens: list[int] = []
         for n in members:
             tokens.extend([n] * floors[n])
-        assert len(tokens) == slots
+        if len(tokens) != slots:  # a negative quota deals no tokens
+            raise StructureError(f"class {mask} shares deal {len(tokens)} part-slots, not {slots}")
         for j in range(1, m + 1):
             part_workers = tuple(sorted(tokens[j - 1 :: m]))
-            assert len(set(part_workers)) == r, "part landed on a duplicate worker"
+            if len(set(part_workers)) != r:
+                raise StructureError(f"class {mask} part {j} landed on a duplicate worker")
             schedule[(mask, j)] = part_workers
     return schedule
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import dusec.cli as cli
 from dusec.model import LoadAssignment, ProblemInstance, validate
-from dusec.oracle import lp_oracle
+from dusec.oracle import feasible_at, lp_oracle
 from dusec.storage import ExplicitStorage, exact_profile, generate_decentralized
 from dusec.straggler import filtered_for_redundancy
 
@@ -130,6 +130,22 @@ def test_profile_exact_past_twenty_workers(capsys):
     assert total == F(profile["cumulative"][21])
     code, _, err = _run(capsys, ["profile", "--K", "4", "--M", "2", "--N", "63", "--exact"])
     assert code == 2 and "62 workers" in err
+
+
+def test_profile_file_past_the_oracle_cap(tmp_path, capsys):
+    storage = generate_decentralized(200, 100, 13, seed=13)
+    path = tmp_path / "storage.json"
+    path.write_text(json.dumps(storage.to_json_obj()))
+    argv = ["solve", "--speeds", ",".join(str(i % 5 + 1) for i in range(13)), "--profile-file", str(path)]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    obj = json.loads(out)
+    inst = ProblemInstance(K=200, M=100, speeds=[F(i % 5 + 1) for i in range(13)])
+    prof = exact_profile(storage.subset([i + 1 for i in inst.source_order]))
+    assert feasible_at(inst, prof, 1, F(obj["cStar"]["frac"]))
+    code, out, err = _run(capsys, argv + ["--oracle"])
+    assert code == 2 and out == ""
+    assert "N=13 exceeds 12" in err
 
 
 def test_profile_file_with_unsorted_speeds(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dusec import oracle
 from dusec.model import (
     ClassProfile,
     ProblemInstance,
@@ -247,3 +248,20 @@ def test_redundant_assign_equals_oracle_on_measured_placements(case):
     for s in range(n + 1):
         with pytest.raises(CodingConfigError):
             redundant_assign(inst, prof, StragglerConfig(s=s, m=n + 1 - s))
+
+
+def test_flow_assign_past_the_enumeration_cap(monkeypatch):
+    # the Newton search runs max-flows only, so the 12-worker cap of lp_oracle does not apply
+    monkeypatch.setattr(oracle, "_bottleneck", None)
+    rng = random.Random(14)
+    n = ORACLE_MAX_WORKERS + 2
+    inst = ProblemInstance(K=2000, M=1000, speeds=[F(rng.randint(1, 20), rng.randint(1, 3)) for _ in range(n)])
+    storage = generate_decentralized(2000, 1000, n, seed=14)
+    prof = exact_profile(storage.subset([i + 1 for i in inst.source_order]))
+    asg, res = flow_assign(inst, prof)
+    assert validate(inst, prof, asg) == []
+    assert max(res.per_worker_time) == res.c_star
+    assert feasible_at(inst, prof, 1, res.c_star)
+    assert not feasible_at(inst, prof, 1, res.c_star * (1 - F(1, 1 << 40)))
+    with pytest.raises(OracleScopeError):
+        lp_oracle(inst, prof)

@@ -121,3 +121,26 @@ def test_json_roundtrip():
         assert np.array_equal(a, b)
     with pytest.raises(StructureError):
         ExplicitStorage.from_json_obj({"K": 5, "M": 2})
+
+
+def test_json_parse_refuses_non_integer_entries():
+    for bad in (3.7, "3", True):
+        obj = {"K": 10, "M": 3, "N": 2, "perVm": [[0, 1, 2], [5, bad, 7]]}
+        with pytest.raises(StructureError, match=r"perVm\[1\]"):
+            ExplicitStorage.from_json_obj(obj)
+    with pytest.raises(StructureError, match=r"perVm\[0\]"):
+        ExplicitStorage.from_json_obj({"K": 10, "M": 3, "N": 1, "perVm": ["123"]})
+    empty = ExplicitStorage.from_json_obj({"K": 4, "M": 0, "N": 2, "perVm": [[], []]})
+    assert all(arr.dtype == np.int64 and len(arr) == 0 for arr in empty.per_worker)
+    with pytest.raises(StructureError, match="duplicate"):
+        ExplicitStorage.from_json_obj({"K": 10, "M": 3, "N": 1, "perVm": [[4, 0, 4]]})
+
+
+def test_json_parse_sorts_a_large_placement():
+    storage = generate_decentralized(16000, 8000, 8, seed=4)
+    obj = storage.to_json_obj()
+    obj["perVm"] = [row[::-1] for row in obj["perVm"]]  # the file need not be sorted
+    back = ExplicitStorage.from_json_obj(obj)
+    for a, b in zip(back.per_worker, storage.per_worker):
+        assert a.dtype == np.int64 and not a.flags.writeable
+        assert np.array_equal(a, b)

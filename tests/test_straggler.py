@@ -358,3 +358,13 @@ def test_coded_vectors_equal_the_element_wise_reference(case):
     for k in range(n - s, n + 1):
         for survivors in combinations(transmissions, k):
             assert decode(list(survivors), cfg, n) == expected
+
+
+def test_part_schedule_refuses_a_negative_quota():
+    # class {2, 3, 4} with shares 1/2, -1/2, -1/2: worker 2's quota rounds to -1 slot,
+    # so the dealt slots no longer add up to m * r
+    asg = LoadAssignment(
+        n_workers=4, redundancy=1, shares={(2, 14): F(1, 2), (3, 14): F(-1, 2), (4, 14): F(-1, 2)}
+    )
+    with pytest.raises(StructureError, match="class 14"):
+        part_schedule(asg, StragglerConfig(s=0, m=1))
