@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 invalid input or configuration,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -79,7 +80,9 @@ def _straggler(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected s,m integers: {text!r}") from exc
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argparse tree, built once per process; parse_args keeps no state in it."""
     parser = _Parser(prog="dusec", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -45,6 +45,11 @@ def as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
+def is_int(value) -> bool:
+    """Whether a parsed JSON value is an integer: an int, and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def frac_str(x: Fraction) -> str:
     """Exact JSON form of a rational: always "p/q", integers included."""
     return f"{x.numerator}/{x.denominator}"

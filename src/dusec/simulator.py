@@ -8,8 +8,9 @@ storage-class profile is built, and the optimal assignment is computed
 (elastic, or straggler-coded when a tolerance is configured).
 
 Baselines rebuild classical centralized placements (cyclic, repetition,
-all-subsets) on the same fleet each step and price them with the same
-transportation oracle, so the comparison is apples to apples.
+all-subsets) on the same fleet each step and price them with
+``flow_assign``, the Newton flow that solves exact steps, on the
+placement's measured class profile, so the comparison is apples to apples.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -30,9 +32,10 @@ from .model import (
     StructureError,
     as_fraction,
     frac_json,
+    is_int,
 )
 from .optimizer import optimal_time
-from .oracle import flow_assign, lp_oracle
+from .oracle import flow_assign
 from .storage import (
     ExplicitStorage,
     exact_profile,
@@ -130,6 +133,12 @@ def _fraction_at(obj, path: str) -> Fraction:
         raise ScenarioError(f"{path}: not a rational number ({obj!r})") from exc
 
 
+def _int_at(obj, path: str) -> int:
+    if not is_int(obj):
+        raise ScenarioError(f"{path}: must be an integer, got {obj!r}")
+    return obj
+
+
 def load_scenario(obj: dict) -> Scenario:
     """Parse and validate a scenario object (see README for the format)."""
     if not isinstance(obj, dict):
@@ -142,7 +151,7 @@ def load_scenario(obj: dict) -> Scenario:
         raise ScenarioError(f"mode: must be 'exact' or 'asymptotic', got {mode_raw!r}")
     mode = ProfileMode(mode_raw)
     K = obj.get("K")
-    if K is not None and (not isinstance(K, int) or K < 1):
+    if K is not None and (not is_int(K) or K < 1):
         raise ScenarioError(f"K: must be a positive integer, got {K!r}")
 
     catalog_raw = obj.get("vmCatalog")
@@ -160,7 +169,9 @@ def load_scenario(obj: dict) -> Scenario:
         if datasets is not None:
             if K is None:
                 raise ScenarioError(f"{path}.datasets: explicit datasets require K")
-            ds = tuple(sorted(int(d) for d in datasets))
+            if not isinstance(datasets, list) or not all(map(is_int, datasets)):
+                raise ScenarioError(f"{path}.datasets: expected an array of integers")
+            ds = tuple(sorted(datasets))
             if ds and (ds[0] < 0 or ds[-1] >= K):
                 raise ScenarioError(f"{path}.datasets: dataset id outside [0, {K})")
             if len(set(ds)) != len(ds):
@@ -169,9 +180,10 @@ def load_scenario(obj: dict) -> Scenario:
             continue
         if seed is None:
             raise ScenarioError(f"{path}: needs 'seed' or 'datasets'")
+        _int_at(seed, f"{path}.seed")
         fraction = _fraction_at(entry.get("storageFraction"), f"{path}.storageFraction")
         try:
-            catalog[vm_id] = CatalogEntry(fraction=fraction, seed=int(seed))
+            catalog[vm_id] = CatalogEntry(fraction=fraction, seed=seed)
         except ScenarioError as exc:
             raise ScenarioError(f"{path}: {exc}") from exc
 
@@ -184,9 +196,11 @@ def load_scenario(obj: dict) -> Scenario:
         if not isinstance(straggler_raw, dict):
             raise ScenarioError("straggler: expected an object")
         straggler = StragglerConfig(
-            s=int(straggler_raw.get("s", 0)),
-            m=int(straggler_raw.get("m", 1)),
-            field_modulus=int(straggler_raw.get("fieldModulus", DEFAULT_FIELD_MODULUS)),
+            s=_int_at(straggler_raw.get("s", 0), "straggler.s"),
+            m=_int_at(straggler_raw.get("m", 1), "straggler.m"),
+            field_modulus=_int_at(
+                straggler_raw.get("fieldModulus", DEFAULT_FIELD_MODULUS), "straggler.fieldModulus"
+            ),
         )
 
     steps: list[TimelineStep] = []
@@ -238,7 +252,7 @@ def load_scenario(obj: dict) -> Scenario:
         if not isinstance(b, dict) or b.get("kind") not in BASELINE_KINDS:
             raise ScenarioError(f"{path}: expected {{kind: one of {BASELINE_KINDS}, replication}}")
         r = b.get("replication")
-        if not isinstance(r, int) or r < 1:
+        if not is_int(r) or r < 1:
             raise ScenarioError(f"{path}.replication: must be a positive integer")
         baselines.append((b["kind"], r))
 
@@ -414,61 +428,53 @@ def run_timeline(
 def baseline_assign(
     kind: str, replication: int, instance: ProblemInstance
 ) -> tuple[ExplicitStorage, Fraction]:
-    """Centralized placement with replication factor r, priced by the oracle.
+    """Centralized placement with replication factor r, priced by ``flow_assign``.
 
     cyclic: K/N contiguous blocks, worker n stores blocks n..n+r-1 (mod N).
     repetition: workers in N/r groups, each group stores its own K/(N/r) block.
     man: one block per r-subset of workers, stored by exactly that subset.
 
     All three give every worker rK/N datasets.  Block-size divisibility is
-    required (ConfigurationError otherwise).
+    required (ConfigurationError otherwise).  The value is the optimum of
+    the placement's measured class profile, from the same Newton flow that
+    solves exact simulate steps.
     """
     N, K, r = instance.N, instance.K, replication
     if kind not in BASELINE_KINDS:
         raise ConfigurationError(f"unknown baseline kind {kind!r}")
     if not 1 <= r <= N:
         raise ConfigurationError(f"replication {r} outside [1, {N}]")
-    worker_sets: list[list[int]] = [[] for _ in range(N)]
+    # holders[b]: the mask of the workers that store block b
     if kind == "cyclic":
         if K % N:
             raise ConfigurationError(f"cyclic needs N | K; got K={K}, N={N}")
-        block = K // N
-        for n in range(N):
-            for t in range(r):
-                b = (n + t) % N
-                worker_sets[n].extend(range(b * block, (b + 1) * block))
+        holders = [sum(1 << ((b - t) % N) for t in range(r)) for b in range(N)]
     elif kind == "repetition":
         if N % r:
             raise ConfigurationError(f"repetition needs r | N; got N={N}, r={r}")
         groups = N // r
         if K % groups:
             raise ConfigurationError(f"repetition needs (N/r) | K; got K={K}, groups={groups}")
-        block = K // groups
-        for n in range(N):
-            g = n // r
-            worker_sets[n].extend(range(g * block, (g + 1) * block))
+        holders = [((1 << r) - 1) << (g * r) for g in range(groups)]
     else:  # man
-        n_blocks = 1
-        for i in range(r):
-            n_blocks = n_blocks * (N - i) // (i + 1)
+        n_blocks = comb(N, r)
         if K % n_blocks:
             raise ConfigurationError(
                 f"man needs C(N,r) | K; got K={K}, C({N},{r})={n_blocks}"
             )
-        block = K // n_blocks
-        for b, subset in enumerate(combinations(range(N), r)):
-            for n in subset:
-                worker_sets[n].extend(range(b * block, (b + 1) * block))
+        holders = [sum(1 << n for n in subset) for subset in combinations(range(N), r)]
+    blocks = np.arange(K, dtype=np.int64).reshape(len(holders), -1)
     per_worker = []
-    for datasets in worker_sets:
-        arr = np.asarray(sorted(datasets), dtype=np.int64)
+    for n in range(N):
+        # blocks ascend, so each worker's datasets come out sorted
+        arr = blocks[[b for b, mask in enumerate(holders) if mask >> n & 1]].ravel()
         arr.setflags(write=False)
         per_worker.append(arr)
     storage = ExplicitStorage(
         K=K, M=r * K // N, per_worker=tuple(per_worker), seed=None
     )
-    value = lp_oracle(instance, exact_profile(storage), redundancy=1)
-    return storage, value
+    _, time = flow_assign(instance, exact_profile(storage), redundancy=1)
+    return storage, time.c_star
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ClassProfile, StructureError
+from .model import ClassProfile, StructureError, is_int
 
 
 def _worker_rng(seed: int, stream_key: int) -> np.random.Generator:
@@ -28,16 +28,13 @@ def _sample_subset(K: int, M: int, rng: np.random.Generator) -> np.ndarray:
     One batched uniform draw per element; the float-to-index map has bias
     below 2^-53 per swap, far under any tolerance used on these samples.
     """
-    if M == 0:
-        out = np.empty(0, dtype=np.int64)
-        out.setflags(write=False)
-        return out
-    pool = np.arange(K, dtype=np.int64)
-    u = rng.random(M)
-    for i in range(M):
-        j = i + int(u[i] * (K - i))
+    offsets = np.arange(M, dtype=np.int64)
+    # swap i takes j = i + floor(u_i * (K - i)); the stream is pinned by a test
+    swaps = (offsets + (rng.random(M) * (K - offsets)).astype(np.int64)).tolist()
+    pool = list(range(K))
+    for i, j in enumerate(swaps):
         pool[i], pool[j] = pool[j], pool[i]
-    out = np.sort(pool[:M])
+    out = np.sort(np.asarray(pool[:M], dtype=np.int64))
     out.setflags(write=False)
     return out
 
@@ -116,12 +113,15 @@ class ExplicitStorage:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ExplicitStorage":
         try:
-            K = int(obj["K"])
-            M = int(obj["M"])
-            N = int(obj["N"])
-            per_vm = obj["perVm"]
-        except (KeyError, TypeError, ValueError) as exc:
+            K, M, N, per_vm = obj["K"], obj["M"], obj["N"], obj["perVm"]
+        except (KeyError, TypeError) as exc:
             raise StructureError(f"storage object missing/invalid field: {exc}") from exc
+        seed = obj.get("seed")
+        for name, value in (("K", K), ("M", M), ("N", N), ("seed", seed)):
+            if not is_int(value) and not (name == "seed" and value is None):
+                raise StructureError(f"storage field {name} must be an integer, got {value!r}")
+        if not isinstance(per_vm, list):
+            raise StructureError("perVm must be a list of per-worker lists")
         if len(per_vm) != N:
             raise StructureError(f"perVm has {len(per_vm)} workers, N says {N}")
         arrays = []
@@ -138,8 +138,7 @@ class ExplicitStorage:
             arr = np.sort(arr.astype(np.int64, copy=False))
             arr.setflags(write=False)
             arrays.append(arr)
-        seed = obj.get("seed")
-        return cls(K=K, M=M, per_worker=tuple(arrays), seed=None if seed is None else int(seed))
+        return cls(K=K, M=M, per_worker=tuple(arrays), seed=seed)
 
 
 def generate_decentralized(K: int, M: int, N: int, seed: int = 0) -> ExplicitStorage:

@@ -288,3 +288,25 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["cStar"]["frac"] == "4/27"
+
+
+def test_parser_reuse_carries_no_option_over(capsys, tmp_path):
+    csv, js = tmp_path / "r.csv", tmp_path / "r.json"
+    calls = [
+        ["solve", "--speeds", "1,2,5,5", "--alpha", "2", "--straggler", "1,1"],
+        ["simulate", "--scenario", "paper_example.json", "--out", str(csv), "--json", str(js)],
+        ["solve", "--speeds", "1,2,5,5", "--alpha", "2"],
+    ]
+    in_process = []
+    for argv in calls:
+        code, out, err = _run(capsys, argv)
+        files = csv.read_bytes() + js.read_bytes() if argv[0] == "simulate" else b""
+        in_process.append((code, out, err, files))
+    assert cli._build_parser() is cli._build_parser()
+    assert "redundancy" in in_process[0][1] and "redundancy" not in in_process[2][1]
+    for argv, seen in zip(calls, in_process):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dusec", *argv], capture_output=True, text=True
+        )
+        files = csv.read_bytes() + js.read_bytes() if argv[0] == "simulate" else b""
+        assert (proc.returncode, proc.stdout, proc.stderr, files) == seen, argv

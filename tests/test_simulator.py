@@ -2,12 +2,20 @@ import json
 from fractions import Fraction as F
 from importlib import resources
 
+from itertools import combinations
+from math import comb
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dusec.cli as cli
 from dusec.model import ProblemInstance, ProfileMode
 from dusec.optimizer import assign_loads
+from dusec.oracle import lp_oracle
 from dusec.simulator import (
+    BASELINE_KINDS,
     CatalogEntry,
     ConfigurationError,
     ElasticTimeline,
@@ -21,7 +29,7 @@ from dusec.simulator import (
     reports_to_json_obj,
     run_timeline,
 )
-from dusec.storage import profile_from_alpha
+from dusec.storage import exact_profile, profile_from_alpha
 from dusec.straggler import DEFAULT_FIELD_MODULUS
 
 
@@ -119,6 +127,36 @@ def test_datasets_entries_require_k_and_bounds():
         load_scenario(obj)
     obj["vmCatalog"]["a"] = {"datasets": [1, 1]}
     with pytest.raises(ScenarioError, match="duplicate"):
+        load_scenario(obj)
+
+
+def test_catalog_integers_are_strict():
+    for bad in (3.7, "3", True):
+        obj = _base_scenario()
+        obj["K"] = 4
+        obj["vmCatalog"]["a"] = {"datasets": [0, bad]}
+        with pytest.raises(ScenarioError, match=r"vmCatalog\.a\.datasets: expected an array of integers"):
+            load_scenario(obj)
+        obj = _base_scenario()
+        obj["vmCatalog"]["b"]["seed"] = bad
+        with pytest.raises(ScenarioError, match=r"vmCatalog\.b\.seed: must be an integer"):
+            load_scenario(obj)
+        for field in ("s", "m", "fieldModulus"):
+            obj = _base_scenario()
+            obj["straggler"] = {"s": 0, "m": 1, field: bad}
+            with pytest.raises(ScenarioError, match=rf"straggler\.{field}: must be an integer"):
+                load_scenario(obj)
+        obj = _base_scenario()
+        obj.update(K=bad, baselines=[{"kind": "cyclic", "replication": True}])
+        with pytest.raises(ScenarioError, match="K: must be a positive integer"):
+            load_scenario(obj)
+        obj["K"] = 4
+        with pytest.raises(ScenarioError, match=r"baselines\[0\]\.replication"):
+            load_scenario(obj)
+    obj = _base_scenario()
+    obj["K"] = 4
+    obj["vmCatalog"]["a"] = {"datasets": "01"}
+    with pytest.raises(ScenarioError, match=r"vmCatalog\.a\.datasets"):
         load_scenario(obj)
 
 
@@ -244,6 +282,75 @@ def test_baseline_constructions():
     inst3 = ProblemInstance(K=9, M=3, speeds=(F(2), F(2), F(2)))
     _, value = baseline_assign("repetition", 1, inst3)
     assert value == F(1, 6)
+
+
+def _naive_holdings(kind, r, N, K):
+    """Each worker's dataset set, straight from baseline_assign's docstring."""
+    if kind == "cyclic":
+        block = K // N
+        blocks = [{(n + t) % N for t in range(r)} for n in range(N)]
+    elif kind == "repetition":
+        block = K // (N // r)
+        blocks = [{n // r} for n in range(N)]
+    else:
+        subsets = list(combinations(range(N), r))
+        block = K // len(subsets)
+        blocks = [{b for b, subset in enumerate(subsets) if n in subset} for n in range(N)]
+    return [
+        {d for b in held for d in range(b * block, (b + 1) * block)} for held in blocks
+    ]
+
+
+@st.composite
+def _baseline_cases(draw):
+    N = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(BASELINE_KINDS))
+    rs = [r for r in range(1, N + 1) if kind != "repetition" or N % r == 0]
+    r = draw(st.sampled_from(rs))
+    blocks = {"cyclic": N, "repetition": N // r, "man": comb(N, r)}[kind]
+    K = blocks * draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        speeds = [F(draw(st.integers(1, 2))) for _ in range(N)]  # many ties
+    else:
+        speeds = [F(draw(st.integers(1, 40)), draw(st.integers(1, 5))) for _ in range(N)]
+    return kind, r, ProblemInstance(K=K, M=0, speeds=tuple(sorted(speeds)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_baseline_cases())
+def test_baseline_equals_oracle_on_its_placement(case):
+    kind, r, inst = case
+    storage, value = baseline_assign(kind, r, inst)
+    assert value == lp_oracle(inst, exact_profile(storage))
+    assert [set(arr.tolist()) for arr in storage.per_worker] == _naive_holdings(
+        kind, r, inst.N, inst.K
+    )
+    for arr in storage.per_worker:
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+        assert (arr[1:] > arr[:-1]).all()
+
+
+def _fourteen_worker_scenario(mode):
+    ids = [f"w{i}" for i in range(14)]
+    return {
+        "schemaVersion": 1,
+        "mode": mode,
+        "K": 182,  # divisible by N = 14, N/2 = 7 and C(14, 2) = 91
+        "vmCatalog": {v: {"seed": i, "storageFraction": "1/2"} for i, v in enumerate(ids)},
+        "steps": [{"available": ids, "speeds": {v: str(1 + i % 5) for i, v in enumerate(ids)}}],
+        "baselines": [{"kind": kind, "replication": 2} for kind in BASELINE_KINDS],
+    }
+
+
+@pytest.mark.parametrize("mode", ["exact", "asymptotic"])
+def test_baselines_past_the_oracle_cap(mode, tmp_path):
+    path = tmp_path / "n14.json"
+    path.write_text(json.dumps(_fourteen_worker_scenario(mode)))
+    out = tmp_path / "n14.csv"
+    assert cli.run(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+    header, row = out.read_text().strip().split("\n")
+    assert header.endswith("baseline_cyclic_r2,baseline_man_r2,baseline_repetition_r2")
+    assert row.split(",")[1] == "14" and all(row.split(",")[-3:])
 
 
 def test_baseline_divisibility_errors():

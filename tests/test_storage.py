@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction as F
 
 import numpy as np
@@ -136,6 +137,18 @@ def test_json_parse_refuses_non_integer_entries():
         ExplicitStorage.from_json_obj({"K": 10, "M": 3, "N": 1, "perVm": [[4, 0, 4]]})
 
 
+def test_json_parse_refuses_non_integer_scalars():
+    good = {"K": 4, "M": 2, "N": 1, "seed": 7, "perVm": [[0, 3]]}
+    assert ExplicitStorage.from_json_obj(good).seed == 7
+    assert ExplicitStorage.from_json_obj({**good, "seed": None}).seed is None
+    for field in ("K", "M", "N", "seed"):
+        for bad in (4.9, "2", True, False):
+            with pytest.raises(StructureError, match=f"storage field {field} must be an integer"):
+                ExplicitStorage.from_json_obj({**good, field: bad})
+    with pytest.raises(StructureError, match="perVm must be a list"):
+        ExplicitStorage.from_json_obj({**good, "perVm": 5})
+
+
 def test_json_parse_sorts_a_large_placement():
     storage = generate_decentralized(16000, 8000, 8, seed=4)
     obj = storage.to_json_obj()
@@ -144,3 +157,24 @@ def test_json_parse_sorts_a_large_placement():
     for a, b in zip(back.per_worker, storage.per_worker):
         assert a.dtype == np.int64 and not a.flags.writeable
         assert np.array_equal(a, b)
+
+
+def _digest(storage):
+    h = hashlib.sha256()
+    for arr in storage.per_worker:
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def test_sampler_draws_are_pinned():
+    """The seeded storage stream: changing it changes every drawn placement."""
+    pinned = {
+        (16000, 8000, 12, 3): "1251d1220b91c6ab749a822c11d8b1b0c0dca6f50260c82a93b6b7bc6ca34485",
+        (10, 10, 3, 1): "38973bc57d99bf38a4ee130384fb5f689d021728ec3a9d90017203fbc5b9cecc",
+        (7, 3, 4, 9): "b5033d8e481e3106778f9c9cf1a92267a43e786244ad4d57a52df9d01f4a0f0a",
+        (100, 99, 5, 2): "9cc9a2947c0e414fd87c29d502e04f543275d92653773b1622be1f942fbd9e71",
+    }
+    for (K, M, N, seed), digest in pinned.items():
+        assert _digest(generate_decentralized(K, M, N, seed=seed)) == digest, (K, M, N, seed)
+    empty = generate_decentralized(5, 0, 2, seed=1)
+    assert all(arr.dtype == np.int64 and len(arr) == 0 for arr in empty.per_worker)
