@@ -28,7 +28,7 @@ from .model import (
     frac_str,
 )
 from .optimizer import assign_loads
-from .oracle import flow_assign, lp_oracle
+from .oracle import _check_scope, flow_assign, lp_oracle
 from .simulator import (
     load_scenario,
     reports_to_csv,
@@ -175,15 +175,15 @@ def _cmd_solve(args) -> int:
         instance = ProblemInstance(K=storage.K, M=storage.M, speeds=speeds)
         # Class masks must name workers in sorted-speed order, as the instance does.
         profile = exact_profile(storage.subset([i + 1 for i in instance.source_order]))
-        mode = "exact"
     else:
         instance = ProblemInstance.from_alpha(args.alpha, speeds)
         profile = profile_from_alpha(instance.alpha, instance.N)
-        mode = "asymptotic"
+    if args.oracle:
+        _check_scope(instance.N)
 
     obj = {
         "schemaVersion": SCHEMA_VERSION,
-        "mode": mode,
+        "mode": profile.mode.value,
         "n": instance.N,
         "speedsSorted": [frac_str(s) for s in instance.speeds],
         "sourceOrder": list(instance.source_order),

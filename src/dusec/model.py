@@ -115,8 +115,7 @@ class ProblemInstance:
 
     ``speeds`` is normalized at construction: entries are coerced to
     Fraction and sorted.  ``source_order[i]`` is the position in the
-    caller's sequence that ended up in sorted slot i, so the original
-    ordering is recoverable (see :meth:`original_speeds`).
+    caller's sequence that ended up in sorted slot i.
     """
 
     K: int
@@ -148,17 +147,6 @@ class ProblemInstance:
         if self.M == self.K:
             return None
         return Fraction(self.K, self.K - self.M)
-
-    @property
-    def beta(self) -> Fraction:
-        """Probability a given dataset misses one worker: ((K-M)/K)^N."""
-        return Fraction(self.K - self.M, self.K) ** self.N
-
-    def original_speeds(self) -> tuple[Fraction, ...]:
-        out: list[Fraction | None] = [None] * self.N
-        for slot, src in enumerate(self.source_order):
-            out[src] = self.speeds[slot]
-        return tuple(out)  # type: ignore[arg-type]
 
     def prefix_speed_sums(self) -> tuple[Fraction, ...]:
         """S[n] = s_1 + ... + s_n for n = 0..N (S[0] = 0)."""

@@ -21,8 +21,9 @@ that subset's speed.  Two routes compute it:
 * ``lp_oracle`` takes the maximum over every S from one ranked zeta
   transform in O(r * N * 2^N) (Bjorklund, Husfeldt, Kaski, Koivisto,
   "Fourier meets Mobius", STOC 2007), so it stops at
-  ``ORACLE_MAX_WORKERS``.  The candidate is then verified with two
-  max-flows: feasible at T*, infeasible just below it.
+  ``ORACLE_MAX_WORKERS``.  One max-flow then proves the candidate
+  feasible, and a direct sum of locked(S) / speed(S) over the maximizing
+  S proves it tight.
 
 The flow runs on integers: every capacity is scaled by the lcm of the
 capacities' denominators, and flows are divided back by it, so results
@@ -46,8 +47,6 @@ from .model import (
 )
 
 ORACLE_MAX_WORKERS = 12
-
-_EPS_SCALE = Fraction((1 << 40) - 1, 1 << 40)  # 1 - 2^-40
 
 
 class OracleScopeError(ValueError):
@@ -161,25 +160,21 @@ class _MaxFlow:
                 total += pushed
 
 
-def _active_classes(
-    instance: ProblemInstance,
-    profile: ClassProfile,
-    redundancy: int,
-    *,
-    enumerates: bool = False,
-) -> list[tuple[int, Fraction]]:
-    """(mask, size) of every nonzero class; checks the input first.
+def _check_scope(n_workers: int) -> None:
+    """Refuse a fleet too large for :func:`lp_oracle` to enumerate."""
+    if n_workers > ORACLE_MAX_WORKERS:
+        raise OracleScopeError(
+            f"oracle enumerates worker subsets; N={n_workers} exceeds {ORACLE_MAX_WORKERS}"
+        )
 
-    ``enumerates`` applies ``ORACLE_MAX_WORKERS``, for callers that go over
-    every worker subset.
-    """
+
+def _active_classes(
+    instance: ProblemInstance, profile: ClassProfile, redundancy: int
+) -> list[tuple[int, Fraction]]:
+    """(mask, size) of every nonzero class; checks the input first."""
     check_pair(instance, profile)
     if redundancy < 1:
         raise StructureError("redundancy must be >= 1")
-    if enumerates and instance.N > ORACLE_MAX_WORKERS:
-        raise OracleScopeError(
-            f"oracle enumerates worker subsets; N={instance.N} exceeds {ORACLE_MAX_WORKERS}"
-        )
     bad = [mask for mask in profile.classes if mask.bit_count() < redundancy]
     if bad:
         raise InfeasibleRedundancy(redundancy, bad)
@@ -336,15 +331,18 @@ def lp_oracle(
 ) -> Fraction:
     """Exact optimal min-max time by subset enumeration, independent of the solvers.
 
-    The enumerated candidate is cross-verified by max-flow: it must be
-    feasible, and infeasible after shrinking by 2^-40.
+    The enumerated candidate T = locked(S) / speed(S) is certified exactly:
+    a saturating max-flow at T proves T feasible, and locked(S) / speed(S),
+    summed again over the classes for the maximizing S, proves no time
+    below T is.
     """
-    classes = _active_classes(instance, profile, redundancy, enumerates=True)
-    value, _ = _bottleneck(classes, instance.speeds, redundancy)
+    _check_scope(instance.N)
+    classes = _active_classes(instance, profile, redundancy)
+    value, workers = _bottleneck(classes, instance.speeds, redundancy)
     int_classes = _integer_classes(classes)
     if not _saturates(int_classes, instance.speeds, redundancy, value):
         raise AssertionError(f"oracle candidate {value} unexpectedly infeasible")
-    if value > 0 and _saturates(int_classes, instance.speeds, redundancy, value * _EPS_SCALE):
+    if _locked_ratio(int_classes, instance.speeds, redundancy, workers) != value:
         raise AssertionError(f"oracle candidate {value} is not tight")
     return value
 

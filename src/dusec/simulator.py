@@ -123,7 +123,6 @@ class Scenario:
     mode: ProfileMode
     straggler: StragglerConfig | None
     baselines: tuple[tuple[str, int], ...]
-    schema_version: int
 
 
 def _fraction_at(obj, path: str) -> Fraction:
@@ -267,19 +266,29 @@ def load_scenario(obj: dict) -> Scenario:
         mode=mode,
         straggler=straggler,
         baselines=tuple(baselines),
-        schema_version=version,
     )
 
 
-def _catalog_storage(entry: CatalogEntry, K: int) -> np.ndarray:
-    if entry.datasets is not None:
-        arr = np.asarray(entry.datasets, dtype=np.int64)
-        arr.setflags(write=False)
-        return arr
-    M = entry.fraction * K
-    if M.denominator != 1:
-        raise ScenarioError(f"storage fraction {entry.fraction} times K={K} is not an integer")
-    return generate_worker_subset(K, int(M), entry.seed)
+def _catalog_storage(timeline: ElasticTimeline, K: int) -> dict[str, np.ndarray]:
+    """Storage of every worker some step names, drawn once, in order of first appearance."""
+    storage: dict[str, np.ndarray] = {}
+    for step in timeline.steps:
+        for vm_id in step.available:
+            if vm_id in storage:
+                continue
+            entry = timeline.vm_catalog[vm_id]
+            if entry.datasets is not None:
+                arr = np.asarray(entry.datasets, dtype=np.int64)
+                arr.setflags(write=False)
+            else:
+                M = entry.fraction * K
+                if M.denominator != 1:
+                    raise ScenarioError(
+                        f"storage fraction {entry.fraction} times K={K} is not an integer"
+                    )
+                arr = generate_worker_subset(K, int(M), entry.seed)
+            storage[vm_id] = arr
+    return storage
 
 
 def _step_instance(
@@ -409,12 +418,7 @@ def run_timeline(
     if mode is ProfileMode.EXACT:
         if timeline.K is None:
             raise ScenarioError("K: required in exact mode")
-        for step in timeline.steps:
-            for vm_id in step.available:
-                if vm_id not in storage_cache:
-                    storage_cache[vm_id] = _catalog_storage(
-                        timeline.vm_catalog[vm_id], timeline.K
-                    )
+        storage_cache = _catalog_storage(timeline, timeline.K)
     base = tuple(baselines)
     for kind, _ in base:
         if kind not in BASELINE_KINDS:
@@ -510,15 +514,11 @@ def gradient_demo(timeline: ElasticTimeline, spec: GradientDemoSpec) -> np.ndarr
     y = X @ w_true
     shard = spec.n_samples // K
 
-    storage_cache: dict[str, np.ndarray] = {}
-    covered_per_step: list[np.ndarray] = []
-    for step in timeline.steps:
-        covered: set[int] = set()
-        for vm_id in step.available:
-            if vm_id not in storage_cache:
-                storage_cache[vm_id] = _catalog_storage(timeline.vm_catalog[vm_id], K)
-            covered.update(int(d) for d in storage_cache[vm_id])
-        covered_per_step.append(np.asarray(sorted(covered), dtype=np.int64))
+    storage = _catalog_storage(timeline, K)
+    covered_per_step = [
+        np.asarray(sorted({int(d) for v in step.available for d in storage[v]}), dtype=np.int64)
+        for step in timeline.steps
+    ]
 
     w = np.zeros(spec.n_features)
     losses = []

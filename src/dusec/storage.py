@@ -88,10 +88,6 @@ class ExplicitStorage:
         """Dataset count per class mask (length 2^N array, index = mask)."""
         return np.bincount(self.class_index, minlength=1 << self.n_workers)
 
-    @property
-    def sets(self) -> tuple[frozenset, ...]:
-        return tuple(frozenset(int(d) for d in arr) for arr in self.per_worker)
-
     def subset(self, worker_numbers: Sequence[int]) -> "ExplicitStorage":
         """Storage restricted to the given workers, in the given order."""
         return ExplicitStorage(

@@ -155,8 +155,9 @@ def redundant_assign(
         raise CodingConfigError(
             f"redundancy r = s + m = {r} exceeds N = {instance.N}: no class can be covered {r} times"
         )
-    excluded = tuple(mask for mask in profile.classes if mask.bit_count() < r)
-    assignment, time = flow_assign(instance, filtered_for_redundancy(profile, r), redundancy=r)
+    coverable = filtered_for_redundancy(profile, r)
+    excluded = tuple(mask for mask in profile.classes if mask not in coverable.classes)
+    assignment, time = flow_assign(instance, coverable, redundancy=r)
     return StragglerPlan(assignment=assignment, time=time, excluded_classes=excluded)
 
 
@@ -173,13 +174,15 @@ def part_schedule(
 
     The quotas are worked out on integers: over a common denominator the
     class's shares become numerators N_n summing to S, and the quota of
-    worker n is m*(s+m)*N_n / S.
+    worker n is m*(s+m)*N_n / S.  A negative share raises StructureError.
     """
     m = config.m
     r = config.redundancy
     slots = m * r
     by_class: dict[int, dict[int, Fraction]] = {}
     for (n, mask), value in assignment.shares.items():
+        if value < 0:
+            raise StructureError(f"class {mask} gives worker {n} a negative share {value}")
         by_class.setdefault(mask, {})[n] = value
     schedule: dict[tuple[int, int], tuple[int, ...]] = {}
     for mask in sorted(by_class):
@@ -187,22 +190,14 @@ def part_schedule(
         common = lcm(*(v.denominator for v in shares.values()))
         nums = {n: v.numerator * (common // v.denominator) for n, v in shares.items()}
         total = sum(nums.values())
-        if total == 0:
-            continue
-        if total < 0:  # the quotas are unchanged with every sign flipped
-            total = -total
-            nums = {n: -v for n, v in nums.items()}
         members = workers_of(mask)
         floors: dict[int, int] = {}
         remainders: list[tuple[int, int]] = []
         for n in members:
-            floor, rem = divmod(slots * nums.get(n, 0), total)
-            if floor < 0 and rem:  # a negative quota rounds toward zero
-                floor, rem = floor + 1, rem - total
-            floors[n] = floor
+            floors[n], rem = divmod(slots * nums.get(n, 0), total)
             remainders.append((rem, n))
         deficit = slots - sum(floors.values())
-        if deficit < 0 or any(r * nums.get(n, 0) > total for n in members):
+        if any(r * nums.get(n, 0) > total for n in members):
             raise StructureError(f"class {mask} coverage is not exactly {r} times its size")
         remainders.sort(key=lambda t: (-t[0], t[1]))
         for rem, n in remainders[:deficit]:
@@ -212,7 +207,7 @@ def part_schedule(
         tokens: list[int] = []
         for n in members:
             tokens.extend([n] * floors[n])
-        if len(tokens) != slots:  # a negative quota deals no tokens
+        if len(tokens) != slots:  # a share held outside the class deals no tokens
             raise StructureError(f"class {mask} shares deal {len(tokens)} part-slots, not {slots}")
         for j in range(1, m + 1):
             part_workers = tuple(sorted(tokens[j - 1 :: m]))
@@ -243,14 +238,19 @@ def _field_dtype(p: int):
 
 
 def _residues(rows: Sequence[Sequence[int]], p: int, dtype) -> np.ndarray:
-    """Equal-length rows as one array of ``dtype`` holding int(c) % p."""
-    if dtype is not object and not any(
-        isinstance(row, np.ndarray) and not np.can_cast(row.dtype, np.int64) for row in rows
+    """Equal-length rows of integers as one array of ``dtype`` holding c % p.
+
+    A float, string or other non-integer element raises
+    :class:`CodingConfigError`; nothing is truncated to an integer.
+    """
+    arr = np.array(rows)
+    if arr.dtype.kind == "i" and dtype is not object:
+        return arr.astype(np.int64, copy=False) % p
+    # numpy folds ints past int64, or ints beside uint64, into object or float arrays
+    if arr.dtype.kind not in "iu" and not all(
+        isinstance(c, (int, np.integer)) for row in rows for c in row
     ):
-        try:
-            return np.array(rows, dtype=np.int64) % p
-        except OverflowError:
-            pass  # an element int64 cannot hold: reduce every one exactly below
+        raise CodingConfigError("field elements must be integers")
     return np.array([[int(c) % p for c in row] for row in rows], dtype=dtype)
 
 
@@ -307,10 +307,11 @@ def encode(
     """Coded combination for every worker, from the plan's part schedule.
 
     ``messages`` maps each covered class mask to its message vector; all
-    vectors must share one length divisible by m.  The combination sent by
-    worker n evaluates, at x_n, polynomials that vanish on every worker not
-    computing the given part and hit 1 at that part's anchor point, so the
-    vector is supported exactly on parts worker n computes.
+    vectors must share one length divisible by m and hold only integers
+    (anything else raises :class:`CodingConfigError`).  The combination
+    sent by worker n evaluates, at x_n, polynomials that vanish on every
+    worker not computing the given part and hit 1 at that part's anchor
+    point, so the vector is supported exactly on parts worker n computes.
 
     A coefficient depends only on the part's computing workers and its
     index j, so it is worked out once per (workers, j) and reused across
@@ -321,8 +322,7 @@ def encode(
     p = config.field_modulus
     m = config.m
     n_workers = assignment.n_workers
-    totals = assignment.class_totals()
-    covered = {mask for mask, total in totals.items() if total > 0}
+    covered = {mask for _, mask in assignment.shares}  # part_schedule refuses negative shares
     if set(messages) != covered:
         missing = sorted(covered - set(messages))
         extra = sorted(set(messages) - covered)
@@ -371,7 +371,11 @@ def recompute_transmission(
     config: StragglerConfig,
     messages: Mapping[int, Sequence[int]],
 ) -> tuple[int, ...]:
-    """Re-derive the coded vector from the encoding row; must match exactly."""
+    """Re-derive the coded vector from the encoding row; must match exactly.
+
+    Non-integer message elements raise :class:`CodingConfigError`, as in
+    :func:`encode`.
+    """
     if transmission.encoding_row is None:
         raise StructureError("transmission carries no encoding row")
     p = config.field_modulus

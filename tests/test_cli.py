@@ -148,6 +148,23 @@ def test_profile_file_past_the_oracle_cap(tmp_path, capsys):
     assert "N=13 exceeds 12" in err
 
 
+def test_oracle_cap_is_checked_before_solving(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a solver ran before the oracle cap check")
+
+    for name in ("assign_loads", "flow_assign", "redundant_assign"):
+        monkeypatch.setattr(cli, name, refuse)
+    path = tmp_path / "storage.json"
+    path.write_text(json.dumps(generate_decentralized(40, 20, 13, seed=3).to_json_obj()))
+    speeds = ",".join(str(i + 1) for i in range(13))
+    for source in (["--alpha", "2"], ["--profile-file", str(path)]):
+        for extra in ([], ["--straggler", "1,1"]):
+            argv = ["solve", "--speeds", speeds, *source, *extra, "--oracle"]
+            code, out, err = _run(capsys, argv)
+            assert code == 2 and out == ""
+            assert "N=13 exceeds 12" in err
+
+
 def test_profile_file_with_unsorted_speeds(tmp_path, capsys):
     path = tmp_path / "storage.json"
     path.write_text(json.dumps({"K": 4, "M": 2, "N": 3, "perVm": [[0, 1], [0, 1], [2, 3]]}))

@@ -65,24 +65,25 @@ def test_instance_validation():
 
 
 def test_speed_sorting_roundtrip():
-    inst = ProblemInstance(K=16, M=8, speeds=(F(5), F(1), F(2), F(5)))
+    given = (F(5), F(1), F(2), F(5))
+    inst = ProblemInstance(K=16, M=8, speeds=given)
     assert inst.speeds == (F(1), F(2), F(5), F(5))
-    assert inst.original_speeds() == (F(5), F(1), F(2), F(5))
+    assert tuple(given[i] for i in inst.source_order) == inst.speeds
     # stable: equal speeds keep their input order
-    assert inst.source_order[2] != inst.source_order[3]
+    assert inst.source_order == (1, 2, 0, 3)
 
 
 def test_alpha_beta():
     inst = ProblemInstance(K=16, M=8, speeds=(F(1), F(2), F(5), F(5)))
     assert inst.alpha == F(2)
-    assert inst.beta == F(1, 16)
+    assert profile_from_alpha(inst.alpha, inst.N).beta == F(1, 16)
     assert inst.prefix_speed_sums() == (F(0), F(1), F(3), F(8), F(13))
     full = ProblemInstance(K=4, M=4, speeds=(F(1), F(1)))
     assert full.alpha is None
-    assert full.beta == 0
+    assert profile_from_alpha(full.alpha, full.N).beta == 0
     empty = ProblemInstance(K=4, M=0, speeds=(F(1), F(1)))
     assert empty.alpha == 1
-    assert empty.beta == 1
+    assert profile_from_alpha(empty.alpha, empty.N).beta == 1
 
 
 def test_from_alpha():

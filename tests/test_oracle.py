@@ -65,6 +65,20 @@ def test_feasibility_thresholds():
     assert not feasible_at(inst, prof, 1, t * F(9, 10))
 
 
+def test_oracle_refuses_a_value_no_set_attains(monkeypatch):
+    # 15/208 * (1 + 2^-50) is feasible and a flow at (1 - 2^-40) times it is not,
+    # but no worker set locks that much load per speed: the direct sum refuses it
+    inst, prof = _reference_fleet()
+    bottleneck = oracle._bottleneck
+    monkeypatch.setattr(
+        oracle,
+        "_bottleneck",
+        lambda *a: (bottleneck(*a)[0] * (1 + F(1, 1 << 50)), bottleneck(*a)[1]),
+    )
+    with pytest.raises(AssertionError, match="not tight"):
+        lp_oracle(inst, prof)
+
+
 def test_scope_guard():
     speeds = tuple(F(i + 1) for i in range(ORACLE_MAX_WORKERS + 1))
     inst = ProblemInstance.from_alpha(F(2), speeds)

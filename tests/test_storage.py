@@ -63,7 +63,7 @@ def test_storage_validation():
 def test_exact_profile_matches_set_arithmetic():
     storage = generate_decentralized(30, 11, 4, seed=7)
     prof = exact_profile(storage)
-    sets = storage.sets
+    sets = [set(arr.tolist()) for arr in storage.per_worker]
     for mask in iter_class_masks(4):
         members = [i for i in range(4) if mask & (1 << i)]
         others = [i for i in range(4) if not mask & (1 << i)]

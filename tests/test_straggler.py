@@ -216,6 +216,18 @@ def test_encode_message_validation():
     bad[covered[0]] = (1, 2, 3)
     with pytest.raises(CodingConfigError):
         encode(plan11.assignment, cfg11, bad)
+    # elements that are not integers are refused, never truncated
+    good = {mask: (1, 2) for mask in covered}
+    transmission = encode(plan11.assignment, cfg11, good)[0]
+    for wide in (False, True):
+        for element in (3.7, "5", np.float64(2.5)):
+            row = (1 << 70 if wide else 1, element)
+            messages = {**good, covered[0]: row}
+            with pytest.raises(CodingConfigError, match="integers"):
+                encode(plan11.assignment, cfg11, messages)
+            messages = {mask: row for mask in covered}
+            with pytest.raises(CodingConfigError, match="integers"):
+                recompute_transmission(transmission, cfg11, messages)
 
 
 def test_small_modulus_rejected():
@@ -368,3 +380,7 @@ def test_part_schedule_refuses_a_negative_quota():
     )
     with pytest.raises(StructureError, match="class 14"):
         part_schedule(asg, StragglerConfig(s=0, m=1))
+    # all shares negative: the quotas would be those of +2/3 each
+    asg = LoadAssignment(n_workers=3, redundancy=2, shares={(n, 7): F(-2, 3) for n in (1, 2, 3)})
+    with pytest.raises(StructureError, match="class 7 gives worker 1 a negative share"):
+        part_schedule(asg, StragglerConfig(s=1, m=1))
