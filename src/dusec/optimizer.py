@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .model import (
     ClassProfile,
@@ -30,10 +29,6 @@ from .model import (
     check_pair,
     iter_submasks,
 )
-
-
-class InfeasibleRearrangement(ValueError):
-    """The requested delta cannot be carried by the classes the groups share."""
 
 
 @dataclass(frozen=True)
@@ -51,12 +46,6 @@ class RearrangeDelta:
     donor_start: int
     donor_end: int
     group_time: Fraction
-
-    def __post_init__(self):
-        if not 1 <= self.receiver_start <= self.receiver_end:
-            raise StructureError("bad receiver group")
-        if self.donor_start != self.receiver_end + 1 or self.donor_end < self.donor_start:
-            raise StructureError("donor group must directly follow the receiver group")
 
 
 @dataclass(frozen=True)
@@ -153,28 +142,23 @@ def cutset_bounds(instance: ProblemInstance, profile: ClassProfile) -> tuple[Cut
 
 
 def _rearranged_shares(
-    shares: Mapping[tuple[int, int], Fraction],
+    shares: dict[tuple[int, int], Fraction],
     rd: RearrangeDelta,
     profile: ClassProfile,
-) -> dict[tuple[int, int], Fraction]:
-    """Apply one rebalancing move and return the new share table.
+) -> None:
+    """Apply one merge of the sweep to its share table, in place.
 
     One descending walk over the merged span fills the carrier table: the
-    nonzero classes both groups store, keyed by (receiver part, donor part).
+    classes both groups store, keyed by (receiver part, donor part).
     Current loads are summed per part and per worker.  The delta is split
     across donor/receiver worker pairs in proportion to the load each holds,
     and across the carriers of a pair of parts in proportion to class size.
-    Per-class totals are conserved exactly; running out of room in the
-    shared classes raises InfeasibleRearrangement (nothing is applied in
-    that case).  Negative shares are refused.
+    Per-class totals are conserved exactly.  Only ``assign_loads`` calls
+    this, on formula profiles with alpha > 1: every class is nonzero and
+    every group holds load, so every pair of parts has carriers.
     """
-    if rd.delta < 0:
-        raise StructureError("delta must be nonnegative")
-    if rd.donor_end > profile.n_workers:
-        raise StructureError("group extends past the last worker")
-    new_shares = dict(shares)
     if rd.delta == 0:
-        return new_shares
+        return
     recv_span = (1 << rd.receiver_end) - 1  # the prefix plus the receiver group
     span = (1 << rd.donor_end) - 1
     recv_mask = recv_span ^ ((1 << (rd.receiver_start - 1)) - 1)
@@ -183,51 +167,26 @@ def _rearranged_shares(
     carriers: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
     for w in iter_submasks(span):
         if w & recv_mask and w & donor_mask:
-            size = profile.a(w)
-            if size:
-                carriers.setdefault((w & recv_mask, w & donor_mask), []).append((w, size))
-    shared_total = sum(size for group in carriers.values() for _, size in group)
-    if rd.delta > shared_total:
-        raise InfeasibleRearrangement(
-            f"delta {rd.delta} exceeds shared class capacity {shared_total}"
-        )
+            carriers.setdefault((w & recv_mask, w & donor_mask), []).append((w, profile.a(w)))
 
     # Current loads: receivers keyed by the class part inside the receiver
     # group, donors by the part inside the donor group, then by worker.
     recv_held: dict[int, dict[int, Fraction]] = {}
     donor_held: dict[int, dict[int, Fraction]] = {}
     for (n, w), v in shares.items():
-        if v == 0:
+        if v == 0 or n < rd.receiver_start or n > rd.donor_end:
             continue
-        if v < 0:
-            raise StructureError(f"worker {n} holds a negative share {v} of class {w}")
-        if rd.receiver_start <= n <= rd.receiver_end:
-            if w & ~recv_span:
-                raise StructureError(
-                    f"receiver worker {n} holds class {w} outside its prefix span"
-                )
+        if n <= rd.receiver_end:
             held = recv_held.setdefault(w & recv_mask, {})
-        elif rd.donor_start <= n <= rd.donor_end:
-            if w & ~span:
-                raise StructureError(
-                    f"donor worker {n} holds class {w} outside the merged span"
-                )
-            held = donor_held.setdefault(w & donor_mask, {})
         else:
-            continue
+            held = donor_held.setdefault(w & donor_mask, {})
         held[n] = held.get(n, 0) + v
-    if not recv_held or not donor_held:
-        raise InfeasibleRearrangement("cannot rebalance between groups with zero load")
     recv_part_total = {part: sum(held.values()) for part, held in recv_held.items()}
     donor_part_total = {part: sum(held.values()) for part, held in donor_held.items()}
     scale = rd.delta / (sum(recv_part_total.values()) * sum(donor_part_total.values()))
     for v_part, recv_workers in recv_held.items():
         for q_part, donor_workers in donor_held.items():
-            pair_carriers = carriers.get((v_part, q_part))
-            if pair_carriers is None:
-                raise InfeasibleRearrangement(
-                    f"no shared class can carry load between parts {v_part} and {q_part}"
-                )
+            pair_carriers = carriers[(v_part, q_part)]
             carrier_total = sum(size for _, size in pair_carriers)
             for w, size in pair_carriers:
                 class_scale = scale * size / carrier_total
@@ -235,31 +194,13 @@ def _rearranged_shares(
                 loss_scale = class_scale * recv_part_total[v_part]
                 for n, held in recv_workers.items():
                     key = (n, w)
-                    new_shares[key] = new_shares.get(key, Fraction(0)) + gain_scale * held
+                    shares[key] = shares.get(key, Fraction(0)) + gain_scale * held
                 for n, held in donor_workers.items():
                     key = (n, w)
-                    loss = loss_scale * held
-                    remaining = new_shares.get(key, Fraction(0)) - loss
-                    if remaining < 0:
-                        raise InfeasibleRearrangement(
-                            f"worker {n} lacks {loss} of class {w} to give away"
-                        )
-                    new_shares[key] = remaining
-    return new_shares
-
-
-def rearrange(
-    assignment: LoadAssignment, rd: RearrangeDelta, profile: ClassProfile
-) -> LoadAssignment:
-    """Pure version of the rebalancing move; returns a new assignment."""
-    if assignment.n_workers != profile.n_workers:
-        raise StructureError("assignment and profile cover different worker counts")
-    shares = _rearranged_shares(assignment.shares, rd, profile)
-    return LoadAssignment(
-        n_workers=assignment.n_workers,
-        redundancy=assignment.redundancy,
-        shares=shares,
-    )
+                    remaining = shares.get(key, Fraction(0)) - loss_scale * held
+                    if remaining < 0:  # the sweep's own deltas never overdraw a donor
+                        raise AssertionError(f"merge {rd} overdraws worker {n} on class {w}")
+                    shares[key] = remaining
 
 
 def assign_loads(
@@ -292,7 +233,7 @@ def assign_loads(
         shares = {(mask.bit_length(), mask): size for mask, size in profile.classes.items()}
         for event in events:
             if event[0] == "merge":
-                shares = _rearranged_shares(shares, event[1], profile)
+                _rearranged_shares(shares, event[1], profile)
     if trace is not None:
         trace.extend(events)
     assignment = LoadAssignment(n_workers=instance.N, redundancy=1, shares=shares)

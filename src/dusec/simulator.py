@@ -143,7 +143,7 @@ def load_scenario(obj: dict) -> Scenario:
     if not isinstance(obj, dict):
         raise ScenarioError("scenario: expected a JSON object")
     version = obj.get("schemaVersion", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if not is_int(version) or version != SCHEMA_VERSION:
         raise ScenarioError(f"schemaVersion: unsupported version {version!r}")
     mode_raw = obj.get("mode")
     if mode_raw not in ("exact", "asymptotic"):

@@ -52,7 +52,8 @@ class InsufficientResponses(ValueError):
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24."""
+    """Deterministic Miller-Rabin for n < 318665857834031151167461 (about
+    3.18e23), the least strong pseudoprime to all twelve witnesses."""
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -78,7 +79,11 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class StragglerConfig:
-    """Tolerate s stragglers, split every class message into m parts."""
+    """Tolerate s stragglers, split every class message into m parts.
+
+    The field modulus is a prime below 2^64, the widest the wire format
+    carries.
+    """
 
     s: int
     m: int
@@ -89,6 +94,11 @@ class StragglerConfig:
             raise CodingConfigError(f"s must be >= 0, got {self.s}")
         if self.m < 1:
             raise CodingConfigError(f"m must be >= 1, got {self.m}")
+        if self.field_modulus >= 1 << 64:  # also keeps _is_prime deterministic
+            raise CodingConfigError(
+                f"field modulus {self.field_modulus} is not below 2^64, "
+                "the most the wire format carries"
+            )
         if not _is_prime(self.field_modulus):
             raise CodingConfigError(f"field modulus {self.field_modulus} is not prime")
 
@@ -174,7 +184,8 @@ def part_schedule(
 
     The quotas are worked out on integers: over a common denominator the
     class's shares become numerators N_n summing to S, and the quota of
-    worker n is m*(s+m)*N_n / S.  A negative share raises StructureError.
+    worker n is m*(s+m)*N_n / S.  A negative share, or a share given to a
+    worker outside its class, raises StructureError.
     """
     m = config.m
     r = config.redundancy
@@ -183,6 +194,8 @@ def part_schedule(
     for (n, mask), value in assignment.shares.items():
         if value < 0:
             raise StructureError(f"class {mask} gives worker {n} a negative share {value}")
+        if not mask >> (n - 1) & 1:
+            raise StructureError(f"class {mask} gives a share to worker {n}, who does not store it")
         by_class.setdefault(mask, {})[n] = value
     schedule: dict[tuple[int, int], tuple[int, ...]] = {}
     for mask in sorted(by_class):
@@ -200,15 +213,11 @@ def part_schedule(
         if any(r * nums.get(n, 0) > total for n in members):
             raise StructureError(f"class {mask} coverage is not exactly {r} times its size")
         remainders.sort(key=lambda t: (-t[0], t[1]))
-        for rem, n in remainders[:deficit]:
-            if rem == 0:
-                raise StructureError(f"class {mask} coverage is not exactly {r} times its size")
+        for _, n in remainders[:deficit]:
             floors[n] += 1
         tokens: list[int] = []
         for n in members:
             tokens.extend([n] * floors[n])
-        if len(tokens) != slots:  # a share held outside the class deals no tokens
-            raise StructureError(f"class {mask} shares deal {len(tokens)} part-slots, not {slots}")
         for j in range(1, m + 1):
             part_workers = tuple(sorted(tokens[j - 1 :: m]))
             if len(set(part_workers)) != r:
@@ -449,8 +458,9 @@ def serialize_transmission(transmission: CodedTransmission, config: StragglerCon
     """Wire format: header {vm_index u32, part length u64, modulus u64},
     then the coded vector as little-endian u64 elements.
 
-    A modulus or element outside 0..2^64 - 1 (any prime p >= 2^64, which
-    encoding and decoding accept) raises :class:`CodingConfigError`.
+    An element outside 0..2^64 - 1 or a worker index past u32 raises
+    :class:`CodingConfigError`; :class:`StragglerConfig` keeps the modulus
+    below 2^64.
     """
     try:
         chunks = [
@@ -462,8 +472,7 @@ def serialize_transmission(transmission: CodedTransmission, config: StragglerCon
     except struct.error as exc:
         raise CodingConfigError(
             f"transmission of worker {transmission.vm_index} does not fit the wire format: "
-            f"the modulus {config.field_modulus} and every element must be u64 values "
-            f"below 2^64, the worker index a u32 ({exc})"
+            f"every element must be a u64 value below 2^64, the worker index a u32 ({exc})"
         ) from exc
     return b"".join(chunks)
 

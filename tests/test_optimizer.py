@@ -10,21 +10,16 @@ from hypothesis import strategies as st
 import dusec.optimizer
 from dusec.model import (
     ClassProfile,
-    LoadAssignment,
     ProblemInstance,
     StructureError,
     TimeResult,
-    iter_class_masks,
     validate,
 )
 from dusec.optimizer import (
-    InfeasibleRearrangement,
-    RearrangeDelta,
     assign_loads,
     critical_conditions_hold,
     cutset_bounds,
     optimal_time,
-    rearrange,
 )
 from dusec.oracle import flow_assign, lp_oracle
 from dusec.storage import profile_from_alpha
@@ -85,66 +80,6 @@ def test_worked_example_share_table():
     assert dict(asg.shares) == expected
 
 
-def test_rearrange_refuses_negative_shares():
-    _, prof = _worked_example()
-    shares = {(mask.bit_length(), mask): prof.a(mask) for mask in iter_class_masks(4)}
-    shares[(3, 0b0110)] = F(-1, 64)
-    asg = LoadAssignment(n_workers=4, redundancy=1, shares=shares)
-    rd = RearrangeDelta(
-        delta=F(1, 8), receiver_start=3, receiver_end=3,
-        donor_start=4, donor_end=4, group_time=F(3, 40),
-    )
-    with pytest.raises(StructureError, match="negative share"):
-        rearrange(asg, rd, prof)
-
-
-def test_rearrange_replays_the_merges():
-    inst, prof = _worked_example()
-    trace = []
-    final, _ = assign_loads(inst, prof, trace=trace)
-    # start from the tentative split: every class sits on its fastest member
-    shares = {}
-    for mask in iter_class_masks(4):
-        shares[(mask.bit_length(), mask)] = prof.a(mask)
-    asg = LoadAssignment(n_workers=4, redundancy=1, shares=shares)
-    for entry in trace:
-        if entry[0] == "merge":
-            asg = rearrange(asg, entry[1], prof)
-    assert dict(asg.shares) == dict(final.shares)
-
-
-def test_rearrange_zero_delta_is_identity():
-    inst, prof = _worked_example()
-    asg, _ = assign_loads(inst, prof)
-    rd = RearrangeDelta(
-        delta=F(0), receiver_start=1, receiver_end=2,
-        donor_start=3, donor_end=4, group_time=F(15, 208),
-    )
-    assert dict(rearrange(asg, rd, prof).shares) == dict(asg.shares)
-
-
-def test_rearrange_rejects_negative_delta():
-    inst, prof = _worked_example()
-    asg, _ = assign_loads(inst, prof)
-    with pytest.raises(StructureError):
-        rearrange(
-            asg,
-            RearrangeDelta(
-                delta=F(-1, 100), receiver_start=1, receiver_end=2,
-                donor_start=3, donor_end=4, group_time=F(1),
-            ),
-            prof,
-        )
-
-
-def test_rearrange_delta_shape_checked():
-    with pytest.raises(StructureError):
-        RearrangeDelta(
-            delta=F(1, 8), receiver_start=1, receiver_end=1,
-            donor_start=3, donor_end=4, group_time=F(1, 2),
-        )
-
-
 def test_no_merge_instance():
     inst = ProblemInstance.from_alpha(F(2), (F(1), F(4), F(16)))
     prof = profile_from_alpha(F(2), 3)
@@ -173,28 +108,10 @@ def test_zero_storage_solves_to_zero():
     assert asg.per_worker_loads() == (F(0), F(0))
 
 
-def _disjoint_profile():
-    # two workers with disjoint storage: nothing can move between them
-    return ClassProfile(n_workers=2, class_sizes={0b01: F(1, 4), 0b10: F(3, 4)})
-
-
-def test_rearrange_infeasible_without_shared_classes():
-    prof = _disjoint_profile()
-    shares = {(1, 0b01): F(1, 4), (2, 0b10): F(3, 4)}
-    asg = LoadAssignment(n_workers=2, redundancy=1, shares=shares)
-    rd = RearrangeDelta(
-        delta=F(1, 4), receiver_start=1, receiver_end=1,
-        donor_start=2, donor_end=2, group_time=F(1, 2),
-    )
-    with pytest.raises(InfeasibleRearrangement):
-        rearrange(asg, rd, prof)
-    # the failed move must not mutate its input
-    assert dict(asg.shares) == shares
-
-
 def test_assign_loads_refuses_measured_before_the_sweep():
-    # the merge move would find no shared class here; the refusal comes first
-    prof = _disjoint_profile()
+    # two workers with disjoint storage: the merge move would find no shared
+    # class here; the refusal comes first
+    prof = ClassProfile(n_workers=2, class_sizes={0b01: F(1, 4), 0b10: F(3, 4)})
     inst = ProblemInstance(K=4, M=2, speeds=(F(1), F(1)))
     trace = []
     with pytest.raises(StructureError, match="flow_assign or lp_oracle"):
@@ -363,7 +280,13 @@ def test_closed_form_equals_construction_and_oracle(alpha, speeds):
         inst = ProblemInstance.from_alpha(alpha, speeds)
     prof = profile_from_alpha(inst.alpha, inst.N)
     res = optimal_time(inst, prof)
-    asg, built = assign_loads(inst, prof)
+    trace = []
+    asg, built = assign_loads(inst, prof, trace=trace)
     assert built == res
     assert res.c_star == lp_oracle(inst, prof)
     assert validate(inst, prof, asg) == []
+    # every merge moves load from a group onto the one directly below it
+    for rd in (e[1] for e in trace if e[0] == "merge"):
+        assert 1 <= rd.receiver_start <= rd.receiver_end
+        assert rd.donor_start == rd.receiver_end + 1 <= rd.donor_end <= inst.N
+        assert rd.delta >= 0

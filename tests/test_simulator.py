@@ -64,6 +64,8 @@ def test_load_scenario_accepts_minimal():
     "mutate, path_fragment",
     [
         (lambda o: o.update(schemaVersion=99), "schemaVersion"),
+        (lambda o: o.update(schemaVersion=True), "schemaVersion: unsupported version True"),
+        (lambda o: o.update(schemaVersion=1.0), "schemaVersion: unsupported version 1.0"),
         (lambda o: o.update(mode="other"), "mode"),
         (lambda o: o.update(K=0), "K"),
         (lambda o: o.update(vmCatalog={}), "vmCatalog"),

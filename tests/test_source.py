@@ -4,10 +4,30 @@ from pathlib import Path
 import dusec
 
 
+def _modules():
+    for path in sorted(Path(dusec.__file__).parent.glob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def test_library_has_no_assert_statements():
     # python -O strips asserts, so a check that must hold raises a typed error instead
     found = []
-    for path in sorted(Path(dusec.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for path, tree in _modules():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_only_the_cli_reaches_lp_oracle():
+    # lp_oracle certifies the solvers only while none of them calls it; the
+    # package re-exports it and cli runs it for --oracle
+    found = []
+    for path, tree in _modules():
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        if "lp_oracle" in names and path.name not in ("__init__.py", "oracle.py"):
+            found.append(path.stem)
+    assert found == ["cli"]

@@ -47,6 +47,9 @@ def test_config_validation():
         StragglerConfig(s=0, m=0)
     with pytest.raises(CodingConfigError):
         StragglerConfig(s=1, m=1, field_modulus=91)  # 7 * 13
+    # 399165290221 * 798330580441, a strong pseudoprime to every witness 2..37
+    with pytest.raises(CodingConfigError, match=r"below 2\^64"):
+        StragglerConfig(s=0, m=1, field_modulus=318665857834031151167461)
 
 
 def test_two_fast_one_slow_plan():
@@ -270,16 +273,8 @@ def test_serialization_layout_and_roundtrip():
 
 
 def test_serialization_refuses_what_u64_cannot_carry():
-    p = (1 << 89) - 1
-    big = StragglerConfig(s=1, m=1, field_modulus=p)
-    inst = ProblemInstance.from_alpha(F(2), (F(1), F(2), F(3)))
-    plan = redundant_assign(inst, profile_from_alpha(F(2), 3), big)
-    covered = sorted(m for m, t in plan.assignment.class_totals().items() if t > 0)
-    messages = {mask: (p - mask, 1 << 80) for mask in covered}
-    ts = encode(plan.assignment, big, messages)  # encoding and decoding stay accepted
-    assert decode(ts[:2], big, 3) == _sum_mod(messages, 2, p)
     with pytest.raises(CodingConfigError, match=r"below 2\^64"):
-        serialize_transmission(ts[0], big)
+        StragglerConfig(s=1, m=1, field_modulus=(1 << 89) - 1)
     stray = CodedTransmission(vm_index=1, coded_vector=(3, -1), encoding_row=None)
     with pytest.raises(CodingConfigError, match=r"below 2\^64"):
         serialize_transmission(stray, StragglerConfig(s=1, m=1))
@@ -372,9 +367,16 @@ def test_coded_vectors_equal_the_element_wise_reference(case):
             assert decode(list(survivors), cfg, n) == expected
 
 
+def test_part_schedule_refuses_a_share_outside_its_class():
+    # class {1, 2} with half on worker 3: that half would count in the class
+    # total but deal no part-slot, leaving the schedule {(3, 1): (1,)}
+    asg = LoadAssignment(n_workers=3, redundancy=1, shares={(1, 3): F(1, 2), (3, 3): F(1, 2)})
+    with pytest.raises(StructureError, match="class 3 gives a share to worker 3"):
+        part_schedule(asg, StragglerConfig(s=0, m=1))
+
+
 def test_part_schedule_refuses_a_negative_quota():
-    # class {2, 3, 4} with shares 1/2, -1/2, -1/2: worker 2's quota rounds to -1 slot,
-    # so the dealt slots no longer add up to m * r
+    # class {2, 3, 4} with shares 1/2, -1/2, -1/2: worker 2's quota would round to -1 slot
     asg = LoadAssignment(
         n_workers=4, redundancy=1, shares={(2, 14): F(1, 2), (3, 14): F(-1, 2), (4, 14): F(-1, 2)}
     )
