@@ -36,13 +36,19 @@ def as_fraction(value) -> Fraction:
     """Coerce int / str / Fraction to an exact Fraction.
 
     Floats are rejected: they would silently launder rounding error into
-    the exact pipeline.
+    the exact pipeline.  Booleans (ints to Python, not numbers to JSON) and
+    zero denominators are rejected too.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
         raise StructureError(f"refusing inexact float {value!r}; pass str or Fraction")
-    return Fraction(value)
+    if isinstance(value, bool):
+        raise StructureError(f"refusing boolean {value!r} as a number")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError as exc:
+        raise StructureError(f"zero denominator in {value!r}") from exc
 
 
 def is_int(value) -> bool:

@@ -111,7 +111,7 @@ class _MaxFlow:
                     queue.append(u)
         return seen
 
-    def _augment(self, s: int, t: int, bound: int, level: list[int], it: list[int]) -> int:
+    def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> int:
         """Push one path's bottleneck along the first s-t path of the level graph.
 
         ``it[u]`` is the next edge to try at u; it moves past an edge only
@@ -139,14 +139,14 @@ class _MaxFlow:
                 it[u] += 1
             else:
                 return 0
-        pushed = min(bound, *(cap[idx] for idx in path))
+        pushed = min(cap[idx] for idx in path)
         for idx in path:
             cap[idx] -= pushed
             cap[idx ^ 1] += pushed
         return pushed
 
-    def max_flow(self, s: int, t: int, bound: int) -> int:
-        """Max flow from s to t; no augmenting path carries more than ``bound``."""
+    def max_flow(self, s: int, t: int) -> int:
+        """Max flow from s to t."""
         total = 0
         while True:
             level = self.reached_from(s)
@@ -154,7 +154,7 @@ class _MaxFlow:
                 return total
             it = [0] * len(self.adj)
             while True:
-                pushed = self._augment(s, t, bound, level, it)
+                pushed = self._augment(s, t, level, it)
                 if pushed == 0:
                     break
                 total += pushed
@@ -279,7 +279,7 @@ def _saturates(
     classes: _IntClasses, speeds: tuple[Fraction, ...], redundancy: int, T: Fraction
 ) -> bool:
     net, demand, _, _ = _build_flow(classes, speeds, redundancy, T)
-    return net.max_flow(0, len(net.adj) - 1, demand) == demand
+    return net.max_flow(0, len(net.adj) - 1) == demand
 
 
 def _prefix_bound(classes: _IntClasses, speeds: tuple[Fraction, ...], redundancy: int) -> Fraction:
@@ -367,7 +367,7 @@ def flow_assign(
     while True:
         net, demand, scale, share_edges = _build_flow(classes, speeds, redundancy, value)
         sink = len(net.adj) - 1
-        if net.max_flow(0, sink, demand) == demand:
+        if net.max_flow(0, sink) == demand:
             break
         level = net.reached_from(0)
         source_side = sum(1 << i for i in range(instance.N) if level[first_worker + i] >= 0)

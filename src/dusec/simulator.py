@@ -8,9 +8,10 @@ storage-class profile is built, and the optimal assignment is computed
 (elastic, or straggler-coded when a tolerance is configured).
 
 Baselines rebuild classical centralized placements (cyclic, repetition,
-all-subsets) on the same fleet each step and price them with
-``flow_assign``, the Newton flow that solves exact steps, on the
-placement's measured class profile, so the comparison is apples to apples.
+all-subsets) on the same fleet each step.  A placement is known by its
+blocks' holders, so its class profile has one class per holder set; it is
+priced with ``flow_assign``, the Newton flow that solves exact steps, so
+the comparison is apples to apples.
 """
 
 from __future__ import annotations
@@ -211,6 +212,8 @@ def load_scenario(obj: dict) -> Scenario:
         if not isinstance(available, list) or not available:
             raise ScenarioError(f"{path}.available: expected a non-empty array")
         for vm_id in available:
+            if not isinstance(vm_id, str):
+                raise ScenarioError(f"{path}.available: vm id must be a string, got {vm_id!r}")
             if vm_id not in catalog:
                 raise ScenarioError(f"{path}.available: unknown vm {vm_id!r}")
         if len(set(available)) != len(available):
@@ -431,54 +434,42 @@ def run_timeline(
 
 def baseline_assign(
     kind: str, replication: int, instance: ProblemInstance
-) -> tuple[ExplicitStorage, Fraction]:
+) -> tuple[ClassProfile, Fraction]:
     """Centralized placement with replication factor r, priced by ``flow_assign``.
 
     cyclic: K/N contiguous blocks, worker n stores blocks n..n+r-1 (mod N).
     repetition: workers in N/r groups, each group stores its own K/(N/r) block.
     man: one block per r-subset of workers, stored by exactly that subset.
 
-    All three give every worker rK/N datasets.  Block-size divisibility is
-    required (ConfigurationError otherwise).  The value is the optimum of
-    the placement's measured class profile, from the same Newton flow that
-    solves exact simulate steps.
+    All three give every worker rK/N datasets.  The block count must divide
+    K (ConfigurationError otherwise; checked before any block is listed).
+    The placement is its class profile: each block adds 1/#blocks to the
+    class of the workers holding it.  The value is that profile's optimum,
+    from the same Newton flow that solves exact simulate steps.
     """
     N, K, r = instance.N, instance.K, replication
     if kind not in BASELINE_KINDS:
         raise ConfigurationError(f"unknown baseline kind {kind!r}")
     if not 1 <= r <= N:
         raise ConfigurationError(f"replication {r} outside [1, {N}]")
+    if kind == "repetition" and N % r:
+        raise ConfigurationError(f"repetition needs r | N; got N={N}, r={r}")
+    n_blocks = N if kind == "cyclic" else N // r if kind == "repetition" else comb(N, r)
+    if K % n_blocks:
+        raise ConfigurationError(f"{kind} needs its {n_blocks} blocks to divide K={K}")
     # holders[b]: the mask of the workers that store block b
     if kind == "cyclic":
-        if K % N:
-            raise ConfigurationError(f"cyclic needs N | K; got K={K}, N={N}")
         holders = [sum(1 << ((b - t) % N) for t in range(r)) for b in range(N)]
     elif kind == "repetition":
-        if N % r:
-            raise ConfigurationError(f"repetition needs r | N; got N={N}, r={r}")
-        groups = N // r
-        if K % groups:
-            raise ConfigurationError(f"repetition needs (N/r) | K; got K={K}, groups={groups}")
-        holders = [((1 << r) - 1) << (g * r) for g in range(groups)]
+        holders = [((1 << r) - 1) << (g * r) for g in range(n_blocks)]
     else:  # man
-        n_blocks = comb(N, r)
-        if K % n_blocks:
-            raise ConfigurationError(
-                f"man needs C(N,r) | K; got K={K}, C({N},{r})={n_blocks}"
-            )
         holders = [sum(1 << n for n in subset) for subset in combinations(range(N), r)]
-    blocks = np.arange(K, dtype=np.int64).reshape(len(holders), -1)
-    per_worker = []
-    for n in range(N):
-        # blocks ascend, so each worker's datasets come out sorted
-        arr = blocks[[b for b, mask in enumerate(holders) if mask >> n & 1]].ravel()
-        arr.setflags(write=False)
-        per_worker.append(arr)
-    storage = ExplicitStorage(
-        K=K, M=r * K // N, per_worker=tuple(per_worker), seed=None
-    )
-    _, time = flow_assign(instance, exact_profile(storage), redundancy=1)
-    return storage, time.c_star
+    sizes: dict[int, Fraction] = {}
+    for mask in holders:  # cyclic at r = N puts every block in one class
+        sizes[mask] = sizes.get(mask, 0) + Fraction(1, n_blocks)
+    profile = ClassProfile(n_workers=N, class_sizes=sizes)
+    _, time = flow_assign(instance, profile, redundancy=1)
+    return profile, time.c_star
 
 
 @dataclass(frozen=True)

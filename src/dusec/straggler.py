@@ -34,6 +34,7 @@ from .model import (
     StructureError,
     TimeResult,
     check_pair,
+    is_int,
     workers_of,
 )
 from .oracle import flow_assign
@@ -90,6 +91,9 @@ class StragglerConfig:
     field_modulus: int = DEFAULT_FIELD_MODULUS
 
     def __post_init__(self):
+        for name in ("s", "m", "field_modulus"):
+            if not is_int(getattr(self, name)):
+                raise CodingConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.s < 0:
             raise CodingConfigError(f"s must be >= 0, got {self.s}")
         if self.m < 1:

@@ -47,6 +47,9 @@ def test_as_fraction():
     assert as_fraction(F(7, 5)) == F(7, 5)
     with pytest.raises(StructureError):
         as_fraction(0.5)  # silent binary rounding is never wanted here
+    for bad in (True, False, "3/0", "0/0"):
+        with pytest.raises(StructureError):
+            as_fraction(bad)  # a JSON boolean is no number; n/0 is no rational
 
 
 def test_instance_validation():

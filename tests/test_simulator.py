@@ -1,3 +1,4 @@
+import copy
 import json
 from fractions import Fraction as F
 from importlib import resources
@@ -29,7 +30,7 @@ from dusec.simulator import (
     reports_to_json_obj,
     run_timeline,
 )
-from dusec.storage import exact_profile, profile_from_alpha
+from dusec.storage import ExplicitStorage, exact_profile, profile_from_alpha
 from dusec.straggler import DEFAULT_FIELD_MODULUS
 
 
@@ -78,8 +79,20 @@ def test_load_scenario_accepts_minimal():
             lambda o: o["vmCatalog"].update(c={"seed": 1, "storageFraction": 0.5}),
             "storageFraction",
         ),
+        (
+            lambda o: o["vmCatalog"]["a"].update(storageFraction="1/0"),
+            "vmCatalog.a.storageFraction: not a rational number ('1/0')",
+        ),
+        (
+            lambda o: o["vmCatalog"]["a"].update(storageFraction=True),
+            "vmCatalog.a.storageFraction: not a rational number (True)",
+        ),
         (lambda o: o.update(steps=[]), "steps"),
         (lambda o: o["steps"].append({"available": ["zz"], "speeds": {}}), "steps[1].available"),
+        (
+            lambda o: o["steps"].append({"available": [["a"]], "speeds": {}}),
+            "steps[1].available: vm id must be a string",
+        ),
         (
             lambda o: o["steps"].append({"available": ["a", "a"], "speeds": {"a": "1"}}),
             "steps[1].available",
@@ -91,6 +104,14 @@ def test_load_scenario_accepts_minimal():
         (
             lambda o: o["steps"].append({"available": ["a"], "speeds": {"a": "-1"}}),
             "steps[1].speeds.a",
+        ),
+        (
+            lambda o: o["steps"].append({"available": ["a"], "speeds": {"a": "3/0"}}),
+            "steps[1].speeds.a: not a rational number ('3/0')",
+        ),
+        (
+            lambda o: o["steps"].append({"available": ["a"], "speeds": {"a": True}}),
+            "steps[1].speeds.a: not a rational number (True)",
         ),
         (
             lambda o: o["steps"].append(
@@ -116,6 +137,76 @@ def test_load_scenario_names_the_offending_path(mutate, path_fragment):
     with pytest.raises(ScenarioError) as exc:
         load_scenario(obj)
     assert path_fragment in str(exc.value)
+
+
+def _full_scenario():
+    """Every scenario feature at once: exact mode, a seeded and an explicit
+    catalog entry, a straggler block, a straggling vm and baselines."""
+    return {
+        "schemaVersion": 1,
+        "mode": "exact",
+        "K": 6,
+        "vmCatalog": {
+            "a": {"seed": 1, "storageFraction": "1/2"},
+            "b": {"seed": 2, "storageFraction": "1/2"},
+            "c": {"datasets": [0, 1, 2]},
+        },
+        "steps": [
+            {
+                "available": ["a", "b", "c"],
+                "speeds": {"a": "1", "b": "2", "c": "3/2"},
+                "stragglers": ["b"],
+            },
+            {"available": ["a", "c"], "speeds": {"a": "1", "c": "2"}},
+        ],
+        "straggler": {"s": 1, "m": 1, "fieldModulus": 7},
+        "baselines": [
+            {"kind": "cyclic", "replication": 1},
+            {"kind": "man", "replication": 2},
+        ],
+    }
+
+
+def _paths(node, path=()):
+    """The key path of every value below ``node``, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _paths(child, path + (key,))
+
+
+_SUBSTITUTES = (None, True, False, 0, -1, 1.5, "x", "1/0", [], {}, [["a"]], {"a": 1})
+
+
+def test_every_field_substitution_runs_or_is_refused():
+    """Each field replaced by each odd JSON value either runs or raises a
+    ValueError, which the CLI reports with exit 2; never another exception."""
+    scenario = load_scenario(_full_scenario())
+    reports = run_timeline(
+        scenario.timeline, scenario.mode,
+        straggler=scenario.straggler, baselines=scenario.baselines,
+    )
+    assert len(reports) == 2 and all(rep.baseline_times for rep in reports)
+    crashes = []
+    for path in _paths(_full_scenario()):
+        for value in _SUBSTITUTES:
+            obj = _full_scenario()
+            parent = obj
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = copy.deepcopy(value)
+            try:
+                scenario = load_scenario(obj)
+                run_timeline(
+                    scenario.timeline, scenario.mode,
+                    straggler=scenario.straggler, baselines=scenario.baselines,
+                )
+            except ValueError:
+                pass
+            except Exception as exc:  # anything but a ValueError is a crash
+                crashes.append(f"{'.'.join(map(str, path))} = {value!r}: {exc!r}")
+    assert not crashes, "\n".join(crashes)
 
 
 def test_datasets_entries_require_k_and_bounds():
@@ -274,9 +365,10 @@ def test_coverage_matches_catalog_union():
 
 def test_baseline_constructions():
     inst = ProblemInstance(K=16, M=8, speeds=(F(1), F(2), F(5), F(5)))
-    storage, value = baseline_assign("cyclic", 2, inst)
+    profile, value = baseline_assign("cyclic", 2, inst)
     assert value == F(1, 12)
-    assert all(len(arr) == 8 for arr in storage.per_worker)
+    # block b sits on workers b and b+1 (mod 4): the four adjacent pairs
+    assert dict(profile.classes) == {0b0011: F(1, 4), 0b0110: F(1, 4), 0b1001: F(1, 4), 0b1100: F(1, 4)}
     # full replication: every worker stores everything
     _, value = baseline_assign("man", 4, inst)
     assert value == F(1, 13)
@@ -322,14 +414,35 @@ def _baseline_cases(draw):
 @given(case=_baseline_cases())
 def test_baseline_equals_oracle_on_its_placement(case):
     kind, r, inst = case
-    storage, value = baseline_assign(kind, r, inst)
-    assert value == lp_oracle(inst, exact_profile(storage))
-    assert [set(arr.tolist()) for arr in storage.per_worker] == _naive_holdings(
-        kind, r, inst.N, inst.K
+    profile, value = baseline_assign(kind, r, inst)
+    assert value == lp_oracle(inst, profile)
+    holdings = _naive_holdings(kind, r, inst.N, inst.K)
+    storage = ExplicitStorage(
+        K=inst.K,
+        M=r * inst.K // inst.N,
+        per_worker=tuple(np.array(sorted(held), dtype=np.int64) for held in holdings),
     )
-    for arr in storage.per_worker:
-        assert arr.dtype == np.int64 and not arr.flags.writeable
-        assert (arr[1:] > arr[:-1]).all()
+    assert list(profile.classes.items()) == list(exact_profile(storage).classes.items())
+
+
+def test_baseline_past_the_class_mask_limit(tmp_path):
+    # 63 workers: more than a measured placement's class masks can hold
+    inst = ProblemInstance(K=63, M=1, speeds=tuple(F(n) for n in range(1, 64)))
+    profile, value = baseline_assign("cyclic", 1, inst)
+    assert dict(profile.classes) == {1 << n: F(1, 63) for n in range(63)}
+    assert value == F(1, 63)  # the slowest worker computes its own block
+    ids = [f"w{i}" for i in range(63)]
+    obj = {
+        "schemaVersion": 1,
+        "mode": "asymptotic",
+        "K": 126,
+        "vmCatalog": {v: {"seed": i, "storageFraction": "1/2"} for i, v in enumerate(ids)},
+        "steps": [{"available": ids, "speeds": {v: str(1 + i % 5) for i, v in enumerate(ids)}}],
+        "baselines": [{"kind": "cyclic", "replication": 2}, {"kind": "repetition", "replication": 3}],
+    }
+    path = tmp_path / "n63.json"
+    path.write_text(json.dumps(obj))
+    assert cli.run(["simulate", "--scenario", str(path), "--out", str(tmp_path / "n63.csv")]) == 0
 
 
 def _fourteen_worker_scenario(mode):

@@ -50,6 +50,14 @@ def test_config_validation():
     # 399165290221 * 798330580441, a strong pseudoprime to every witness 2..37
     with pytest.raises(CodingConfigError, match=r"below 2\^64"):
         StragglerConfig(s=0, m=1, field_modulus=318665857834031151167461)
+    for field, kwargs in (
+        ("field_modulus", dict(s=0, m=1, field_modulus=7.0)),
+        ("m", dict(s=0, m=1.5)),
+        ("s", dict(s=True, m=1)),
+        ("s", dict(s=0.5, m=1)),
+    ):
+        with pytest.raises(CodingConfigError, match=rf"^{field} must be an integer"):
+            StragglerConfig(**kwargs)
 
 
 def test_two_fast_one_slow_plan():
