@@ -251,10 +251,13 @@ class ClassProfile:
     def classes(self) -> Mapping[int, Fraction]:
         """The nonzero classes: a read-only mask -> size map, ascending by mask.
 
-        Formula profiles materialize it from their per-cardinality sizes.
+        Formula profiles materialize it from their per-cardinality sizes;
+        at alpha = 1 it is empty, without a walk over the masks.
         """
         if self.class_sizes is not None:
             return self.class_sizes
+        if self.alpha == 1:  # nothing is stored
+            return MappingProxyType({})
         if self.n_workers > 22:
             raise StructureError(f"refusing to materialize 2^{self.n_workers} classes")
         by_card = self.sizes_by_card
@@ -314,6 +317,11 @@ class LoadAssignment:
         return self.shares.get((worker, mask), Fraction(0))
 
     def per_worker_loads(self) -> tuple[Fraction, ...]:
+        return self._per_worker_loads
+
+    @cached_property
+    def _per_worker_loads(self) -> tuple[Fraction, ...]:
+        """Share sums per worker, added up on the first call only."""
         loads = [Fraction(0)] * self.n_workers
         for (n, _), v in self.shares.items():
             loads[n - 1] += v

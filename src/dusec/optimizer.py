@@ -10,14 +10,18 @@ attained by the largest maximizing prefix n*.  The constructive route
 walks workers slowest to fastest, tentatively gives worker n every class
 it completes (the frontier L(n) - L(n-1)), and repairs any inversion by
 pooling contiguous equal-time groups and shifting delta load from the
-faster group onto the slower one.  Both routes are exact rational
-arithmetic; an LP-based oracle lives separately in ``oracle``.
+faster group onto the slower one.  Both routes are exact: the closed form
+runs on ``Fraction``, and the sweep on integer numerators over one
+denominator, reduced by their gcd after every merge, with its shares,
+loads and times returned as exact ``Fraction``.  An LP-based oracle lives
+separately in ``oracle``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .model import (
     ClassProfile,
@@ -142,38 +146,48 @@ def cutset_bounds(instance: ProblemInstance, profile: ClassProfile) -> tuple[Cut
 
 
 def _rearranged_shares(
-    shares: dict[tuple[int, int], Fraction],
+    units: dict[tuple[int, int], int],
+    den: int,
     rd: RearrangeDelta,
-    profile: ClassProfile,
-) -> None:
-    """Apply one merge of the sweep to its share table, in place.
+    class_units: tuple[int, ...],
+) -> int:
+    """Apply one merge of the sweep to the share table ``units``, in place,
+    and return the table's new denominator.
 
-    One descending walk over the merged span fills the carrier table: the
-    classes both groups store, keyed by (receiver part, donor part).
-    Current loads are summed per part and per worker.  The delta is split
-    across donor/receiver worker pairs in proportion to the load each holds,
-    and across the carriers of a pair of parts in proportion to class size.
-    Per-class totals are conserved exactly.  Only ``assign_loads`` calls
-    this, on formula profiles with alpha > 1: every class is nonzero and
-    every group holds load, so every pair of parts has carriers.
+    Share (n, V) is units[n, V] / den; ``class_units`` are the class sizes
+    by cardinality, as integers over a denominator of their own (only their
+    ratios enter).  One descending walk over the merged span fills the
+    carrier table: the classes both groups store, keyed by (receiver part,
+    donor part).  Current loads are summed per part and per worker.  The
+    delta is split across donor/receiver worker pairs in proportion to the
+    load each holds, and across the carriers of a pair of parts in
+    proportion to class size, through one exact factor per pair of parts.
+    The table is scaled by the lcm of those factors' denominators, so the
+    moves run on integers, then divided by its gcd with ``den``, which keeps
+    the numerators from growing merge after merge.  Per-class totals are
+    conserved exactly.  Only ``assign_loads`` calls this, on formula
+    profiles with alpha > 1: every class is nonzero and every group holds
+    load, so every pair of parts has carriers.
     """
     if rd.delta == 0:
-        return
+        return den
     recv_span = (1 << rd.receiver_end) - 1  # the prefix plus the receiver group
     span = (1 << rd.donor_end) - 1
     recv_mask = recv_span ^ ((1 << (rd.receiver_start - 1)) - 1)
     donor_mask = span ^ recv_span
 
-    carriers: dict[tuple[int, int], list[tuple[int, Fraction]]] = {}
+    carriers: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for w in iter_submasks(span):
         if w & recv_mask and w & donor_mask:
-            carriers.setdefault((w & recv_mask, w & donor_mask), []).append((w, profile.a(w)))
+            carriers.setdefault((w & recv_mask, w & donor_mask), []).append(
+                (w, class_units[w.bit_count()])
+            )
 
     # Current loads: receivers keyed by the class part inside the receiver
     # group, donors by the part inside the donor group, then by worker.
-    recv_held: dict[int, dict[int, Fraction]] = {}
-    donor_held: dict[int, dict[int, Fraction]] = {}
-    for (n, w), v in shares.items():
+    recv_held: dict[int, dict[int, int]] = {}
+    donor_held: dict[int, dict[int, int]] = {}
+    for (n, w), v in units.items():
         if v == 0 or n < rd.receiver_start or n > rd.donor_end:
             continue
         if n <= rd.receiver_end:
@@ -183,24 +197,37 @@ def _rearranged_shares(
         held[n] = held.get(n, 0) + v
     recv_part_total = {part: sum(held.values()) for part, held in recv_held.items()}
     donor_part_total = {part: sum(held.values()) for part, held in donor_held.items()}
-    scale = rd.delta / (sum(recv_part_total.values()) * sum(donor_part_total.values()))
-    for v_part, recv_workers in recv_held.items():
-        for q_part, donor_workers in donor_held.items():
-            pair_carriers = carriers[(v_part, q_part)]
-            carrier_total = sum(size for _, size in pair_carriers)
-            for w, size in pair_carriers:
-                class_scale = scale * size / carrier_total
-                gain_scale = class_scale * donor_part_total[q_part]
-                loss_scale = class_scale * recv_part_total[v_part]
-                for n, held in recv_workers.items():
-                    key = (n, w)
-                    shares[key] = shares.get(key, Fraction(0)) + gain_scale * held
-                for n, held in donor_workers.items():
-                    key = (n, w)
-                    remaining = shares.get(key, Fraction(0)) - loss_scale * held
-                    if remaining < 0:  # the sweep's own deltas never overdraw a donor
-                        raise AssertionError(f"merge {rd} overdraws worker {n} on class {w}")
-                    shares[key] = remaining
+    scale = rd.delta * den / (sum(recv_part_total.values()) * sum(donor_part_total.values()))
+    factors = {
+        (v_part, q_part): scale / sum(size for _, size in carriers[(v_part, q_part)])
+        for v_part in recv_held
+        for q_part in donor_held
+    }
+    grow = lcm(*(f.denominator for f in factors.values()))
+    if grow > 1:
+        for key in units:
+            units[key] *= grow
+        den *= grow
+    for (v_part, q_part), factor in factors.items():
+        whole = factor.numerator * (grow // factor.denominator)  # factor * grow, an int
+        recv_workers, donor_workers = recv_held[v_part], donor_held[q_part]
+        for w, size in carriers[(v_part, q_part)]:
+            gain = whole * size * donor_part_total[q_part]
+            loss = whole * size * recv_part_total[v_part]
+            for n, held in recv_workers.items():
+                key = (n, w)
+                units[key] = units.get(key, 0) + gain * held
+            for n, held in donor_workers.items():
+                key = (n, w)
+                remaining = units.get(key, 0) - loss * held
+                if remaining < 0:  # the sweep's own deltas never overdraw a donor
+                    raise AssertionError(f"merge {rd} overdraws worker {n} on class {w}")
+                units[key] = remaining
+    common = gcd(den, *units.values())
+    if common > 1:
+        for key in units:
+            units[key] //= common
+    return den // common
 
 
 def assign_loads(
@@ -219,6 +246,10 @@ def assign_loads(
     storage (alpha None) the merges would move load onto workers holding
     none, so the one class is split in proportion to speed directly.
 
+    The sweep runs on integer numerators over one denominator, reduced by
+    their gcd after every merge; shares and loads become exact ``Fraction``
+    once, at the end.
+
     ``trace``, when given, collects ("tentative", n, t) and
     ("merge", RearrangeDelta) events for inspection.
     """
@@ -228,16 +259,29 @@ def assign_loads(
     if profile.alpha is None:
         total = sum(instance.speeds)
         shares = {(n, (1 << instance.N) - 1): s / total for n, s in enumerate(instance.speeds, 1)}
+        assignment = LoadAssignment(n_workers=instance.N, redundancy=1, shares=shares)
+        loads = assignment.per_worker_loads()
     else:
-        # Tentative split: every class sits whole on its fastest member.
-        shares = {(mask.bit_length(), mask): size for mask, size in profile.classes.items()}
+        # Tentative split: every class sits whole on its fastest member, as
+        # integers over the lcm of the class sizes' denominators.
+        by_card = profile.sizes_by_card
+        den = lcm(*(size.denominator for size in by_card))
+        class_units = tuple(size.numerator * (den // size.denominator) for size in by_card)
+        units = {(mask.bit_length(), mask): class_units[mask.bit_count()] for mask in profile.classes}
         for event in events:
             if event[0] == "merge":
-                _rearranged_shares(shares, event[1], profile)
+                den = _rearranged_shares(units, den, event[1], class_units)
+        load_units = [0] * instance.N
+        for (n, _), u in units.items():
+            load_units[n - 1] += u
+        loads = tuple(Fraction(u, den) for u in load_units)
+        assignment = LoadAssignment(
+            n_workers=instance.N,
+            redundancy=1,
+            shares={key: Fraction(u, den) for key, u in units.items()},
+        )
     if trace is not None:
         trace.extend(events)
-    assignment = LoadAssignment(n_workers=instance.N, redundancy=1, shares=shares)
-    loads = assignment.per_worker_loads()
     times = tuple(load / s for load, s in zip(loads, instance.speeds))
     result = TimeResult(
         c_star=groups[0][2], n_star=groups[0][1], per_worker_time=times

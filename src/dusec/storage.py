@@ -56,6 +56,8 @@ class ExplicitStorage:
     seed: int | None = None
 
     def __post_init__(self):
+        if self.K < 1:
+            raise StructureError(f"K must be >= 1, got {self.K}")
         if not 0 <= self.M <= self.K:
             raise StructureError(f"M must lie in [0, K]; got M={self.M}, K={self.K}")
         if not self.per_worker:

@@ -132,6 +132,24 @@ def test_profile_exact_past_twenty_workers(capsys):
     assert code == 2 and "62 workers" in err
 
 
+def test_profile_refuses_what_solve_would_refuse(capsys):
+    # a storage file with no datasets would only fail later, in solve --profile-file
+    code, out, err = _run(capsys, ["profile", "--K", "0", "--M", "0", "--N", "2"])
+    assert (code, out) == (2, "")
+    assert "K must be >= 1" in err
+
+
+def test_solve_alpha_one_past_the_class_map_limit(capsys):
+    # nothing is stored, so there is nothing to solve at any fleet size;
+    # above 22 workers a formula profile refuses to materialize its classes
+    code, out, _ = _run(capsys, ["solve", "--alpha", "1", "--speeds", ",".join(["1"] * 23)])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["cStar"] == {"frac": "0/1", "decimal": 0.0}
+    assert obj["perVmLoad"] == [{"frac": "0/1", "decimal": 0.0}] * 23
+    assert obj["loads"] == []
+
+
 def test_profile_file_past_the_oracle_cap(tmp_path, capsys):
     storage = generate_decentralized(200, 100, 13, seed=13)
     path = tmp_path / "storage.json"

@@ -87,6 +87,10 @@ def test_alpha_beta():
     empty = ProblemInstance(K=4, M=0, speeds=(F(1), F(1)))
     assert empty.alpha == 1
     assert profile_from_alpha(empty.alpha, empty.N).beta == 1
+    # nothing is stored, so the class map is empty even where 2^N is too many
+    assert dict(profile_from_alpha(empty.alpha, 40).classes) == {}
+    with pytest.raises(StructureError, match="2\\^23 classes"):
+        profile_from_alpha(F(2), 23).classes
 
 
 def test_from_alpha():
@@ -167,6 +171,7 @@ def test_assignment_accessors():
     assert asg.share(2, 2) == 0  # zero shares are dropped
     assert (2, 2) not in asg.shares
     assert asg.per_worker_loads() == (F(3, 16), F(1, 8))
+    assert asg.per_worker_loads() is asg.per_worker_loads()  # summed once
     assert asg.class_totals() == {1: F(1, 8), 3: F(3, 16)}
     obj = asg.to_json_obj()
     assert {"n": 1, "classMask": 1, "share": "1/8"} in obj

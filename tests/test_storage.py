@@ -58,6 +58,11 @@ def test_storage_validation():
         ExplicitStorage(
             K=10, M=3, per_worker=(np.array([0, 1, 1], dtype=np.int64),)
         )
+    # no datasets at all: ProblemInstance and scenarios refuse K = 0 too
+    with pytest.raises(StructureError, match="K must be >= 1"):
+        ExplicitStorage(K=0, M=0, per_worker=(np.empty(0, dtype=np.int64),))
+    with pytest.raises(StructureError, match="K must be >= 1"):
+        generate_decentralized(0, 0, 2)
 
 
 def test_exact_profile_matches_set_arithmetic():
