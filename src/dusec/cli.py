@@ -66,8 +66,8 @@ def _frac(text: str) -> Fraction:
 
 
 def _speeds(text: str) -> tuple[Fraction, ...]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
+    parts = [p.strip() for p in text.split(",")]
+    if not all(parts):
         raise argparse.ArgumentTypeError("expected a comma-separated speed list")
     return tuple(_frac(p) for p in parts)
 
@@ -206,7 +206,8 @@ def _cmd_solve(args) -> int:
         check_redundancy = 1
 
     obj.update(time.to_json_obj())
-    obj["perVmLoad"] = [frac_json(x) for x in assignment.per_worker_loads()]
+    # every solver sets per_worker_time = load / speed, so this is the load exactly
+    obj["perVmLoad"] = [frac_json(t * s) for t, s in zip(time.per_worker_time, instance.speeds)]
     obj["loads"] = assignment.to_json_obj()
 
     if args.oracle:
@@ -239,12 +240,7 @@ def _resolve_scenario(name_or_path: str) -> str:
 def _cmd_simulate(args) -> int:
     text = _resolve_scenario(args.scenario)
     scenario = load_scenario(json.loads(text))
-    reports = run_timeline(
-        scenario.timeline,
-        scenario.mode,
-        straggler=scenario.straggler,
-        baselines=scenario.baselines,
-    )
+    reports = run_timeline(scenario)
     Path(args.out).write_text(reports_to_csv(reports), encoding="utf-8")
     if args.json:
         Path(args.json).write_text(

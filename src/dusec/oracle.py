@@ -25,9 +25,11 @@ that subset's speed.  Two routes compute it:
   feasible, and a direct sum of locked(S) / speed(S) over the maximizing
   S proves it tight.
 
-The flow runs on integers: every capacity is scaled by the lcm of the
-capacities' denominators, and flows are divided back by it, so results
-are exact Fractions.  Nothing is shared with the closed-form solver in
+Both routes run on integers.  ``_active_classes`` turns the class sizes
+into numerators over one denominator; the zeta transform adds those and
+compares ratios by cross-multiplying, and the flow scales every capacity
+by the lcm of the capacities' denominators and divides flows back by it,
+so results are exact Fractions.  Nothing is shared with the closed-form solver in
 ``optimizer``, so the two routes check each other.
 """
 
@@ -168,17 +170,10 @@ def _check_scope(n_workers: int) -> None:
         )
 
 
-def _active_classes(
-    instance: ProblemInstance, profile: ClassProfile, redundancy: int
-) -> list[tuple[int, Fraction]]:
-    """(mask, size) of every nonzero class; checks the input first."""
-    check_pair(instance, profile)
-    if redundancy < 1:
-        raise StructureError("redundancy must be >= 1")
-    bad = [mask for mask in profile.classes if mask.bit_count() < redundancy]
-    if bad:
-        raise InfeasibleRedundancy(redundancy, bad)
-    return list(profile.classes.items())
+def _over_one_denominator(values) -> tuple[list[int], int]:
+    """Integer numerators of the Fractions ``values`` over their least common denominator."""
+    denom = lcm(*{v.denominator for v in values})
+    return [v.numerator * (denom // v.denominator) for v in values], denom
 
 
 class _IntClasses(NamedTuple):
@@ -189,29 +184,35 @@ class _IntClasses(NamedTuple):
     denom: int
 
 
-def _integer_classes(classes: list[tuple[int, Fraction]]) -> _IntClasses:
-    denom = lcm(*{size.denominator for _, size in classes})
-    return _IntClasses(
-        [mask for mask, _ in classes],
-        [size.numerator * (denom // size.denominator) for _, size in classes],
-        denom,
-    )
+def _active_classes(
+    instance: ProblemInstance, profile: ClassProfile, redundancy: int
+) -> _IntClasses:
+    """Every nonzero class, sizes on integer numerators; checks the input first."""
+    check_pair(instance, profile)
+    if redundancy < 1:
+        raise StructureError("redundancy must be >= 1")
+    bad = [mask for mask in profile.classes if mask.bit_count() < redundancy]
+    if bad:
+        raise InfeasibleRedundancy(redundancy, bad)
+    return _IntClasses(list(profile.classes), *_over_one_denominator(profile.classes.values()))
 
 
 def _bottleneck(
-    classes: list[tuple[int, Fraction]], speeds: tuple[Fraction, ...], redundancy: int
+    classes: _IntClasses, speeds: tuple[Fraction, ...], redundancy: int
 ) -> tuple[Fraction, int]:
     """max over S of locked(S) / speed(S), and the largest maximizing S.
 
     within[k][S], the size of the classes with at most k members outside S,
     comes from one ranked zeta pass over the bits; locked(S) is the sum of
-    planes 0..r-1.  Plane 0 is the plain subset-sum (r = 1).
+    planes 0..r-1.  Plane 0 is the plain subset-sum (r = 1).  Sizes and
+    speeds run as integer numerators over one denominator each, so the
+    ratios are compared by cross-multiplying.
     """
     n = len(speeds)
     full = 1 << n
-    locked = [Fraction(0)] * full
-    for mask, size in classes:
-        locked[mask] = size
+    locked = [0] * full
+    for mask, unit in zip(classes.masks, classes.units):
+        locked[mask] = unit
     # r > n leaves no active class (none has more than n members), so n planes do
     within = [locked] + [locked.copy() for _ in range(1, min(redundancy, n))]
     for b in range(n):
@@ -229,18 +230,19 @@ def _bottleneck(
     for plane in within[1:]:  # plane 0 collects the sum
         for s_mask in range(full):
             locked[s_mask] += plane[s_mask]
-    spd = [Fraction(0)] * full
+    speed_units, speed_denom = _over_one_denominator(speeds)
+    spd = [0] * full
     for s_mask in range(1, full):
         low = s_mask & -s_mask
-        spd[s_mask] = spd[s_mask ^ low] + speeds[low.bit_length() - 1]
-    best = Fraction(0)
+        spd[s_mask] = spd[s_mask ^ low] + speed_units[low.bit_length() - 1]
+    best_locked, best_spd = 0, 1  # the best ratio so far, locked / spd
     best_mask = full - 1
     for s_mask in range(1, full):
-        value = locked[s_mask] / spd[s_mask]
-        if value > best or (value == best and s_mask.bit_count() > best_mask.bit_count()):
-            best = value
+        lhs, rhs = locked[s_mask] * best_spd, best_locked * spd[s_mask]
+        if lhs > rhs or (lhs == rhs and s_mask.bit_count() > best_mask.bit_count()):
+            best_locked, best_spd = locked[s_mask], spd[s_mask]
             best_mask = s_mask
-    return best, best_mask
+    return Fraction(best_locked * speed_denom, best_spd * classes.denom), best_mask
 
 
 def _build_flow(
@@ -323,7 +325,7 @@ def feasible_at(
 ) -> bool:
     """Exact feasibility of covering every class r times within time T."""
     classes = _active_classes(instance, profile, redundancy)
-    return _saturates(_integer_classes(classes), instance.speeds, redundancy, T)
+    return _saturates(classes, instance.speeds, redundancy, T)
 
 
 def lp_oracle(
@@ -339,10 +341,9 @@ def lp_oracle(
     _check_scope(instance.N)
     classes = _active_classes(instance, profile, redundancy)
     value, workers = _bottleneck(classes, instance.speeds, redundancy)
-    int_classes = _integer_classes(classes)
-    if not _saturates(int_classes, instance.speeds, redundancy, value):
+    if not _saturates(classes, instance.speeds, redundancy, value):
         raise AssertionError(f"oracle candidate {value} unexpectedly infeasible")
-    if _locked_ratio(int_classes, instance.speeds, redundancy, workers) != value:
+    if _locked_ratio(classes, instance.speeds, redundancy, workers) != value:
         raise AssertionError(f"oracle candidate {value} is not tight")
     return value
 
@@ -360,7 +361,7 @@ def flow_assign(
     saturates is at T*, and it is the assignment.  n* is the size of the
     largest bottleneck set: the workers with no residual path to the sink.
     """
-    classes = _integer_classes(_active_classes(instance, profile, redundancy))
+    classes = _active_classes(instance, profile, redundancy)
     speeds = instance.speeds
     first_worker = 1 + len(classes.masks)
     value = _prefix_bound(classes, speeds, redundancy)

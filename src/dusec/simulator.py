@@ -7,6 +7,10 @@ step is solved independently: workers are sorted by speed, the step's
 storage-class profile is built, and the optimal assignment is computed
 (elastic, or straggler-coded when a tolerance is configured).
 
+The scenario rules live in the types (:class:`ElasticTimeline`,
+:class:`Scenario`); ``load_scenario`` checks only the JSON shapes, so a
+scenario built in code meets the same rules as one read from a file.
+
 Baselines rebuild classical centralized placements (cyclic, repetition,
 all-subsets) on the same fleet each step.  A placement is known by its
 blocks' holders, so its class profile has one class per holder set; it is
@@ -16,7 +20,6 @@ the comparison is apples to apples.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -88,9 +91,38 @@ class TimelineStep:
 
 @dataclass(frozen=True)
 class ElasticTimeline:
+    """Steps over a worker catalog.  Each step names known, distinct vms,
+    each with a positive speed; its stragglers are among them; with K given,
+    fraction * K is whole for every vm a step names."""
+
     vm_catalog: Mapping[str, CatalogEntry]
     steps: tuple[TimelineStep, ...]
     K: int | None = None
+
+    def __post_init__(self):
+        if not self.steps:
+            raise ScenarioError("steps: timeline has no steps")
+        for i, step in enumerate(self.steps):
+            path = f"steps[{i}]"
+            if not step.available:
+                raise ScenarioError(f"{path}.available: expected a non-empty array")
+            if len(set(step.available)) != len(step.available):
+                raise ScenarioError(f"{path}.available: duplicate vm id")
+            for vm_id in step.available:
+                if vm_id not in self.vm_catalog:
+                    raise ScenarioError(f"{path}.available: unknown vm {vm_id!r}")
+                if vm_id not in step.speeds:
+                    raise ScenarioError(f"{path}.speeds: missing speed for {vm_id!r}")
+                if step.speeds[vm_id] <= 0:
+                    raise ScenarioError(f"{path}.speeds.{vm_id}: speed must be positive")
+                fraction = self.vm_catalog[vm_id].fraction
+                if self.K is not None and (fraction * self.K).denominator != 1:
+                    raise ScenarioError(
+                        f"{path}: fraction {fraction} times K={self.K} is not an integer"
+                    )
+            for vm_id in sorted(step.stragglers, key=repr):
+                if vm_id not in step.available:
+                    raise ScenarioError(f"{path}.stragglers: {vm_id!r} is not available this step")
 
 
 @dataclass(frozen=True)
@@ -120,10 +152,31 @@ class StepReport:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A timeline and how to run it.  K is required in exact mode and with
+    baselines; stragglers need a straggler block; every step uses one
+    storage fraction."""
+
     timeline: ElasticTimeline
     mode: ProfileMode
-    straggler: StragglerConfig | None
-    baselines: tuple[tuple[str, int], ...]
+    straggler: StragglerConfig | None = None
+    baselines: tuple[tuple[str, int], ...] = ()
+
+    def __post_init__(self):
+        if self.timeline.K is None:
+            if self.mode is ProfileMode.EXACT:
+                raise ScenarioError("K: required in exact mode")
+            if self.baselines:
+                raise ScenarioError("K: required when baselines are requested")
+        catalog = self.timeline.vm_catalog
+        for i, step in enumerate(self.timeline.steps):
+            if step.stragglers and self.straggler is None:
+                raise ScenarioError(f"steps[{i}].stragglers: set but scenario has no straggler config")
+            fractions = {catalog[v].fraction for v in step.available}
+            if len(fractions) != 1:
+                raise ScenarioError(
+                    f"steps[{i}]: storage fractions differ across available vms "
+                    f"({sorted(map(str, fractions))})"
+                )
 
 
 def _fraction_at(obj, path: str) -> Fraction:
@@ -140,7 +193,11 @@ def _int_at(obj, path: str) -> int:
 
 
 def load_scenario(obj: dict) -> Scenario:
-    """Parse and validate a scenario object (see README for the format)."""
+    """Parse a scenario object (see README for the format).
+
+    This checks the JSON shapes and types; :class:`ElasticTimeline` and
+    :class:`Scenario` check the rest.
+    """
     if not isinstance(obj, dict):
         raise ScenarioError("scenario: expected a JSON object")
     version = obj.get("schemaVersion", SCHEMA_VERSION)
@@ -209,34 +266,23 @@ def load_scenario(obj: dict) -> Scenario:
         if not isinstance(step_raw, dict):
             raise ScenarioError(f"{path}: expected an object")
         available = step_raw.get("available")
-        if not isinstance(available, list) or not available:
+        if not isinstance(available, list):
             raise ScenarioError(f"{path}.available: expected a non-empty array")
-        for vm_id in available:
-            if not isinstance(vm_id, str):
-                raise ScenarioError(f"{path}.available: vm id must be a string, got {vm_id!r}")
-            if vm_id not in catalog:
-                raise ScenarioError(f"{path}.available: unknown vm {vm_id!r}")
-        if len(set(available)) != len(available):
-            raise ScenarioError(f"{path}.available: duplicate vm id")
-        speeds_raw = step_raw.get("speeds")
-        if not isinstance(speeds_raw, dict):
-            raise ScenarioError(f"{path}.speeds: expected an object")
-        speeds = {}
-        for vm_id in available:
-            if vm_id not in speeds_raw:
-                raise ScenarioError(f"{path}.speeds: missing speed for {vm_id!r}")
-            value = _fraction_at(speeds_raw[vm_id], f"{path}.speeds.{vm_id}")
-            if value <= 0:
-                raise ScenarioError(f"{path}.speeds.{vm_id}: speed must be positive")
-            speeds[vm_id] = value
         stragglers = step_raw.get("stragglers", [])
         if not isinstance(stragglers, list):
             raise ScenarioError(f"{path}.stragglers: expected an array")
-        for vm_id in stragglers:
-            if vm_id not in available:
-                raise ScenarioError(f"{path}.stragglers: {vm_id!r} is not available this step")
-        if stragglers and straggler is None:
-            raise ScenarioError(f"{path}.stragglers: set but scenario has no straggler config")
+        for field, vm_ids in (("available", available), ("stragglers", stragglers)):
+            for vm_id in vm_ids:
+                if not isinstance(vm_id, str):
+                    raise ScenarioError(f"{path}.{field}: vm id must be a string, got {vm_id!r}")
+        speeds_raw = step_raw.get("speeds")
+        if not isinstance(speeds_raw, dict):
+            raise ScenarioError(f"{path}.speeds: expected an object")
+        speeds = {
+            vm_id: _fraction_at(speeds_raw[vm_id], f"{path}.speeds.{vm_id}")
+            for vm_id in available
+            if vm_id in speeds_raw
+        }
         steps.append(
             TimelineStep(
                 available=tuple(available),
@@ -258,22 +304,14 @@ def load_scenario(obj: dict) -> Scenario:
             raise ScenarioError(f"{path}.replication: must be a positive integer")
         baselines.append((b["kind"], r))
 
-    if mode is ProfileMode.EXACT and K is None:
-        raise ScenarioError("K: required in exact mode")
-    if baselines and K is None:
-        raise ScenarioError("K: required when baselines are requested")
-
     timeline = ElasticTimeline(vm_catalog=catalog, steps=tuple(steps), K=K)
-    return Scenario(
-        timeline=timeline,
-        mode=mode,
-        straggler=straggler,
-        baselines=tuple(baselines),
-    )
+    return Scenario(timeline=timeline, mode=mode, straggler=straggler, baselines=tuple(baselines))
 
 
-def _catalog_storage(timeline: ElasticTimeline, K: int) -> dict[str, np.ndarray]:
-    """Storage of every worker some step names, drawn once, in order of first appearance."""
+def _catalog_storage(timeline: ElasticTimeline) -> dict[str, np.ndarray]:
+    """Storage of every worker some step names, drawn once, in order of first
+    appearance; the timeline's K must be set."""
+    K = timeline.K
     storage: dict[str, np.ndarray] = {}
     for step in timeline.steps:
         for vm_id in step.available:
@@ -284,48 +322,27 @@ def _catalog_storage(timeline: ElasticTimeline, K: int) -> dict[str, np.ndarray]
                 arr = np.asarray(entry.datasets, dtype=np.int64)
                 arr.setflags(write=False)
             else:
-                M = entry.fraction * K
-                if M.denominator != 1:
-                    raise ScenarioError(
-                        f"storage fraction {entry.fraction} times K={K} is not an integer"
-                    )
-                arr = generate_worker_subset(K, int(M), entry.seed)
+                arr = generate_worker_subset(K, int(entry.fraction * K), entry.seed)
             storage[vm_id] = arr
     return storage
 
 
 def _step_instance(
-    timeline: ElasticTimeline,
-    step: TimelineStep,
-    step_index: int,
-    mode: ProfileMode,
-    storage_cache: dict[str, np.ndarray],
+    scenario: Scenario, step: TimelineStep, storage_cache: dict[str, np.ndarray]
 ) -> tuple[tuple[str, ...], ProblemInstance, ClassProfile]:
+    """The step's vms slowest first, its instance and its class profile.
+
+    K is the timeline's, or the storage fraction's denominator when the
+    timeline has none.
+    """
     order = sorted(step.available, key=lambda v: (step.speeds[v], v))
-    speeds = tuple(step.speeds[v] for v in order)
-    fractions = {timeline.vm_catalog[v].fraction for v in order}
-    if len(fractions) != 1:
-        raise ScenarioError(
-            f"steps[{step_index}]: storage fractions differ across available vms ({sorted(map(str, fractions))})"
-        )
-    fraction = fractions.pop()
-    if timeline.K is not None:
-        M = fraction * timeline.K
-        if M.denominator != 1:
-            raise ScenarioError(
-                f"steps[{step_index}]: fraction {fraction} times K={timeline.K} is not an integer"
-            )
-        instance = ProblemInstance(K=timeline.K, M=int(M), speeds=speeds)
-    else:
-        instance = ProblemInstance(
-            K=fraction.denominator, M=fraction.numerator, speeds=speeds
-        )
-    if mode is ProfileMode.EXACT:
+    timeline = scenario.timeline
+    fraction = timeline.vm_catalog[order[0]].fraction  # one per step (Scenario)
+    K = fraction.denominator if timeline.K is None else timeline.K
+    instance = ProblemInstance(K=K, M=int(fraction * K), speeds=[step.speeds[v] for v in order])
+    if scenario.mode is ProfileMode.EXACT:
         per_worker = tuple(storage_cache[v] for v in order)
-        storage = ExplicitStorage(
-            K=instance.K, M=instance.M, per_worker=per_worker, seed=None
-        )
-        profile = exact_profile(storage)
+        profile = exact_profile(ExplicitStorage(K=K, M=instance.M, per_worker=per_worker, seed=None))
     else:
         profile = profile_from_alpha(instance.alpha, instance.N)
     return tuple(order), instance, profile
@@ -341,15 +358,13 @@ def _demo_messages(masks: Sequence[int], config: StragglerConfig) -> dict[int, t
 
 
 def _run_step(
-    timeline: ElasticTimeline,
+    scenario: Scenario,
     step: TimelineStep,
     step_index: int,
-    mode: ProfileMode,
-    straggler: StragglerConfig | None,
-    baselines: tuple[tuple[str, int], ...],
     storage_cache: dict[str, np.ndarray],
 ) -> StepReport:
-    order, instance, profile = _step_instance(timeline, step, step_index, mode, storage_cache)
+    straggler = scenario.straggler
+    order, instance, profile = _step_instance(scenario, step, storage_cache)
     if straggler is not None and len(step.stragglers) > straggler.s:
         raise ScenarioError(
             f"steps[{step_index}]: {len(step.stragglers)} stragglers exceed the configured s={straggler.s}"
@@ -381,12 +396,12 @@ def _run_step(
                 )
         else:
             task_value = ()
-    elif mode is ProfileMode.EXACT:
+    elif scenario.mode is ProfileMode.EXACT:
         _, time = flow_assign(instance, profile, redundancy=1)
     else:
         time = optimal_time(instance, profile)
     baseline_times: dict[str, Fraction] = {}
-    for kind, r in baselines:
+    for kind, r in scenario.baselines:
         try:
             _, value = baseline_assign(kind, r, instance)
         except ConfigurationError as exc:
@@ -404,31 +419,18 @@ def _run_step(
     )
 
 
-def run_timeline(
-    timeline: ElasticTimeline,
-    mode: ProfileMode,
-    straggler: StragglerConfig | None = None,
-    baselines: Sequence[tuple[str, int]] = (),
-) -> tuple[StepReport, ...]:
-    """Solve every step of the timeline independently, in step order.
+def run_timeline(scenario: Scenario) -> tuple[StepReport, ...]:
+    """Solve every step of the scenario's timeline independently, in step order.
 
     Storage is drawn once per catalog worker (first appearance) and reused
-    across steps.
+    across steps.  A step with more stragglers than the straggler block's s
+    raises :class:`ScenarioError`.
     """
-    if not timeline.steps:
-        raise ScenarioError("steps: timeline has no steps")
-    storage_cache: dict[str, np.ndarray] = {}
-    if mode is ProfileMode.EXACT:
-        if timeline.K is None:
-            raise ScenarioError("K: required in exact mode")
-        storage_cache = _catalog_storage(timeline, timeline.K)
-    base = tuple(baselines)
-    for kind, _ in base:
-        if kind not in BASELINE_KINDS:
-            raise ScenarioError(f"baselines: unknown kind {kind!r}")
+    exact = scenario.mode is ProfileMode.EXACT
+    storage_cache = _catalog_storage(scenario.timeline) if exact else {}
     return tuple(
-        _run_step(timeline, step, i, mode, straggler, base, storage_cache)
-        for i, step in enumerate(timeline.steps)
+        _run_step(scenario, step, i, storage_cache)
+        for i, step in enumerate(scenario.timeline.steps)
     )
 
 
@@ -505,7 +507,7 @@ def gradient_demo(timeline: ElasticTimeline, spec: GradientDemoSpec) -> np.ndarr
     y = X @ w_true
     shard = spec.n_samples // K
 
-    storage = _catalog_storage(timeline, K)
+    storage = _catalog_storage(timeline)
     covered_per_step = [
         np.asarray(sorted({int(d) for v in step.available for d in storage[v]}), dtype=np.int64)
         for step in timeline.steps

@@ -11,6 +11,14 @@ combinations are evaluations of polynomials built so that
   sum over classes of part j appears, recoverable by interpolation from
   any N-s received combinations.
 
+Both sides use one Lagrange basis, ``_basis_values``: a worker's
+coefficient for a part is the value at x_n of the polynomial that is 1 at
+the part's anchor and 0 at every other anchor and every worker not
+computing the part; a survivor's decoding weight at an anchor is the value
+there of the polynomial that is 1 at that survivor and 0 at the others.
+``encode`` and ``recompute_transmission`` hold messages to one shape rule,
+``_part_length``.
+
 Only classes stored by at least s+m workers can tolerate the required
 redundancy; smaller classes are excluded from the recoverable aggregate
 and reported, never silently zeroed.
@@ -21,7 +29,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -286,25 +294,25 @@ def _field_combine(coefs: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _lagrange_coefs(
-    part_workers: tuple[int, ...], j: int, xs: list[int], ys: list[int], p: int
+def _basis_values(
+    points: Sequence[int], one_at: int, roots: Sequence[int], p: int
 ) -> tuple[int, ...]:
-    """Values at the computing workers' points of the polynomial that is 1 at
-    anchor y_j and vanishes at every other worker and every other anchor."""
-    computing = set(part_workers)
-    roots = [x for n, x in enumerate(xs, 1) if n not in computing]
-    roots += [y for k, y in enumerate(ys, 1) if k != j]
-    denom = 1
-    for z in roots:
-        denom = denom * (ys[j - 1] - z) % p
-    inv_denom = pow(denom, p - 2, p)
-    coefs = []
-    for n in part_workers:
-        coef = inv_denom
-        for z in roots:
-            coef = coef * (xs[n - 1] - z) % p
-        coefs.append(coef)
-    return tuple(coefs)
+    """Values at ``points`` of the polynomial that is 1 at ``one_at`` and 0 at
+    every root: prod(x - z) / prod(one_at - z) over the roots, mod p."""
+    inv_denom = pow(prod(one_at - z for z in roots) % p, p - 2, p)
+    return tuple(inv_denom * prod(x - z for z in roots) % p for x in points)
+
+
+def _part_length(messages: Mapping[int, Sequence[int]], m: int) -> int:
+    """Length of one message part: every message has one length, a positive
+    multiple of m, else :class:`CodingConfigError`."""
+    lengths = {len(v) for v in messages.values()}
+    if len(lengths) > 1:
+        raise CodingConfigError(f"message lengths differ: {sorted(lengths)}")
+    length = lengths.pop() if lengths else 0
+    if length == 0 or length % m:
+        raise CodingConfigError(f"message length {length} is not a positive multiple of m={m}")
+    return length // m
 
 
 # Classes whose messages enter one field product; bounds the message rows
@@ -342,13 +350,7 @@ def encode(
         raise StructureError(
             f"messages must cover exactly the assigned classes; missing {missing}, unassigned {extra}"
         )
-    lengths = {len(v) for v in messages.values()}
-    if len(lengths) > 1:
-        raise CodingConfigError(f"message lengths differ: {sorted(lengths)}")
-    length = lengths.pop() if lengths else 0
-    if length == 0 or length % m:
-        raise CodingConfigError(f"message length {length} is not a positive multiple of m={m}")
-    part_len = length // m
+    part_len = _part_length(messages, m)
     xs, ys = _points(n_workers, config)
     schedule = sorted(part_schedule(assignment, config).items())
     dtype = _field_dtype(p)
@@ -360,7 +362,10 @@ def encode(
     for col, ((mask, j), part_workers) in enumerate(schedule):
         key = (part_workers, j)
         if key not in memo:
-            memo[key] = _lagrange_coefs(part_workers, j, xs, ys, p)
+            # 1 at anchor y_j, 0 at every other anchor and every worker not computing part j
+            roots = [x for n, x in enumerate(xs, 1) if n not in part_workers]
+            roots += [y for k, y in enumerate(ys, 1) if k != j]
+            memo[key] = _basis_values([xs[n - 1] for n in part_workers], ys[j - 1], roots, p)
         for n, coef in zip(part_workers, memo[key]):
             rows[n][(mask, j)] = coef
             coef_matrix[n - 1, col] = coef
@@ -392,11 +397,7 @@ def recompute_transmission(
     if transmission.encoding_row is None:
         raise StructureError("transmission carries no encoding row")
     p = config.field_modulus
-    m = config.m
-    lengths = {len(v) for v in messages.values()}
-    if len(lengths) != 1:
-        raise CodingConfigError("message lengths differ")
-    part_len = lengths.pop() // m
+    part_len = _part_length(messages, config.m)
     dtype = _field_dtype(p)
     terms = list(transmission.encoding_row.items())
     parts = _residues(
@@ -413,9 +414,9 @@ def decode(
 ) -> tuple[int, ...]:
     """Aggregate message (sum over covered classes) from any >= N-s responses.
 
-    Interpolates each anchor point from the received evaluations; the fleet
-    size ``n_total`` fixes the response threshold, which a surviving subset
-    alone cannot reveal.
+    Interpolates each anchor point from the received evaluations, one
+    modular inverse per survivor; the fleet size ``n_total`` fixes the
+    response threshold, which a surviving subset alone cannot reveal.
     """
     p = config.field_modulus
     seen: dict[int, CodedTransmission] = {}
@@ -436,21 +437,10 @@ def decode(
     xs_all, ys = _points(n_total, config)
     survivors = sorted(seen)
     xs = [xs_all[n - 1] for n in survivors]
-    weights = []
-    for y in ys:
-        row = []
-        for x_n in xs:
-            num = 1
-            den = 1
-            for x_k in xs:
-                if x_k != x_n:
-                    num = num * (y - x_k) % p
-                    den = den * (x_n - x_k) % p
-            row.append(num * pow(den, p - 2, p) % p)
-        weights.append(row)
+    weights = [_basis_values(ys, x, xs[:i] + xs[i + 1 :], p) for i, x in enumerate(xs)]
     dtype = _field_dtype(p)
     vectors = _residues([seen[n].coded_vector for n in survivors], p, dtype)
-    out = _field_combine(np.array(weights, dtype=dtype), vectors, p)
+    out = _field_combine(np.array(weights, dtype=dtype).T, vectors, p)
     return tuple(out.ravel().tolist())
 
 

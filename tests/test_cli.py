@@ -264,6 +264,43 @@ def test_usage_errors_exit_1(capsys):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("speeds", ["1,,2", "1,2,", ",1,2", "", " , "])
+def test_empty_speed_entry_is_a_usage_error(speeds, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["solve", "--speeds", speeds, "--alpha", "2"])
+    assert exc.value.code == 1
+    assert "comma-separated speed list" in capsys.readouterr().err
+
+
+def test_speed_entries_may_carry_spaces(capsys):
+    code, out, _ = _run(capsys, ["solve", "--speeds", " 1 , 3/2,9 ", "--alpha", "3/2"])
+    assert code == 0
+    assert json.loads(out)["speedsSorted"] == ["1/1", "3/2", "9/1"]
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        ["--alpha", "7/3"],
+        ["--profile-file", "STORAGE"],
+        ["--alpha", "5/2", "--straggler", "1,1"],
+        ["--profile-file", "STORAGE", "--straggler", "1,2"],
+    ],
+)
+def test_per_vm_load_sums_the_share_table(source, tmp_path, capsys):
+    path = tmp_path / "storage.json"
+    path.write_text(json.dumps(generate_decentralized(60, 36, 6, seed=21).to_json_obj()))
+    argv = ["solve", "--speeds", "3,1/2,7/3,2,5,1", *[str(path) if a == "STORAGE" else a for a in source]]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    obj = json.loads(out)
+    sums = [F(0)] * obj["n"]
+    for row in obj["loads"]:
+        sums[row["n"] - 1] += F(row["share"])
+    assert any(sums)
+    assert [F(x["frac"]) for x in obj["perVmLoad"]] == sums
+
+
 def test_validation_errors_exit_2(tmp_path, capsys):
     code, _, err = _run(capsys, ["solve", "--speeds", "1,2", "--alpha", "1/2"])
     assert code == 2 and "alpha" in err

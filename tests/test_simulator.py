@@ -1,5 +1,6 @@
 import copy
 import json
+from dataclasses import replace
 from fractions import Fraction as F
 from importlib import resources
 
@@ -21,6 +22,7 @@ from dusec.simulator import (
     ConfigurationError,
     ElasticTimeline,
     GradientDemoSpec,
+    Scenario,
     ScenarioError,
     TimelineStep,
     baseline_assign,
@@ -31,7 +33,7 @@ from dusec.simulator import (
     run_timeline,
 )
 from dusec.storage import ExplicitStorage, exact_profile, profile_from_alpha
-from dusec.straggler import DEFAULT_FIELD_MODULUS
+from dusec.straggler import DEFAULT_FIELD_MODULUS, StragglerConfig
 
 
 def _bundled(name):
@@ -129,6 +131,8 @@ def test_load_scenario_accepts_minimal():
         (lambda o: o.update(baselines=[{"kind": "cyclic", "replication": 0}]), "replication"),
         (lambda o: o.update(baselines=[{"kind": "cyclic", "replication": 2}]), "K"),
         (lambda o: o.update(mode="exact"), "K"),
+        (lambda o: o.update(K=5), "steps[0]: fraction 1/2 times K=5 is not an integer"),
+        (lambda o: o.update(K=5, mode="exact"), "steps[0]: fraction 1/2 times K=5 is not an integer"),
     ],
 )
 def test_load_scenario_names_the_offending_path(mutate, path_fragment):
@@ -137,6 +141,68 @@ def test_load_scenario_names_the_offending_path(mutate, path_fragment):
     with pytest.raises(ScenarioError) as exc:
         load_scenario(obj)
     assert path_fragment in str(exc.value)
+
+
+_CATALOG = {
+    "a": CatalogEntry(fraction=F(1, 2), seed=1),
+    "b": CatalogEntry(fraction=F(1, 2), seed=2),
+    "c": CatalogEntry(fraction=F(1, 4), seed=3),
+}
+
+
+def _timeline(available=("a", "b"), speeds=None, stragglers=(), K=None):
+    speeds = {v: F(1) for v in available} if speeds is None else speeds
+    step = TimelineStep(available=available, speeds=speeds, stragglers=frozenset(stragglers))
+    return ElasticTimeline(vm_catalog=_CATALOG, steps=(step,), K=K)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: _timeline(available=("a", "zz")), r"steps\[0\]\.available: unknown vm 'zz'"),
+        (lambda: _timeline(speeds={"a": F(1)}), r"steps\[0\]\.speeds: missing speed for 'b'"),
+        (lambda: _timeline(stragglers=("c",)), r"steps\[0\]\.stragglers: 'c' is not available"),
+        (
+            lambda: Scenario(_timeline(stragglers=("a",)), ProfileMode.ASYMPTOTIC, None, ()),
+            r"steps\[0\]\.stragglers: set but scenario has no straggler config",
+        ),
+        (
+            lambda: Scenario(_timeline(), ProfileMode.ASYMPTOTIC, None, (("cyclic", 1),)),
+            "K: required when baselines are requested",
+        ),
+        (lambda: _timeline(available=("a", "a")), r"steps\[0\]\.available: duplicate vm id"),
+        (
+            lambda: _timeline(speeds={"a": F(1), "b": F(0)}),
+            r"steps\[0\]\.speeds\.b: speed must be positive",
+        ),
+        (lambda: _timeline(K=5), r"steps\[0\]: fraction 1/2 times K=5 is not an integer"),
+        (
+            lambda: Scenario(_timeline(available=("a", "c")), ProfileMode.ASYMPTOTIC, None, ()),
+            r"steps\[0\]: storage fractions differ",
+        ),
+        (lambda: Scenario(_timeline(), ProfileMode.EXACT, None, ()), "K: required in exact mode"),
+        (
+            lambda: ElasticTimeline(vm_catalog=_CATALOG, steps=(), K=4),
+            "steps: timeline has no steps",
+        ),
+        (
+            lambda: gradient_demo(
+                ElasticTimeline(vm_catalog=_CATALOG, steps=(), K=4), GradientDemoSpec()
+            ),
+            "steps: timeline has no steps",
+        ),
+    ],
+)
+def test_scenarios_built_in_code_are_refused(build, message):
+    with pytest.raises(ScenarioError, match=message):
+        build()
+
+
+def test_scenario_built_in_code_runs():
+    scenario = Scenario(_timeline(stragglers=("a",), K=4), ProfileMode.EXACT, StragglerConfig(s=1, m=1))
+    assert scenario.baselines == ()
+    (report,) = run_timeline(scenario)
+    assert report.vm_ids == ("a", "b") and report.task_value is not None
 
 
 def _full_scenario():
@@ -183,10 +249,7 @@ def test_every_field_substitution_runs_or_is_refused():
     """Each field replaced by each odd JSON value either runs or raises a
     ValueError, which the CLI reports with exit 2; never another exception."""
     scenario = load_scenario(_full_scenario())
-    reports = run_timeline(
-        scenario.timeline, scenario.mode,
-        straggler=scenario.straggler, baselines=scenario.baselines,
-    )
+    reports = run_timeline(scenario)
     assert len(reports) == 2 and all(rep.baseline_times for rep in reports)
     crashes = []
     for path in _paths(_full_scenario()):
@@ -197,11 +260,7 @@ def test_every_field_substitution_runs_or_is_refused():
                 parent = parent[key]
             parent[path[-1]] = copy.deepcopy(value)
             try:
-                scenario = load_scenario(obj)
-                run_timeline(
-                    scenario.timeline, scenario.mode,
-                    straggler=scenario.straggler, baselines=scenario.baselines,
-                )
+                run_timeline(load_scenario(obj))
             except ValueError:
                 pass
             except Exception as exc:  # anything but a ValueError is a crash
@@ -254,11 +313,7 @@ def test_catalog_integers_are_strict():
 
 
 def test_bundled_showcase_scenario():
-    scenario = load_scenario(_bundled("paper_example.json"))
-    reports = run_timeline(
-        scenario.timeline, scenario.mode,
-        straggler=scenario.straggler, baselines=scenario.baselines,
-    )
+    reports = run_timeline(load_scenario(_bundled("paper_example.json")))
     first = reports[0]
     assert first.vm_ids == ("vm1", "vm2", "vm3", "vm4")
     assert first.c_star == F(15, 208)
@@ -274,7 +329,7 @@ def test_bundled_showcase_scenario():
 
 def test_steps_are_solved_independently():
     scenario = load_scenario(_bundled("paper_example.json"))
-    reports = run_timeline(scenario.timeline, scenario.mode, baselines=())
+    reports = run_timeline(replace(scenario, baselines=()))
     inst = ProblemInstance.from_alpha(F(2), (F(1), F(2), F(5), F(6)))
     _, res = assign_loads(inst, profile_from_alpha(F(2), 4))
     assert reports[2].c_star == res.c_star
@@ -292,15 +347,14 @@ def test_storage_frozen_across_steps():
             {"available": ["a"], "speeds": {"a": "4"}},
         ],
     }
-    scenario = load_scenario(obj)
-    reports = run_timeline(scenario.timeline, scenario.mode)
+    reports = run_timeline(load_scenario(obj))
     assert reports[0].coverage == reports[1].coverage  # same drawn subset
     assert reports[0].c_star == 4 * reports[1].c_star  # only the speed moved
 
 
 def test_exact_mode_matches_direct_solve():
     scenario = load_scenario(_bundled("elastic_10step.json"))
-    reports = run_timeline(scenario.timeline, scenario.mode)
+    reports = run_timeline(replace(scenario, baselines=()))
     assert len(reports) == 10
     for rep in reports:
         assert max(rep.per_vm_time) == rep.c_star
@@ -329,10 +383,7 @@ def _straggler_scenario(stragglers):
 
 
 def test_straggler_step_decodes_the_aggregate():
-    scenario = load_scenario(_straggler_scenario(["b"]))
-    reports = run_timeline(
-        scenario.timeline, scenario.mode, straggler=scenario.straggler
-    )
+    reports = run_timeline(load_scenario(_straggler_scenario(["b"])))
     p = DEFAULT_FIELD_MODULUS
     # with triple coverage only the everyone-class survives exclusion
     expected = tuple((0b111 * 2654435761 + j) % p for j in range(2))
@@ -344,7 +395,7 @@ def test_straggler_step_decodes_the_aggregate():
 def test_straggler_budget_enforced_per_step():
     scenario = load_scenario(_straggler_scenario(["a", "b"]))
     with pytest.raises(ScenarioError, match=r"steps\[0\].*exceed"):
-        run_timeline(scenario.timeline, scenario.mode, straggler=scenario.straggler)
+        run_timeline(scenario)
 
 
 def test_coverage_matches_catalog_union():
@@ -358,8 +409,7 @@ def test_coverage_matches_catalog_union():
         },
         "steps": [{"available": ["a", "b"], "speeds": {"a": "1", "b": "1"}}],
     }
-    scenario = load_scenario(obj)
-    reports = run_timeline(scenario.timeline, scenario.mode)
+    reports = run_timeline(load_scenario(obj))
     assert reports[0].coverage == F(6, 8)
 
 
@@ -502,14 +552,11 @@ def test_baseline_error_names_the_step():
     }
     scenario = load_scenario(obj)
     with pytest.raises(ConfigurationError, match=r"steps\[0\]"):
-        run_timeline(scenario.timeline, scenario.mode, baselines=scenario.baselines)
+        run_timeline(scenario)
 
 
 def test_csv_layout():
-    scenario = load_scenario(_bundled("paper_example.json"))
-    reports = run_timeline(
-        scenario.timeline, scenario.mode, baselines=scenario.baselines
-    )
+    reports = run_timeline(load_scenario(_bundled("paper_example.json")))
     csv = reports_to_csv(reports)
     lines = csv.strip().split("\n")
     assert lines[0] == "step,N_t,cStar,nStar,coverage,baseline_cyclic_r2,baseline_repetition_r2"

@@ -47,6 +47,11 @@ def test_config_validation():
         StragglerConfig(s=0, m=0)
     with pytest.raises(CodingConfigError):
         StragglerConfig(s=1, m=1, field_modulus=91)  # 7 * 13
+    # no witness divides these, so the Miller-Rabin rounds must refuse them;
+    # 3215031751 = 151 * 751 * 28351 is a strong pseudoprime to bases 2, 3, 5 and 7
+    for composite in (1763, 3215031751):  # 1763 = 41 * 43
+        with pytest.raises(CodingConfigError, match="is not prime"):
+            StragglerConfig(s=0, m=1, field_modulus=composite)
     # 399165290221 * 798330580441, a strong pseudoprime to every witness 2..37
     with pytest.raises(CodingConfigError, match=r"below 2\^64"):
         StragglerConfig(s=0, m=1, field_modulus=318665857834031151167461)
@@ -209,6 +214,12 @@ def test_decode_input_validation():
         decode([ts[0], ts[0]], cfg, 3)
     with pytest.raises(InsufficientResponses):
         decode([], cfg, 3)
+    with pytest.raises(StructureError, match=r"worker 3 out of range 1\.\.2"):
+        decode(ts, cfg, 2)
+    short = CodedTransmission(vm_index=2, coded_vector=(1,), encoding_row=None)
+    with pytest.raises(StructureError, match=r"coded vector lengths differ: \[1, 2\]"):
+        decode([ts[0], short], cfg, 3)
+
 
 
 def test_encode_message_validation():
@@ -220,6 +231,10 @@ def test_encode_message_validation():
         encode(plan.assignment, cfg, {0b011: (1, 2)})  # wrong class set
     with pytest.raises(CodingConfigError):
         encode(plan.assignment, cfg, {0b111: (1, 2, 3)})  # length not divisible by m
+    # recompute_transmission holds messages to the same rule, never cutting 5 down to 4
+    transmission = encode(plan.assignment, cfg, {0b111: (1, 2, 3, 4)})[0]
+    with pytest.raises(CodingConfigError, match="message length 5 is not a positive multiple of m=2"):
+        recompute_transmission(transmission, cfg, {0b111: (1, 2, 3, 4, 5)})
     cfg11 = StragglerConfig(s=1, m=1)
     plan11 = redundant_assign(inst, prof, cfg11)
     covered = sorted(m for m, t in plan11.assignment.class_totals().items() if t > 0)
