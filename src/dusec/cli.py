@@ -2,7 +2,7 @@
 
 Subcommands:
   profile   draw per-worker storage and report the resulting classes
-  solve     optimal load assignment for one fleet snapshot
+  solve     optimal load assignment for one fleet snapshot (simulator.solve_snapshot)
   simulate  run a multi-step scenario file and write CSV/JSON reports
 
 Exit codes: 0 success, 1 usage error, 2 invalid input or configuration,
@@ -22,18 +22,17 @@ from pathlib import Path
 from .model import (
     SCHEMA_VERSION,
     ProblemInstance,
-    ProfileMode,
     StructureError,
     frac_json,
     frac_str,
 )
-from .optimizer import assign_loads
-from .oracle import _check_scope, flow_assign, lp_oracle
+from .oracle import _check_scope, flow_assign, lp_oracle  # bench/tests reads cli.flow_assign
 from .simulator import (
     load_scenario,
     reports_to_csv,
     reports_to_json_obj,
     run_timeline,
+    solve_snapshot,
 )
 from .storage import (
     ExplicitStorage,
@@ -41,7 +40,7 @@ from .storage import (
     generate_decentralized,
     profile_from_alpha,
 )
-from .straggler import StragglerConfig, redundant_assign
+from .straggler import StragglerConfig
 from .straggler import filtered_for_redundancy as _filtered_for_redundancy
 
 EXIT_OK = 0
@@ -180,6 +179,9 @@ def _cmd_solve(args) -> int:
         profile = profile_from_alpha(instance.alpha, instance.N)
     if args.oracle:
         _check_scope(instance.N)
+    config = None if args.straggler is None else StragglerConfig(*args.straggler)
+    plan = solve_snapshot(instance, profile, config)
+    time = plan.time
 
     obj = {
         "schemaVersion": SCHEMA_VERSION,
@@ -188,30 +190,17 @@ def _cmd_solve(args) -> int:
         "speedsSorted": [frac_str(s) for s in instance.speeds],
         "sourceOrder": list(instance.source_order),
     }
-    if args.straggler is not None:
-        s_count, m_parts = args.straggler
-        config = StragglerConfig(s=s_count, m=m_parts)
-        plan = redundant_assign(instance, profile, config)
-        assignment, time = plan.assignment, plan.time
+    if config is not None:
         obj["redundancy"] = config.redundancy
         obj["excludedClasses"] = list(plan.excluded_classes)
-        check_profile = _filtered_for_redundancy(profile, config.redundancy)
-        check_redundancy = config.redundancy
-    else:
-        if profile.mode is ProfileMode.EXACT:
-            assignment, time = flow_assign(instance, profile, redundancy=1)
-        else:
-            assignment, time = assign_loads(instance, profile)
-        check_profile = profile
-        check_redundancy = 1
-
     obj.update(time.to_json_obj())
     # every solver sets per_worker_time = load / speed, so this is the load exactly
     obj["perVmLoad"] = [frac_json(t * s) for t, s in zip(time.per_worker_time, instance.speeds)]
-    obj["loads"] = assignment.to_json_obj()
+    obj["loads"] = plan.assignment.to_json_obj()
 
     if args.oracle:
-        reference = lp_oracle(instance, check_profile, redundancy=check_redundancy)
+        r = plan.assignment.redundancy
+        reference = lp_oracle(instance, _filtered_for_redundancy(profile, r), redundancy=r)
         obj["oracle"] = {"checked": True, "value": frac_json(reference)}
         if reference != time.c_star:
             print(json.dumps(obj, indent=2))

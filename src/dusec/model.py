@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -54,6 +55,12 @@ def as_fraction(value) -> Fraction:
 def is_int(value) -> bool:
     """Whether a parsed JSON value is an integer: an int, and not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def over_one_denominator(values) -> tuple[list[int], int]:
+    """Integer numerators of the Fractions ``values`` over their least common denominator."""
+    denom = lcm(*{v.denominator for v in values})
+    return [v.numerator * (denom // v.denominator) for v in values], denom
 
 
 def frac_str(x: Fraction) -> str:
@@ -120,14 +127,14 @@ class ProblemInstance:
     """K datasets, each worker stores M of them, speeds sorted ascending.
 
     ``speeds`` is normalized at construction: entries are coerced to
-    Fraction and sorted.  ``source_order[i]`` is the position in the
-    caller's sequence that ended up in sorted slot i.
+    Fraction and sorted stably.  ``source_order[i]`` (computed, not an
+    argument) is the position in the caller's sequence now in sorted slot i.
     """
 
     K: int
     M: int
     speeds: tuple[Fraction, ...]
-    source_order: tuple[int, ...] = field(default=())
+    source_order: tuple[int, ...] = field(default=(), init=False)
 
     def __post_init__(self):
         if self.K < 1:

@@ -32,6 +32,7 @@ from .model import (
     TimeResult,
     check_pair,
     iter_submasks,
+    over_one_denominator,
 )
 
 
@@ -149,7 +150,7 @@ def _rearranged_shares(
     units: dict[tuple[int, int], int],
     den: int,
     rd: RearrangeDelta,
-    class_units: tuple[int, ...],
+    class_units: list[int],
 ) -> int:
     """Apply one merge of the sweep to the share table ``units``, in place,
     and return the table's new denominator.
@@ -264,9 +265,7 @@ def assign_loads(
     else:
         # Tentative split: every class sits whole on its fastest member, as
         # integers over the lcm of the class sizes' denominators.
-        by_card = profile.sizes_by_card
-        den = lcm(*(size.denominator for size in by_card))
-        class_units = tuple(size.numerator * (den // size.denominator) for size in by_card)
+        class_units, den = over_one_denominator(profile.sizes_by_card)
         units = {(mask.bit_length(), mask): class_units[mask.bit_count()] for mask in profile.classes}
         for event in events:
             if event[0] == "merge":

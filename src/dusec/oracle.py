@@ -29,8 +29,8 @@ Both routes run on integers.  ``_active_classes`` turns the class sizes
 into numerators over one denominator; the zeta transform adds those and
 compares ratios by cross-multiplying, and the flow scales every capacity
 by the lcm of the capacities' denominators and divides flows back by it,
-so results are exact Fractions.  Nothing is shared with the closed-form solver in
-``optimizer``, so the two routes check each other.
+so results are exact Fractions.  Beyond ``model``'s helpers, nothing is shared
+with the closed-form solver in ``optimizer``, so the two routes check each other.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .model import (
     StructureError,
     TimeResult,
     check_pair,
+    over_one_denominator,
 )
 
 ORACLE_MAX_WORKERS = 12
@@ -170,12 +171,6 @@ def _check_scope(n_workers: int) -> None:
         )
 
 
-def _over_one_denominator(values) -> tuple[list[int], int]:
-    """Integer numerators of the Fractions ``values`` over their least common denominator."""
-    denom = lcm(*{v.denominator for v in values})
-    return [v.numerator * (denom // v.denominator) for v in values], denom
-
-
 class _IntClasses(NamedTuple):
     """Active classes with their sizes as integer numerators over one denominator."""
 
@@ -194,7 +189,7 @@ def _active_classes(
     bad = [mask for mask in profile.classes if mask.bit_count() < redundancy]
     if bad:
         raise InfeasibleRedundancy(redundancy, bad)
-    return _IntClasses(list(profile.classes), *_over_one_denominator(profile.classes.values()))
+    return _IntClasses(list(profile.classes), *over_one_denominator(profile.classes.values()))
 
 
 def _bottleneck(
@@ -230,7 +225,7 @@ def _bottleneck(
     for plane in within[1:]:  # plane 0 collects the sum
         for s_mask in range(full):
             locked[s_mask] += plane[s_mask]
-    speed_units, speed_denom = _over_one_denominator(speeds)
+    speed_units, speed_denom = over_one_denominator(speeds)
     spd = [0] * full
     for s_mask in range(1, full):
         low = s_mask & -s_mask

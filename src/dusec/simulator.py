@@ -3,9 +3,9 @@
 A timeline is a catalog of workers (each with frozen storage, fixed the
 first time it appears) plus a sequence of steps naming which workers are
 up, their current speeds, and optionally which of them straggle.  Every
-step is solved independently: workers are sorted by speed, the step's
-storage-class profile is built, and the optimal assignment is computed
-(elastic, or straggler-coded when a tolerance is configured).
+step is solved independently: workers are sorted by speed (ties by vm
+id), the step's storage-class profile is built, and ``solve_snapshot``,
+which also serves ``dusec solve``, picks the solver and runs it.
 
 The scenario rules live in the types (:class:`ElasticTimeline`,
 :class:`Scenario`); ``load_scenario`` checks only the JSON shapes, so a
@@ -38,7 +38,7 @@ from .model import (
     frac_json,
     is_int,
 )
-from .optimizer import optimal_time
+from .optimizer import assign_loads, optimal_time
 from .oracle import flow_assign
 from .storage import (
     ExplicitStorage,
@@ -50,6 +50,7 @@ from .straggler import (
     DEFAULT_FIELD_MODULUS,
     CodingConfigError,
     StragglerConfig,
+    StragglerPlan,
     decode,
     encode,
     redundant_assign,
@@ -66,10 +67,17 @@ class ConfigurationError(ValueError):
     """Baseline parameters incompatible with the fleet (divisibility etc.)."""
 
 
+def _check_K(K) -> None:
+    """Refuse a dataset count that is set but not a positive integer."""
+    if K is not None and (not is_int(K) or K < 1):
+        raise ScenarioError(f"K: must be a positive integer, got {K!r}")
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One worker's frozen storage: either a seed to draw it, or the
-    explicit dataset list.  ``fraction`` is the stored share M/K."""
+    """One worker's frozen storage: either an integer seed to draw it, or
+    the explicit dataset list, a tuple of integer ids.  ``fraction`` is the
+    stored share M/K."""
 
     fraction: Fraction
     seed: int | None = None
@@ -80,6 +88,12 @@ class CatalogEntry:
             raise ScenarioError("catalog entry needs exactly one of seed/datasets")
         if not 0 <= self.fraction <= 1:
             raise ScenarioError(f"storage fraction {self.fraction} outside [0, 1]")
+        if self.seed is not None and not is_int(self.seed):
+            raise ScenarioError(f"seed must be an integer, got {self.seed!r}")
+        if self.datasets is not None and not (
+            isinstance(self.datasets, tuple) and all(map(is_int, self.datasets))
+        ):
+            raise ScenarioError(f"datasets: expected a tuple of integers, got {self.datasets!r}")
 
 
 @dataclass(frozen=True)
@@ -91,15 +105,31 @@ class TimelineStep:
 
 @dataclass(frozen=True)
 class ElasticTimeline:
-    """Steps over a worker catalog.  Each step names known, distinct vms,
-    each with a positive speed; its stragglers are among them; with K given,
-    fraction * K is whole for every vm a step names."""
+    """Steps over a worker catalog.  K, when given, is a positive integer,
+    and every explicit catalog entry lists fraction * K distinct dataset
+    ids in [0, K).  Each step names known, distinct vms, each with a
+    positive speed; its stragglers are among them; with K given, fraction *
+    K is whole for every vm a step names."""
 
     vm_catalog: Mapping[str, CatalogEntry]
     steps: tuple[TimelineStep, ...]
     K: int | None = None
 
     def __post_init__(self):
+        _check_K(self.K)
+        for vm_id, entry in self.vm_catalog.items():
+            if self.K is None or entry.datasets is None:
+                continue
+            path, ds = f"vmCatalog.{vm_id}.datasets", entry.datasets
+            if ds and (min(ds) < 0 or max(ds) >= self.K):
+                raise ScenarioError(f"{path}: dataset id outside [0, {self.K})")
+            if len(set(ds)) != len(ds):
+                raise ScenarioError(f"{path}: duplicate dataset id")
+            if len(ds) != entry.fraction * self.K:
+                raise ScenarioError(
+                    f"{path}: {len(ds)} ids, but fraction {entry.fraction} times K={self.K} "
+                    f"is {entry.fraction * self.K}"
+                )
         if not self.steps:
             raise ScenarioError("steps: timeline has no steps")
         for i, step in enumerate(self.steps):
@@ -208,8 +238,7 @@ def load_scenario(obj: dict) -> Scenario:
         raise ScenarioError(f"mode: must be 'exact' or 'asymptotic', got {mode_raw!r}")
     mode = ProfileMode(mode_raw)
     K = obj.get("K")
-    if K is not None and (not is_int(K) or K < 1):
-        raise ScenarioError(f"K: must be a positive integer, got {K!r}")
+    _check_K(K)  # the datasets entries divide by it
 
     catalog_raw = obj.get("vmCatalog")
     if not isinstance(catalog_raw, dict) or not catalog_raw:
@@ -228,19 +257,14 @@ def load_scenario(obj: dict) -> Scenario:
                 raise ScenarioError(f"{path}.datasets: explicit datasets require K")
             if not isinstance(datasets, list) or not all(map(is_int, datasets)):
                 raise ScenarioError(f"{path}.datasets: expected an array of integers")
-            ds = tuple(sorted(datasets))
-            if ds and (ds[0] < 0 or ds[-1] >= K):
-                raise ScenarioError(f"{path}.datasets: dataset id outside [0, {K})")
-            if len(set(ds)) != len(ds):
-                raise ScenarioError(f"{path}.datasets: duplicate dataset id")
-            catalog[vm_id] = CatalogEntry(fraction=Fraction(len(ds), K), datasets=ds)
-            continue
-        if seed is None:
+            fraction, datasets = Fraction(len(datasets), K), tuple(sorted(datasets))
+        elif seed is None:
             raise ScenarioError(f"{path}: needs 'seed' or 'datasets'")
-        _int_at(seed, f"{path}.seed")
-        fraction = _fraction_at(entry.get("storageFraction"), f"{path}.storageFraction")
+        else:
+            _int_at(seed, f"{path}.seed")
+            fraction = _fraction_at(entry.get("storageFraction"), f"{path}.storageFraction")
         try:
-            catalog[vm_id] = CatalogEntry(fraction=fraction, seed=seed)
+            catalog[vm_id] = CatalogEntry(fraction=fraction, seed=seed, datasets=datasets)
         except ScenarioError as exc:
             raise ScenarioError(f"{path}: {exc}") from exc
 
@@ -330,22 +354,44 @@ def _catalog_storage(timeline: ElasticTimeline) -> dict[str, np.ndarray]:
 def _step_instance(
     scenario: Scenario, step: TimelineStep, storage_cache: dict[str, np.ndarray]
 ) -> tuple[tuple[str, ...], ProblemInstance, ClassProfile]:
-    """The step's vms slowest first, its instance and its class profile.
-
-    K is the timeline's, or the storage fraction's denominator when the
-    timeline has none.
+    """The step's vms slowest first (ties by id), its instance and its class
+    profile.  K is the timeline's, or the storage fraction's denominator
+    when the timeline has none.
     """
-    order = sorted(step.available, key=lambda v: (step.speeds[v], v))
+    ids = sorted(step.available)
     timeline = scenario.timeline
-    fraction = timeline.vm_catalog[order[0]].fraction  # one per step (Scenario)
+    fraction = timeline.vm_catalog[ids[0]].fraction  # one per step (Scenario)
     K = fraction.denominator if timeline.K is None else timeline.K
-    instance = ProblemInstance(K=K, M=int(fraction * K), speeds=[step.speeds[v] for v in order])
+    instance = ProblemInstance(K=K, M=int(fraction * K), speeds=[step.speeds[v] for v in ids])
+    order = tuple(ids[i] for i in instance.source_order)
     if scenario.mode is ProfileMode.EXACT:
         per_worker = tuple(storage_cache[v] for v in order)
         profile = exact_profile(ExplicitStorage(K=K, M=instance.M, per_worker=per_worker, seed=None))
     else:
         profile = profile_from_alpha(instance.alpha, instance.N)
-    return tuple(order), instance, profile
+    return order, instance, profile
+
+
+def solve_snapshot(
+    instance: ProblemInstance,
+    profile: ClassProfile,
+    straggler: StragglerConfig | None = None,
+    shares: bool = True,
+) -> StragglerPlan:
+    """The optimal plan for one fleet snapshot: ``redundant_assign`` with a
+    straggler block, else ``flow_assign`` on a measured profile, else
+    ``assign_loads``, or with ``shares=False`` the closed form
+    ``optimal_time`` and no assignment.  Only straggler plans exclude classes.
+    """
+    if straggler is not None:
+        return redundant_assign(instance, profile, straggler)
+    if profile.mode is ProfileMode.EXACT:
+        assignment, time = flow_assign(instance, profile, redundancy=1)
+    elif shares:
+        assignment, time = assign_loads(instance, profile)
+    else:
+        assignment, time = None, optimal_time(instance, profile)
+    return StragglerPlan(assignment=assignment, time=time, excluded_classes=())
 
 
 def _demo_messages(masks: Sequence[int], config: StragglerConfig) -> dict[int, tuple[int, ...]]:
@@ -369,37 +415,23 @@ def _run_step(
         raise ScenarioError(
             f"steps[{step_index}]: {len(step.stragglers)} stragglers exceed the configured s={straggler.s}"
         )
+    try:
+        plan = solve_snapshot(instance, profile, straggler, shares=False)
+    except CodingConfigError as exc:
+        raise CodingConfigError(f"steps[{step_index}]: {exc}") from exc
     task_value = None
     if straggler is not None:
-        try:
-            plan = redundant_assign(instance, profile, straggler)
-        except CodingConfigError as exc:
-            raise CodingConfigError(f"steps[{step_index}]: {exc}") from exc
-        time = plan.time
         messages = _demo_messages(sorted(plan.assignment.class_totals()), straggler)
+        task_value = ()
         if messages:
-            transmissions = encode(plan.assignment, straggler, messages)
-            straggler_positions = {
-                i + 1 for i, v in enumerate(order) if v in step.stragglers
-            }
-            survivors = [
-                t for t in transmissions if t.vm_index not in straggler_positions
-            ]
+            transmissions = encode(plan.assignment, straggler, messages)  # one per vm, in order
+            survivors = [t for t, v in zip(transmissions, order) if v not in step.stragglers]
             task_value = decode(survivors, straggler, instance.N)
-            expected = tuple(
-                sum(v[j] for v in messages.values()) % straggler.field_modulus
-                for j in range(straggler.m)
-            )
+            expected = tuple(sum(part) % straggler.field_modulus for part in zip(*messages.values()))
             if task_value != expected:
                 raise AssertionError(
                     f"steps[{step_index}]: decoded aggregate does not match the message sum"
                 )
-        else:
-            task_value = ()
-    elif scenario.mode is ProfileMode.EXACT:
-        _, time = flow_assign(instance, profile, redundancy=1)
-    else:
-        time = optimal_time(instance, profile)
     baseline_times: dict[str, Fraction] = {}
     for kind, r in scenario.baselines:
         try:
@@ -410,9 +442,9 @@ def _run_step(
     return StepReport(
         step_index=step_index,
         vm_ids=order,
-        c_star=time.c_star,
-        n_star=time.n_star,
-        per_vm_time=time.per_worker_time,
+        c_star=plan.time.c_star,
+        n_star=plan.time.n_star,
+        per_vm_time=plan.time.per_worker_time,
         coverage=profile.cumulative[instance.N],
         task_value=task_value,
         baseline_times=baseline_times,

@@ -29,7 +29,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -43,6 +43,7 @@ from .model import (
     TimeResult,
     check_pair,
     is_int,
+    over_one_denominator,
     workers_of,
 )
 from .oracle import flow_assign
@@ -143,9 +144,9 @@ class CodedTransmission:
 
 @dataclass(frozen=True)
 class StragglerPlan:
-    """Redundant assignment plus its objective and the classes left out."""
+    """Redundant assignment (None if only times were asked for), its objective, the classes left out."""
 
-    assignment: LoadAssignment
+    assignment: LoadAssignment | None
     time: TimeResult
     excluded_classes: tuple[int, ...]
 
@@ -212,8 +213,8 @@ def part_schedule(
     schedule: dict[tuple[int, int], tuple[int, ...]] = {}
     for mask in sorted(by_class):
         shares = by_class[mask]
-        common = lcm(*(v.denominator for v in shares.values()))
-        nums = {n: v.numerator * (common // v.denominator) for n, v in shares.items()}
+        numerators, _ = over_one_denominator(shares.values())
+        nums = dict(zip(shares, numerators))
         total = sum(nums.values())
         members = workers_of(mask)
         floors: dict[int, int] = {}

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dusec.cli as cli
+import dusec.simulator as simulator
 from dusec.model import LoadAssignment, ProblemInstance, validate
 from dusec.oracle import feasible_at, lp_oracle
 from dusec.storage import ExplicitStorage, exact_profile, generate_decentralized
@@ -171,7 +172,7 @@ def test_oracle_cap_is_checked_before_solving(tmp_path, capsys, monkeypatch):
         raise AssertionError("a solver ran before the oracle cap check")
 
     for name in ("assign_loads", "flow_assign", "redundant_assign"):
-        monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(simulator, name, refuse)
     path = tmp_path / "storage.json"
     path.write_text(json.dumps(generate_decentralized(40, 20, 13, seed=3).to_json_obj()))
     speeds = ",".join(str(i + 1) for i in range(13))
@@ -262,6 +263,11 @@ def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.run(["nosuchcommand"])
     assert exc.value.code == 1
+    for straggler in ("1", "1,2,3", "1,x"):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(["solve", "--speeds", "1,2", "--alpha", "2", "--straggler", straggler])
+        assert exc.value.code == 1
+        assert "expected s,m integers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("speeds", ["1,,2", "1,2,", ",1,2", "", " , "])

@@ -17,7 +17,10 @@ from dusec.model import (
     validate,
     workers_of,
 )
-from dusec.storage import profile_from_alpha
+from dusec.optimizer import assign_loads, optimal_time
+from dusec.oracle import flow_assign, lp_oracle
+from dusec.storage import exact_profile, generate_decentralized, profile_from_alpha
+from dusec.straggler import StragglerConfig, redundant_assign
 
 
 def test_mask_roundtrip():
@@ -65,6 +68,9 @@ def test_instance_validation():
         ProblemInstance(K=4, M=2, speeds=(F(1), F(0)))
     with pytest.raises(StructureError):
         ProblemInstance(K=4, M=2, speeds=(1.5, 2.0))
+    # the sort computes source_order; a value passed in would be overwritten
+    with pytest.raises(TypeError, match="source_order"):
+        ProblemInstance(K=4, M=2, speeds=(F(2), F(1)), source_order=(0, 1))
 
 
 def test_speed_sorting_roundtrip():
@@ -74,6 +80,12 @@ def test_speed_sorting_roundtrip():
     assert tuple(given[i] for i in inst.source_order) == inst.speeds
     # stable: equal speeds keep their input order
     assert inst.source_order == (1, 2, 0, 3)
+    assert repr(inst) == (
+        "ProblemInstance(K=16, M=8, speeds=(Fraction(1, 1), Fraction(2, 1), Fraction(5, 1), "
+        "Fraction(5, 1)), source_order=(1, 2, 0, 3))"
+    )
+    assert inst == ProblemInstance(K=16, M=8, speeds=given)
+    assert inst != ProblemInstance(K=16, M=8, speeds=(F(5), F(5), F(1), F(2)))
 
 
 def test_alpha_beta():
@@ -163,6 +175,18 @@ def test_exact_profile_checks_its_class_table():
     assert prof.mode is ProfileMode.EXACT
     assert prof.a(2) == 0 and prof.a(3) == F(1, 4)
     assert prof.cumulative == (F(0), F(3, 4), F(1))
+
+
+def test_assignment_refuses_bad_shapes():
+    with pytest.raises(StructureError, match="redundancy must be >= 1"):
+        LoadAssignment(n_workers=2, redundancy=0, shares={})
+    with pytest.raises(StructureError, match=r"share worker 3 out of range 1\.\.2"):
+        LoadAssignment(n_workers=2, redundancy=1, shares={(3, 1): F(1)})
+    with pytest.raises(StructureError, match=r"share worker 0 out of range"):
+        LoadAssignment(n_workers=2, redundancy=1, shares={(0, 1): F(1)})
+    for mask in (0, 4):
+        with pytest.raises(StructureError, match=f"share class mask {mask} out of range for N=2"):
+            LoadAssignment(n_workers=2, redundancy=1, shares={(1, mask): F(1)})
 
 
 def test_assignment_accessors():
@@ -270,3 +294,21 @@ def test_validate_shape_mismatch_raises():
     other = LoadAssignment(n_workers=3, redundancy=1, shares={})
     with pytest.raises(StructureError):
         validate(inst, prof, other)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        optimal_time,
+        assign_loads,
+        flow_assign,
+        lp_oracle,
+        lambda inst, prof: redundant_assign(inst, prof, StragglerConfig(s=0, m=1)),
+        lambda inst, prof: validate(inst, prof, LoadAssignment(n_workers=4, redundancy=1, shares={})),
+    ],
+)
+def test_profile_for_another_worker_count_is_refused(solve):
+    inst, _ = _half_storage_fleet()
+    for prof in (profile_from_alpha(F(2), 3), exact_profile(generate_decentralized(16, 8, 5, seed=1))):
+        with pytest.raises(StructureError, match="profile covers [35] workers, instance has 4"):
+            solve(inst, prof)

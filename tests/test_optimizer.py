@@ -182,6 +182,17 @@ def test_critical_conditions_worked_examples():
         inst = ProblemInstance.from_alpha(alpha, speeds)
         prof = profile_from_alpha(alpha, inst.N)
         assert critical_conditions_hold(inst, prof, optimal_time(inst, prof))
+    # one claim that breaks each condition in turn; L(n)/S(n) is 1/16, 1/16,
+    # 7/128, 15/208 at (1, 2, 5, 5) and 1/8, 3/40, 1/24 at (1, 4, 16)
+    for speeds, c_star, n_star in [
+        ((F(1), F(2), F(5), F(5)), F(1, 13), 4),  # the prefix bound at n* is 15/208
+        ((F(1), F(4), F(16)), F(3, 40), 2),  # the prefix n = 1 exceeds 3/40
+        ((F(1), F(2), F(5), F(5)), F(1, 16), 1),  # the tail 2..4 pools to 7/96
+    ]:
+        inst = ProblemInstance.from_alpha(F(2), speeds)
+        prof = profile_from_alpha(F(2), inst.N)
+        claim = TimeResult(c_star=c_star, n_star=n_star, per_worker_time=(c_star,) * inst.N)
+        assert not critical_conditions_hold(inst, prof, claim)
 
 
 def test_closed_form_refuses_measured_profiles():

@@ -10,6 +10,7 @@ from dusec import oracle
 from dusec.model import (
     ClassProfile,
     ProblemInstance,
+    StructureError,
     iter_class_masks,
     validate,
     workers_of,
@@ -92,6 +93,9 @@ def test_redundancy_needs_large_enough_classes():
     with pytest.raises(InfeasibleRedundancy) as exc:
         lp_oracle(inst, prof, redundancy=2)
     assert 0b0001 in exc.value.class_masks  # singletons can't be covered twice
+    for solve in (lp_oracle, flow_assign):
+        with pytest.raises(StructureError, match="redundancy must be >= 1"):
+            solve(inst, prof, redundancy=0)
 
 
 def _all_but_one_profile():

@@ -63,6 +63,12 @@ def test_load_scenario_accepts_minimal():
     assert scenario.baselines == ()
 
 
+@pytest.mark.parametrize("obj", [[], "x", None, 1])
+def test_load_scenario_refuses_a_non_object(obj):
+    with pytest.raises(ScenarioError, match="scenario: expected a JSON object"):
+        load_scenario(obj)
+
+
 @pytest.mark.parametrize(
     "mutate, path_fragment",
     [
@@ -191,6 +197,47 @@ def _timeline(available=("a", "b"), speeds=None, stragglers=(), K=None):
             ),
             "steps: timeline has no steps",
         ),
+        # explicit catalog entries are checked against K, whether a step names them or not
+        (
+            lambda: gradient_demo(_demo_timeline({"v": _entry((0, 9), K=4)}, K=4), GradientDemoSpec()),
+            r"vmCatalog\.v\.datasets: dataset id outside \[0, 4\)",
+        ),
+        (
+            lambda: gradient_demo(_demo_timeline({"v": _entry((1, 1), K=4)}, K=4), GradientDemoSpec()),
+            r"vmCatalog\.v\.datasets: duplicate dataset id",
+        ),
+        (
+            lambda: gradient_demo(
+                _demo_timeline({"v": CatalogEntry(fraction=F(1, 4), datasets=(0, 1))}, K=4),
+                GradientDemoSpec(),
+            ),
+            r"vmCatalog\.v\.datasets: 2 ids, but fraction 1/4 times K=4 is 1",
+        ),
+        (lambda: _timeline(K=0), "K: must be a positive integer, got 0"),
+        (
+            lambda: gradient_demo(_demo_timeline({"v": _entry((0,), K=4)}, K=0), GradientDemoSpec()),
+            "K: must be a positive integer, got 0",
+        ),
+        (lambda: _timeline(K=4.0), "K: must be a positive integer, got 4.0"),
+        (lambda: _timeline(K=True), "K: must be a positive integer, got True"),
+        (
+            lambda: run_timeline(
+                Scenario(
+                    ElasticTimeline(
+                        vm_catalog={"a": CatalogEntry(fraction=F(1, 2), seed=1.5)},
+                        steps=(TimelineStep(available=("a",), speeds={"a": F(1)}),),
+                        K=4,
+                    ),
+                    ProfileMode.EXACT,
+                )
+            ),
+            "seed must be an integer, got 1.5",
+        ),
+        (
+            lambda: CatalogEntry(fraction=F(1, 2), datasets=(0, 1.0)),
+            r"datasets: expected a tuple of integers, got \(0, 1\.0\)",
+        ),
+        (lambda: CatalogEntry(fraction=F(1, 2), datasets=[0, 1]), "datasets: expected a tuple"),
     ],
 )
 def test_scenarios_built_in_code_are_refused(build, message):
@@ -520,6 +567,8 @@ def test_baselines_past_the_oracle_cap(mode, tmp_path):
 
 def test_baseline_divisibility_errors():
     inst = ProblemInstance(K=16, M=8, speeds=(F(1), F(2), F(5), F(5)))
+    with pytest.raises(ConfigurationError, match="unknown baseline kind 'ring'"):
+        baseline_assign("ring", 2, inst)
     with pytest.raises(ConfigurationError):
         baseline_assign("cyclic", 5, inst)  # r > N
     with pytest.raises(ConfigurationError):

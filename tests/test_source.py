@@ -31,3 +31,25 @@ def test_only_the_cli_reaches_lp_oracle():
         if "lp_oracle" in names and path.name not in ("__init__.py", "oracle.py"):
             found.append(path.stem)
     assert found == ["cli"]
+
+
+def test_one_function_picks_the_solver():
+    # dusec solve and every simulate step leave the choice to solve_snapshot;
+    # baseline_assign prices its placements with flow_assign
+    solvers = {"assign_loads", "optimal_time", "flow_assign", "redundant_assign"}
+    calls = {}
+    for path, tree in _modules():
+        if path.stem not in ("cli", "simulator"):
+            continue
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in solvers:
+                        caller = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+                        calls.setdefault(caller, set()).add(name)
+    assert calls == {
+        "simulator.solve_snapshot": solvers,
+        "simulator.baseline_assign": {"flow_assign"},
+    }

@@ -63,6 +63,13 @@ def test_storage_validation():
         ExplicitStorage(K=0, M=0, per_worker=(np.empty(0, dtype=np.int64),))
     with pytest.raises(StructureError, match="K must be >= 1"):
         generate_decentralized(0, 0, 2)
+    with pytest.raises(StructureError, match="storage needs at least one worker"):
+        ExplicitStorage(K=10, M=3, per_worker=())
+    with pytest.raises(StructureError, match="N must be >= 1"):
+        generate_decentralized(10, 3, 0)
+    for M in (-1, 11):
+        with pytest.raises(StructureError, match=rf"M must lie in \[0, K\]; got M={M}, K=10"):
+            generate_decentralized(10, M, 2)
 
 
 def test_exact_profile_matches_set_arithmetic():
@@ -152,6 +159,9 @@ def test_json_parse_refuses_non_integer_scalars():
                 ExplicitStorage.from_json_obj({**good, field: bad})
     with pytest.raises(StructureError, match="perVm must be a list"):
         ExplicitStorage.from_json_obj({**good, "perVm": 5})
+    for N in (0, 2):
+        with pytest.raises(StructureError, match=f"perVm has 1 workers, N says {N}"):
+            ExplicitStorage.from_json_obj({**good, "N": N})
 
 
 def test_json_parse_sorts_a_large_placement():

@@ -52,6 +52,14 @@ def test_config_validation():
     for composite in (1763, 3215031751):  # 1763 = 41 * 43
         with pytest.raises(CodingConfigError, match="is not prime"):
             StragglerConfig(s=0, m=1, field_modulus=composite)
+    # p - 1 = 2^t * d with t >= 2 runs the squaring rounds: 65537 - 1 = 2^16 and
+    # 998244353 - 1 = 2^23 * 119 reach -1 there; 1373653 = 829 * 1657 (t = 2) is a
+    # strong pseudoprime to bases 2 and 3, 25326001 = 2251 * 11251 (t = 4) to 2, 3 and 5
+    for prime in (65537, 998244353):
+        assert StragglerConfig(s=0, m=1, field_modulus=prime).field_modulus == prime
+    for composite in (1373653, 25326001):
+        with pytest.raises(CodingConfigError, match="is not prime"):
+            StragglerConfig(s=0, m=1, field_modulus=composite)
     # 399165290221 * 798330580441, a strong pseudoprime to every witness 2..37
     with pytest.raises(CodingConfigError, match=r"below 2\^64"):
         StragglerConfig(s=0, m=1, field_modulus=318665857834031151167461)
@@ -289,6 +297,8 @@ def test_serialization_layout_and_roundtrip():
         deserialize_transmission(blob[:10])
     with pytest.raises(StructureError):
         deserialize_transmission(blob + b"\x00" * 8)
+    with pytest.raises(StructureError, match="vm_index must be >= 1, got 0"):
+        deserialize_transmission(struct.pack("<IQQ", 0, 0, cfg.field_modulus))
     # parsed transmissions decode like the originals
     parsed = [deserialize_transmission(serialize_transmission(t, cfg))[0] for t in ts]
     expected_sum = _sum_mod(messages, 2, cfg.field_modulus)
@@ -396,6 +406,14 @@ def test_part_schedule_refuses_a_share_outside_its_class():
     asg = LoadAssignment(n_workers=3, redundancy=1, shares={(1, 3): F(1, 2), (3, 3): F(1, 2)})
     with pytest.raises(StructureError, match="class 3 gives a share to worker 3"):
         part_schedule(asg, StragglerConfig(s=0, m=1))
+
+
+def test_part_schedule_refuses_over_coverage():
+    # at r = 2 worker 1 may hold at most half of class {1, 2}; 3/4 would give it
+    # both part-slots of the class's one part
+    asg = LoadAssignment(n_workers=2, redundancy=2, shares={(1, 3): F(3, 4), (2, 3): F(1, 4)})
+    with pytest.raises(StructureError, match="class 3 coverage is not exactly 2 times its size"):
+        part_schedule(asg, StragglerConfig(s=1, m=1))
 
 
 def test_part_schedule_refuses_a_negative_quota():
