@@ -18,6 +18,10 @@ that subset's speed.  Two routes compute it:
   locked(S) > T * speed(S), and T <- locked(S) / speed(S) is the next,
   strictly larger, guess (Dinkelbach 1967; Radzik 1992).  There are
   finitely many cuts, so the search ends; it enumerates no subsets.
+  Each flow starts with Dinic's first phase, which on this network is a
+  greedy pass over the class masks and builds no network.  Only when
+  that pass falls short is the network built, in flat integer arrays
+  carrying the greedy flow, for Dinic's later phases.
 * ``lp_oracle`` takes the maximum over every S from one ranked zeta
   transform in O(r * N * 2^N) (Bjorklund, Husfeldt, Kaski, Koivisto,
   "Fourier meets Mobius", STOC 2007), so it stops at
@@ -31,6 +35,9 @@ compares ratios by cross-multiplying, and the flow scales every capacity
 by the lcm of the capacities' denominators and divides flows back by it,
 so results are exact Fractions.  Beyond ``model``'s helpers, nothing is shared
 with the closed-form solver in ``optimizer``, so the two routes check each other.
+The two routes run different flow code: ``lp_oracle`` and ``feasible_at``
+use the plain Dinic of ``_MaxFlow`` on the network ``_build_flow`` builds,
+and ``flow_assign`` uses ``_Transport``.
 """
 
 from __future__ import annotations
@@ -343,6 +350,264 @@ def lp_oracle(
     return value
 
 
+class _Residual:
+    """Dinic max-flow on a residual network in flat integer arrays.
+
+    Edge ``idx`` runs to node ``to[idx]`` with residual capacity
+    ``cap[idx]``, and ``idx ^ 1`` is its reverse; node u's edges are
+    ``adj[first[u]:first[u + 1]]``.  Search order follows that edge order,
+    so a network laid out as :func:`_build_flow` lays it out takes the same
+    augmenting paths as :class:`_MaxFlow` would.
+    """
+
+    def __init__(self, to: list[int], cap: list[int], adj: list[int], first: list[int]):
+        self.to, self.cap, self.adj, self.first = to, cap, adj, first
+
+    def levels(self, s: int) -> list[int]:
+        """BFS level of every node over residual edges from ``s`` (-1: unreached)."""
+        to, cap, adj, first = self.to, self.cap, self.adj, self.first
+        level = [-1] * (len(first) - 1)
+        level[s] = 0
+        queue = [s]
+        for u in queue:
+            next_level = level[u] + 1
+            for idx in adj[first[u]:first[u + 1]]:
+                v = to[idx]
+                if cap[idx] > 0 and level[v] < 0:
+                    level[v] = next_level
+                    queue.append(v)
+        return level
+
+    def reaching(self, t: int) -> list[bool]:
+        """Whether each node has a residual path to ``t``."""
+        to, cap, adj, first = self.to, self.cap, self.adj, self.first
+        seen = [False] * (len(first) - 1)
+        seen[t] = True
+        queue = [t]
+        for v in queue:
+            for idx in adj[first[v]:first[v + 1]]:
+                u = to[idx]
+                if not seen[u] and cap[idx ^ 1] > 0:
+                    seen[u] = True
+                    queue.append(u)
+        return seen
+
+    def _blocking_flow(self, s: int, t: int, level: list[int]) -> int:
+        """Push along the first s-t path of the level graph until none is left.
+
+        ``it[u]`` is the position of the next edge to try at u in ``adj``;
+        it moves past an edge only when that edge leads to a dead end.
+        After a push the search resumes at the tail of the first edge the
+        push saturated: the path up to there is what a search from ``s``
+        would walk again.
+        """
+        to, cap, adj, first = self.to, self.cap, self.adj, self.first
+        it = first[:-1]
+        total = 0
+        path: list[int] = []
+        u = s
+        while True:
+            if u == t:
+                pushed = min([cap[idx] for idx in path])
+                total += pushed
+                for idx in path:
+                    cap[idx] -= pushed
+                    cap[idx ^ 1] += pushed
+                del path[[cap[idx] for idx in path].index(0):]
+                u = to[path[-1]] if path else s
+                continue
+            want = level[u] + 1
+            i, end = it[u], first[u + 1]
+            while i < end:
+                idx = adj[i]
+                if cap[idx] > 0 and level[to[idx]] == want:
+                    break
+                i += 1
+            it[u] = i
+            if i < end:
+                path.append(adj[i])
+                u = to[adj[i]]
+            elif path:  # dead end: step back and skip the edge that led here
+                u = to[path.pop() ^ 1]
+                it[u] += 1
+            else:
+                return total
+
+    def max_flow(self, s: int, t: int) -> int:
+        """Flow from s to t on top of what the network already carries.
+
+        ``source_levels`` keeps the last search's labels: -1 marks the
+        nodes s no longer reaches.
+        """
+        total = 0
+        while True:
+            self.source_levels = level = self.levels(s)
+            if level[t] < 0:
+                return total
+            total += self._blocking_flow(s, t, level)
+
+
+class _Transport:
+    """Max flow at time T on source -> class (r*a) -> member (a) -> sink (T*s).
+
+    Capacities are integers on one scale L, the lcm of their denominators;
+    a flow f stands for f / L.  Dinic's first phase on this network is a
+    greedy pass: its level graph holds only source -> class -> worker ->
+    sink paths, and its search takes the classes in order and each class's
+    members by ascending bit, leaving an edge only once it or the worker
+    behind it is saturated.  So the pass is run directly on the class
+    masks, pushing min(demand left, class size, sink room left) on each
+    (class, member) edge.  Only when it falls short is the network built,
+    in :class:`_Residual`'s flat arrays with the node and edge order of
+    :func:`_build_flow`, carrying the greedy flow; Dinic then goes on from
+    its second phase.
+    """
+
+    def __init__(
+        self, classes: _IntClasses, speeds: tuple[Fraction, ...], redundancy: int, T: Fraction
+    ):
+        sink_caps = [T * s for s in speeds]
+        self.scale = lcm(classes.denom, *{cap.denominator for cap in sink_caps})
+        factor = self.scale // classes.denom
+        self.masks = classes.masks
+        self.sizes = [unit * factor for unit in classes.units]
+        self.sink_caps = [cap.numerator * (self.scale // cap.denominator) for cap in sink_caps]
+        self.room = list(self.sink_caps)
+        # (class index, worker bit, flow) of every nonzero greedy share, in search order
+        self.flows: list[tuple[int, int, int]] = []
+        short = self._greedy(redundancy)
+        self.net: _Residual | None = None
+        if short:
+            self.net = self._residual_network(redundancy)
+            short -= self.net.max_flow(0, len(self.net.first) - 2)
+        self.saturated = short == 0
+
+    def _greedy(self, redundancy: int) -> int:
+        """Dinic's first phase; returns the demand it leaves unrouted."""
+        room, flows = self.room, self.flows
+        alive = sum(1 << w for w, left in enumerate(room) if left)
+        short = 0
+        for ci, (mask, size) in enumerate(zip(self.masks, self.sizes)):
+            left = redundancy * size
+            members = mask & alive
+            while left and members:
+                low = members & -members
+                members ^= low
+                w = low.bit_length() - 1
+                pushed = min(left, size, room[w])
+                flows.append((ci, w, pushed))
+                left -= pushed
+                room[w] -= pushed
+                if not room[w]:
+                    alive ^= low
+            short += left
+        return short
+
+    def _residual_network(self, redundancy: int) -> _Residual:
+        """The network of :func:`_build_flow`, carrying the greedy flow."""
+        n_classes, n = len(self.masks), len(self.room)
+        first_worker = 1 + n_classes
+        to: list[int] = []
+        cap: list[int] = []
+        source_adj: list[int] = []
+        class_adj: list[int] = []
+        first = [0, n_classes]
+        worker_adj: list[list[int]] = [[] for _ in range(n)]
+        flows = iter(self.flows)
+        pending = next(flows, None)
+        for ci, (mask, size) in enumerate(zip(self.masks, self.sizes)):
+            node = 1 + ci
+            out = len(to)
+            source_adj.append(out)
+            class_adj.append(out + 1)
+            to += (node, 0)
+            cap += (0, 0)  # set once the class's flow is summed
+            sent = 0
+            rest = mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                w = low.bit_length() - 1
+                flow = 0
+                if pending is not None and pending[0] == ci and pending[1] == w:
+                    flow = pending[2]
+                    pending = next(flows, None)
+                idx = len(to)
+                class_adj.append(idx)
+                worker_adj[w].append(idx + 1)
+                to += (first_worker + w, node)
+                cap += (size - flow, flow)
+                sent += flow
+            cap[out], cap[out + 1] = redundancy * size - sent, sent
+            first.append(len(class_adj) + n_classes)
+        sink = first_worker + n
+        sink_adj = []
+        for w, (full, left) in enumerate(zip(self.sink_caps, self.room)):
+            idx = len(to)
+            worker_adj[w].append(idx)
+            sink_adj.append(idx + 1)
+            to += (sink, first_worker + w)
+            cap += (left, full - left)
+        adj = source_adj + class_adj
+        for edges in worker_adj:
+            adj += edges
+            first.append(len(adj))
+        adj += sink_adj
+        first.append(len(adj))
+        return _Residual(to, cap, adj, first)
+
+    def shares(self) -> list[tuple[int, int, int]]:
+        """(class index, worker bit, flow) of every nonzero share, class by class."""
+        net = self.net
+        if net is None:
+            return self.flows
+        to, cap, adj, first = net.to, net.cap, net.adj, net.first
+        first_worker = 1 + len(self.masks)
+        return [
+            (ci, to[idx] - first_worker, cap[idx ^ 1])  # reverse residual = flow pushed
+            for ci in range(len(self.masks))
+            for idx in adj[first[1 + ci] + 1:first[2 + ci]]
+            if cap[idx ^ 1]
+        ]
+
+    def source_side(self) -> int:
+        """Mask of the workers the source reaches in the residual network."""
+        level = self.net.source_levels
+        first_worker = 1 + len(self.masks)
+        return sum(1 << w for w in range(len(self.room)) if level[first_worker + w] >= 0)
+
+    def cut_size(self) -> int:
+        """Number of workers with no residual path to the sink."""
+        net = self.net
+        if net is not None:
+            to_sink = net.reaching(len(net.first) - 2)
+            return sum(not reached for reached in to_sink[1 + len(self.masks):-1])
+        # saturated greedy flow: a worker with room reaches the sink; a class
+        # reaches a reached member it sends less than its size; a worker
+        # reaches every class it holds flow of
+        held = [0] * len(self.masks)
+        whole = [0] * len(self.masks)
+        for ci, w, flow in self.flows:
+            held[ci] |= 1 << w
+            if flow == self.sizes[ci]:
+                whole[ci] |= 1 << w
+        reached = sum(1 << w for w, left in enumerate(self.room) if left)
+        pending = [(mask ^ full, hold) for mask, full, hold in zip(self.masks, whole, held)]
+        while pending:
+            grown = reached
+            rest = []
+            for open_to, hold in pending:
+                if hold & ~grown:
+                    if open_to & grown:
+                        grown |= hold
+                    else:
+                        rest.append((open_to, hold))
+            if grown == reached:
+                break
+            reached, pending = grown, rest
+        return len(self.room) - reached.bit_count()
+
+
 def flow_assign(
     instance: ProblemInstance, profile: ClassProfile, redundancy: int = 1
 ) -> tuple[LoadAssignment, TimeResult]:
@@ -355,34 +620,29 @@ def flow_assign(
     speed(S), and T moves up to locked(S) / speed(S).  The first flow that
     saturates is at T*, and it is the assignment.  n* is the size of the
     largest bottleneck set: the workers with no residual path to the sink.
+    Each flow is a :class:`_Transport`, which shares no flow code with
+    :func:`lp_oracle`.
     """
     classes = _active_classes(instance, profile, redundancy)
     speeds = instance.speeds
-    first_worker = 1 + len(classes.masks)
     value = _prefix_bound(classes, speeds, redundancy)
     while True:
-        net, demand, scale, share_edges = _build_flow(classes, speeds, redundancy, value)
-        sink = len(net.adj) - 1
-        if net.max_flow(0, sink) == demand:
+        flow = _Transport(classes, speeds, redundancy, value)
+        if flow.saturated:
             break
-        level = net.reached_from(0)
-        source_side = sum(1 << i for i in range(instance.N) if level[first_worker + i] >= 0)
-        raised = _locked_ratio(classes, speeds, redundancy, source_side)
+        raised = _locked_ratio(classes, speeds, redundancy, flow.source_side())
         if raised <= value:  # the source side of a short flow locks more than T * speed(S)
             raise AssertionError(f"Newton step from T = {value} did not raise T")
         value = raised
     shares: dict[tuple[int, int], Fraction] = {}
     loads = [0] * instance.N
-    for idx, worker, mask in share_edges:
-        flow = net.cap[idx ^ 1]  # residual on the reverse edge = flow pushed
-        if flow != 0:
-            shares[(worker, mask)] = Fraction(flow, scale)
-            loads[worker - 1] += flow
+    masks, scale = classes.masks, flow.scale
+    for ci, w, pushed in flow.shares():
+        shares[(w + 1, masks[ci])] = Fraction(pushed, scale)
+        loads[w] += pushed
     assignment = LoadAssignment(
         n_workers=instance.N, redundancy=redundancy, shares=shares
     )
     times = tuple(Fraction(load, scale) / s for load, s in zip(loads, speeds))
-    to_sink = net.reaching(sink)
-    n_star = sum(not to_sink[first_worker + i] for i in range(instance.N))
-    result = TimeResult(c_star=value, n_star=n_star, per_worker_time=times)
+    result = TimeResult(c_star=value, n_star=flow.cut_size(), per_worker_time=times)
     return assignment, result

@@ -192,6 +192,10 @@ class Scenario:
     baselines: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.mode, ProfileMode):
+            raise ScenarioError(f"mode: expected a ProfileMode, got {self.mode!r}")
+        if self.straggler is not None and not isinstance(self.straggler, StragglerConfig):
+            raise ScenarioError(f"straggler: expected a StragglerConfig or None, got {self.straggler!r}")
         if self.timeline.K is None:
             if self.mode is ProfileMode.EXACT:
                 raise ScenarioError("K: required in exact mode")
@@ -252,6 +256,8 @@ def load_scenario(obj: dict) -> Scenario:
         datasets = entry.get("datasets")
         if seed is not None and datasets is not None:
             raise ScenarioError(f"{path}: give either 'seed' or 'datasets', not both")
+        if datasets is not None and entry.get("storageFraction") is not None:
+            raise ScenarioError(f"{path}: 'datasets' sets the storage fraction; drop 'storageFraction'")
         if datasets is not None:
             if K is None:
                 raise ScenarioError(f"{path}.datasets: explicit datasets require K")

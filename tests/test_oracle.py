@@ -121,12 +121,16 @@ def test_time_grows_with_redundancy():
         assert res.c_star == lp_oracle(inst, prof, redundancy=r)
 
 
-def test_bottleneck_need_not_be_a_speed_prefix():
+def _fast_worker_profile():
     # the fastest worker exclusively stores most of the data
     prof = ClassProfile(
         n_workers=3, class_sizes={0b001: F(1, 20), 0b010: F(1, 20), 0b100: F(9, 10)}
     )
-    inst = ProblemInstance(K=20, M=7, speeds=(F(1), F(2), F(10)))
+    return ProblemInstance(K=20, M=7, speeds=(F(1), F(2), F(10))), prof
+
+
+def test_bottleneck_need_not_be_a_speed_prefix():
+    inst, prof = _fast_worker_profile()
     value = lp_oracle(inst, prof)
     assert value == F(9, 100)
     asg, res = flow_assign(inst, prof)
@@ -269,17 +273,96 @@ def test_redundant_assign_equals_oracle_on_measured_placements(case):
 
 
 def test_flow_assign_past_the_enumeration_cap(monkeypatch):
-    # the Newton search runs max-flows only, so the 12-worker cap of lp_oracle does not apply
+    # the Newton search runs max-flows only, so the 12-worker cap of lp_oracle does not apply;
+    # feasible_at checks the answer on the reference flow network
     monkeypatch.setattr(oracle, "_bottleneck", None)
-    rng = random.Random(14)
-    n = ORACLE_MAX_WORKERS + 2
-    inst = ProblemInstance(K=2000, M=1000, speeds=[F(rng.randint(1, 20), rng.randint(1, 3)) for _ in range(n)])
-    storage = generate_decentralized(2000, 1000, n, seed=14)
-    prof = exact_profile(storage.subset([i + 1 for i in inst.source_order]))
-    asg, res = flow_assign(inst, prof)
-    assert validate(inst, prof, asg) == []
-    assert max(res.per_worker_time) == res.c_star
-    assert feasible_at(inst, prof, 1, res.c_star)
-    assert not feasible_at(inst, prof, 1, res.c_star * (1 - F(1, 1 << 40)))
-    with pytest.raises(OracleScopeError):
-        lp_oracle(inst, prof)
+    for n, K, seed in ((ORACLE_MAX_WORKERS + 2, 2000, 14), (20, 16000, 20)):
+        rng = random.Random(seed)
+        speeds = [F(rng.randint(1, 20), rng.randint(1, 3)) for _ in range(n)]
+        inst = ProblemInstance(K=K, M=K // 2, speeds=speeds)
+        storage = generate_decentralized(K, K // 2, n, seed=seed)
+        prof = exact_profile(storage.subset([i + 1 for i in inst.source_order]))
+        asg, res = flow_assign(inst, prof)
+        assert validate(inst, prof, asg) == []
+        assert max(res.per_worker_time) == res.c_star
+        assert feasible_at(inst, prof, 1, res.c_star)
+        assert not feasible_at(inst, prof, 1, res.c_star * (1 - F(1, 1 << 40)))
+        with pytest.raises(OracleScopeError):
+            lp_oracle(inst, prof)
+
+
+def _reference_flow(inst, prof, r):
+    """flow_assign's outputs from the reference max-flow (_build_flow and _MaxFlow).
+
+    A Newton loop of its own starts at the best slowest-k prefix bound, and
+    locked(S) / speed(S) is summed here directly.
+    """
+    def ratio(workers):
+        locked = sum(
+            (a * max(0, r - (mask & ~workers).bit_count()) for mask, a in prof.classes.items()), F(0)
+        )
+        return locked / sum(s for i, s in enumerate(inst.speeds) if workers >> i & 1)
+
+    classes = oracle._active_classes(inst, prof, r)
+    first_worker = 1 + len(classes.masks)
+    value = max(ratio((1 << k) - 1) for k in range(1, inst.N + 1))
+    while True:
+        net, demand, scale, share_edges = oracle._build_flow(classes, inst.speeds, r, value)
+        sink = len(net.adj) - 1
+        if net.max_flow(0, sink) == demand:
+            break
+        level = net.reached_from(0)
+        raised = ratio(sum(1 << i for i in range(inst.N) if level[first_worker + i] >= 0))
+        assert raised > value
+        value = raised
+    shares = [
+        ((worker, mask), F(net.cap[idx ^ 1], scale))
+        for idx, worker, mask in share_edges
+        if net.cap[idx ^ 1]
+    ]
+    times = tuple(
+        sum((f for (w, _), f in shares if w == n), F(0)) / s
+        for n, s in enumerate(inst.speeds, start=1)
+    )
+    to_sink = net.reaching(sink)
+    n_star = sum(not to_sink[first_worker + i] for i in range(inst.N))
+    return shares, times, value, n_star
+
+
+def _flow_outputs(inst, prof, r):
+    asg, res = flow_assign(inst, prof, r)
+    return list(asg.shares.items()), res.per_worker_time, res.c_star, res.n_star
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_placements())
+def test_flow_assign_equals_the_reference_flow(case):
+    inst, prof, _ = case  # every redundancy is tried below
+    for r in range(1, inst.N + 1):
+        coverable = filtered_for_redundancy(prof, r)
+        assert _flow_outputs(inst, coverable, r) == _reference_flow(inst, coverable, r)
+
+
+@pytest.mark.parametrize(
+    "case, r, flows",
+    [
+        # the greedy pass (Dinic's first phase) saturates: no network is built
+        (_reference_fleet, 1, ["greedy"]),
+        # the greedy pass falls short at r = 2; Dinic's later phases saturate the network
+        (_all_but_one_profile, 2, ["network"]),
+        # T* is above every prefix bound: the first flow falls short and Newton raises T once
+        (_fast_worker_profile, 1, ["short", "greedy"]),
+    ],
+)
+def test_each_flow_branch_matches_the_reference(monkeypatch, case, r, flows):
+    taken = []
+    transport = oracle._Transport.__init__
+
+    def spy(self, *args):
+        transport(self, *args)
+        taken.append("greedy" if self.net is None else "network" if self.saturated else "short")
+
+    monkeypatch.setattr(oracle._Transport, "__init__", spy)
+    inst, prof = case()
+    assert _flow_outputs(inst, prof, r) == _reference_flow(inst, prof, r)
+    assert taken == flows

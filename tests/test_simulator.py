@@ -88,6 +88,10 @@ def test_load_scenario_refuses_a_non_object(obj):
             "storageFraction",
         ),
         (
+            lambda o: (o.update(K=4), o["vmCatalog"].update(c={"datasets": [0], "storageFraction": "1/2"})),
+            "vmCatalog.c: 'datasets' sets the storage fraction",
+        ),
+        (
             lambda o: o["vmCatalog"]["a"].update(storageFraction="1/0"),
             "vmCatalog.a.storageFraction: not a rational number ('1/0')",
         ),
@@ -187,6 +191,11 @@ def _timeline(available=("a", "b"), speeds=None, stragglers=(), K=None):
             r"steps\[0\]: storage fractions differ",
         ),
         (lambda: Scenario(_timeline(), ProfileMode.EXACT, None, ()), "K: required in exact mode"),
+        (lambda: Scenario(_timeline(), "exact", None, ()), "mode: expected a ProfileMode, got 'exact'"),
+        (
+            lambda: Scenario(_timeline(K=4), ProfileMode.EXACT, (1, 1), ()),
+            r"straggler: expected a StragglerConfig or None, got \(1, 1\)",
+        ),
         (
             lambda: ElasticTimeline(vm_catalog=_CATALOG, steps=(), K=4),
             "steps: timeline has no steps",

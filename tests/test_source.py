@@ -53,3 +53,27 @@ def test_one_function_picks_the_solver():
         "simulator.solve_snapshot": solvers,
         "simulator.baseline_assign": {"flow_assign"},
     }
+
+
+def test_flow_assign_and_lp_oracle_share_no_flow_code():
+    # --oracle checks flow_assign against a max-flow written apart from it;
+    # the two share only the input check and the locked-load sum
+    (tree,) = [tree for path, tree in _modules() if path.stem == "oracle"]
+    top = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    uses = {
+        name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and n.id in top} - {name}
+        for name, node in top.items()
+    }
+
+    def reached(name):
+        seen, todo = set(), [name]
+        while todo:
+            for used in uses[todo.pop()] - seen:
+                seen.add(used)
+                todo.append(used)
+        return seen
+
+    oracle_side, flow_side = reached("lp_oracle"), reached("flow_assign")
+    assert {"_MaxFlow", "_build_flow"} <= oracle_side
+    assert {"_Transport", "_Residual"} <= flow_side
+    assert oracle_side & flow_side == {"_active_classes", "_IntClasses", "InfeasibleRedundancy", "_locked_ratio"}
