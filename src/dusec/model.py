@@ -22,6 +22,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 SCHEMA_VERSION = 1  # of every JSON document read or written (scenarios, reports, CLI output)
+CLASS_MAP_MAX_WORKERS = 22  # largest N whose formula profile builds its 2^N - 1 class map
 
 
 class StructureError(ValueError):
@@ -265,7 +266,7 @@ class ClassProfile:
             return self.class_sizes
         if self.alpha == 1:  # nothing is stored
             return MappingProxyType({})
-        if self.n_workers > 22:
+        if self.n_workers > CLASS_MAP_MAX_WORKERS:
             raise StructureError(f"refusing to materialize 2^{self.n_workers} classes")
         by_card = self.sizes_by_card
         return MappingProxyType({

@@ -21,7 +21,9 @@ that subset's speed.  Two routes compute it:
   Each flow starts with Dinic's first phase, which on this network is a
   greedy pass over the class masks and builds no network.  Only when
   that pass falls short is the network built, in flat integer arrays
-  carrying the greedy flow, for Dinic's later phases.
+  carrying the greedy flow, for Dinic's later phases; it then hands its
+  final flow back to the pass's table.  The shares and n* are read from
+  that table one way, whichever phase finished the flow.
 * ``lp_oracle`` takes the maximum over every S from one ranked zeta
   transform in O(r * N * 2^N) (Bjorklund, Husfeldt, Kaski, Koivisto,
   "Fourier meets Mobius", STOC 2007), so it stops at
@@ -378,20 +380,6 @@ class _Residual:
                     queue.append(v)
         return level
 
-    def reaching(self, t: int) -> list[bool]:
-        """Whether each node has a residual path to ``t``."""
-        to, cap, adj, first = self.to, self.cap, self.adj, self.first
-        seen = [False] * (len(first) - 1)
-        seen[t] = True
-        queue = [t]
-        for v in queue:
-            for idx in adj[first[v]:first[v + 1]]:
-                u = to[idx]
-                if not seen[u] and cap[idx ^ 1] > 0:
-                    seen[u] = True
-                    queue.append(u)
-        return seen
-
     def _blocking_flow(self, s: int, t: int, level: list[int]) -> int:
         """Push along the first s-t path of the level graph until none is left.
 
@@ -460,7 +448,10 @@ class _Transport:
     (class, member) edge.  Only when it falls short is the network built,
     in :class:`_Residual`'s flat arrays with the node and edge order of
     :func:`_build_flow`, carrying the greedy flow; Dinic then goes on from
-    its second phase.
+    its second phase and writes its final flow back.  Either way ``flows``
+    holds (class index, worker bit, flow) of every nonzero share, class by
+    class, and ``room`` each worker's slack to the sink: the shares and n*
+    are read from that table alone.
     """
 
     def __init__(
@@ -473,13 +464,24 @@ class _Transport:
         self.sizes = [unit * factor for unit in classes.units]
         self.sink_caps = [cap.numerator * (self.scale // cap.denominator) for cap in sink_caps]
         self.room = list(self.sink_caps)
-        # (class index, worker bit, flow) of every nonzero greedy share, in search order
         self.flows: list[tuple[int, int, int]] = []
         short = self._greedy(redundancy)
         self.net: _Residual | None = None
         if short:
-            self.net = self._residual_network(redundancy)
-            short -= self.net.max_flow(0, len(self.net.first) - 2)
+            self.net = net = self._residual_network(redundancy)
+            short -= net.max_flow(0, len(net.first) - 2)
+            # hand the flow back to the table, class by class as the greedy
+            # pass lists it; a reverse residual is the flow pushed
+            to, cap, adj, first = net.to, net.cap, net.adj, net.first
+            first_worker = 1 + len(self.masks)
+            self.flows = [
+                (ci, to[idx] - first_worker, cap[idx ^ 1])
+                for ci in range(len(self.masks))
+                for idx in adj[first[1 + ci] + 1:first[2 + ci]]
+                if cap[idx ^ 1]
+            ]
+            # each worker's sink edge is the last of its edges
+            self.room = [cap[adj[first[first_worker + w + 1] - 1]] for w in range(len(self.room))]
         self.saturated = short == 0
 
     def _greedy(self, redundancy: int) -> int:
@@ -556,20 +558,6 @@ class _Transport:
         first.append(len(adj))
         return _Residual(to, cap, adj, first)
 
-    def shares(self) -> list[tuple[int, int, int]]:
-        """(class index, worker bit, flow) of every nonzero share, class by class."""
-        net = self.net
-        if net is None:
-            return self.flows
-        to, cap, adj, first = net.to, net.cap, net.adj, net.first
-        first_worker = 1 + len(self.masks)
-        return [
-            (ci, to[idx] - first_worker, cap[idx ^ 1])  # reverse residual = flow pushed
-            for ci in range(len(self.masks))
-            for idx in adj[first[1 + ci] + 1:first[2 + ci]]
-            if cap[idx ^ 1]
-        ]
-
     def source_side(self) -> int:
         """Mask of the workers the source reaches in the residual network."""
         level = self.net.source_levels
@@ -577,20 +565,21 @@ class _Transport:
         return sum(1 << w for w in range(len(self.room)) if level[first_worker + w] >= 0)
 
     def cut_size(self) -> int:
-        """Number of workers with no residual path to the sink."""
-        net = self.net
-        if net is not None:
-            to_sink = net.reaching(len(net.first) - 2)
-            return sum(not reached for reached in to_sink[1 + len(self.masks):-1])
-        # saturated greedy flow: a worker with room reaches the sink; a class
-        # reaches a reached member it sends less than its size; a worker
-        # reaches every class it holds flow of
+        """Number of workers with no residual path to the sink, on a saturated flow.
+
+        At saturation the source has no residual edge out, so the sink is
+        reached only through a worker with room, a class sending a reached
+        member less than its size, and a worker holding flow of a reached
+        class.  The loop walks exactly those edges on ``flows`` and ``room``.
+        """
         held = [0] * len(self.masks)
         whole = [0] * len(self.masks)
+        sizes = self.sizes
         for ci, w, flow in self.flows:
-            held[ci] |= 1 << w
-            if flow == self.sizes[ci]:
-                whole[ci] |= 1 << w
+            bit = 1 << w
+            held[ci] |= bit
+            if flow == sizes[ci]:
+                whole[ci] |= bit
         reached = sum(1 << w for w, left in enumerate(self.room) if left)
         pending = [(mask ^ full, hold) for mask, full, hold in zip(self.masks, whole, held)]
         while pending:
@@ -637,7 +626,7 @@ def flow_assign(
     shares: dict[tuple[int, int], Fraction] = {}
     loads = [0] * instance.N
     masks, scale = classes.masks, flow.scale
-    for ci, w, pushed in flow.shares():
+    for ci, w, pushed in flow.flows:
         shares[(w + 1, masks[ci])] = Fraction(pushed, scale)
         loads[w] += pushed
     assignment = LoadAssignment(

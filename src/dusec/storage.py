@@ -17,6 +17,8 @@ import numpy as np
 
 from .model import ClassProfile, StructureError, is_int
 
+MASK_MAX_WORKERS = 62  # largest N of a measured placement's class masks (int64 arrays)
+
 
 def _worker_rng(seed: int, stream_key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, stream_key])))
@@ -78,8 +80,8 @@ class ExplicitStorage:
     @cached_property
     def class_index(self) -> np.ndarray:
         """For each dataset, the mask of workers storing it (0 = stored nowhere)."""
-        if self.n_workers > 62:
-            raise StructureError("class masks limited to 62 workers")
+        if self.n_workers > MASK_MAX_WORKERS:
+            raise StructureError(f"class masks limited to {MASK_MAX_WORKERS} workers")
         idx = np.zeros(self.K, dtype=np.int64)
         for i, arr in enumerate(self.per_worker):
             idx[arr] |= np.int64(1 << i)

@@ -1,6 +1,8 @@
 import contextlib
+import importlib
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -149,6 +151,17 @@ def test_solve_alpha_one_past_the_class_map_limit(capsys):
     assert obj["cStar"] == {"frac": "0/1", "decimal": 0.0}
     assert obj["perVmLoad"] == [{"frac": "0/1", "decimal": 0.0}] * 23
     assert obj["loads"] == []
+
+
+def test_readme_worker_limits_name_their_constants():
+    # each row of the README's worker-limits table: the limit, then the module constant setting it
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| (\d+) \| `(\w+)\.(\w+)` \|", readme, re.MULTILINE)
+    assert [name for _, _, name in rows] == [
+        "ORACLE_MAX_WORKERS", "CLASS_MAP_MAX_WORKERS", "MASK_MAX_WORKERS"
+    ]
+    for limit, module, name in rows:
+        assert getattr(importlib.import_module(f"dusec.{module}"), name) == int(limit)
 
 
 def test_profile_file_past_the_oracle_cap(tmp_path, capsys):

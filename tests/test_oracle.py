@@ -129,6 +129,15 @@ def _fast_worker_profile():
     return ProblemInstance(K=20, M=7, speeds=(F(1), F(2), F(10))), prof
 
 
+def _newton_then_network_profile():
+    # the flow at the prefix bound falls short; after one Newton step the greedy pass
+    # falls short again and the network finishes the flow at c* = 2/35, n* = 2
+    prof = ClassProfile(
+        n_workers=3, class_sizes={0b101: F(3, 10), 0b011: F(1, 10), 0b100: F(1, 10)}
+    )
+    return ProblemInstance(K=10, M=4, speeds=(F(1), F(3), F(6))), prof
+
+
 def test_bottleneck_need_not_be_a_speed_prefix():
     inst, prof = _fast_worker_profile()
     value = lp_oracle(inst, prof)
@@ -352,6 +361,8 @@ def test_flow_assign_equals_the_reference_flow(case):
         (_all_but_one_profile, 2, ["network"]),
         # T* is above every prefix bound: the first flow falls short and Newton raises T once
         (_fast_worker_profile, 1, ["short", "greedy"]),
+        # a flow read back from the network after a Newton step
+        (_newton_then_network_profile, 1, ["short", "network"]),
     ],
 )
 def test_each_flow_branch_matches_the_reference(monkeypatch, case, r, flows):
