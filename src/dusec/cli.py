@@ -5,6 +5,10 @@ Subcommands:
   solve     optimal load assignment for one fleet snapshot (simulator.solve_snapshot)
   simulate  run a multi-step scenario file and write CSV/JSON reports
 
+``profile`` and ``solve`` print exactly ``json.dumps(obj, indent=2)`` and a
+newline, written by :func:`_dumps` without the pure-Python encoder that
+``indent`` selects; ``tests/test_pinned.py`` pins the bytes.
+
 Exit codes: 0 success, 1 usage error, 2 invalid input or configuration,
 3 primary solver disagrees with the independent oracle (--oracle).
 """
@@ -21,6 +25,7 @@ from pathlib import Path
 
 from .model import (
     SCHEMA_VERSION,
+    LoadAssignment,
     ProblemInstance,
     StructureError,
     frac_json,
@@ -141,6 +146,45 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_CONTAINERS = (dict, list, tuple, LoadAssignment)
+
+
+def _nests(values) -> bool:
+    """Whether any of ``values`` is a container; one test per type, not per item."""
+    return any(issubclass(t, _CONTAINERS) for t in set(map(type, values)))
+
+
+def _dumps(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for ``value`` nested at
+    the indentation ``pad`` ends with; a LoadAssignment is written as its share
+    rows, ``{"n": worker, "classMask": mask, "share": "p/q"}``, sorted.
+
+    ``indent`` sends ``json.dumps`` to CPython's pure-Python encoder.  Here
+    only containers of containers (dict keys must be str) are walked in
+    Python; each share row is one string step, and everything else, a leaf
+    or a container of leaves, is one call to the C encoder, whose item
+    separator carries the newline and indentation.
+    """
+    inner = pad + "  "
+    if isinstance(value, LoadAssignment):
+        brackets, items = "[]", [
+            f'{{{inner}  "n": {n},{inner}  "classMask": {m},'
+            f'{inner}  "share": "{v.numerator}/{v.denominator}"{inner}}}'
+            for n, m, v in value.sorted_items()
+        ]
+    elif isinstance(value, dict) and _nests(value.values()):
+        brackets, items = "{}", [f"{json.dumps(k)}: {_dumps(v, inner)}" for k, v in value.items()]
+    elif isinstance(value, (list, tuple)) and _nests(value):
+        brackets, items = "[]", [_dumps(v, inner) for v in value]
+    else:
+        text = json.dumps(value, separators=("," + inner, ": "))
+        if isinstance(value, (dict, list, tuple)) and value:
+            text = f"{text[0]}{inner}{text[1:-1]}{pad}{text[-1]}"
+        return text
+    body = ("," + inner).join(items)
+    return f"{brackets[0]}{inner}{body}{pad}{brackets[1]}" if items else brackets
+
+
 def _cmd_profile(args) -> int:
     storage = generate_decentralized(args.K, args.M, args.N, seed=args.seed)
     obj = {"schemaVersion": SCHEMA_VERSION, "storage": storage.to_json_obj()}
@@ -151,7 +195,7 @@ def _cmd_profile(args) -> int:
             "classSizes": {str(mask): frac_str(size) for mask, size in profile.classes.items()},
             "cumulative": [frac_str(x) for x in profile.cumulative],
         }
-    print(json.dumps(obj, indent=2))
+    print(_dumps(obj))
     return EXIT_OK
 
 
@@ -196,21 +240,20 @@ def _cmd_solve(args) -> int:
     obj.update(time.to_json_obj())
     # every solver sets per_worker_time = load / speed, so this is the load exactly
     obj["perVmLoad"] = [frac_json(t * s) for t, s in zip(time.per_worker_time, instance.speeds)]
-    obj["loads"] = plan.assignment.to_json_obj()
+    obj["loads"] = plan.assignment
 
     if args.oracle:
         r = plan.assignment.redundancy
         reference = lp_oracle(instance, _filtered_for_redundancy(profile, r), redundancy=r)
         obj["oracle"] = {"checked": True, "value": frac_json(reference)}
-        if reference != time.c_star:
-            print(json.dumps(obj, indent=2))
-            print(
-                f"oracle mismatch: solver {frac_str(time.c_star)} vs oracle {frac_str(reference)}",
-                file=sys.stderr,
-            )
-            return EXIT_ORACLE_MISMATCH
 
-    print(json.dumps(obj, indent=2))
+    print(_dumps(obj))  # also on a mismatch, for inspection
+    if args.oracle and reference != time.c_star:
+        print(
+            f"oracle mismatch: solver {frac_str(time.c_star)} vs oracle {frac_str(reference)}",
+            file=sys.stderr,
+        )
+        return EXIT_ORACLE_MISMATCH
     return EXIT_OK
 
 

@@ -69,9 +69,17 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def as_decimal(x: Fraction) -> float:
+    """The float nearest ``x``, for rendered output; refuses what overflows a float."""
+    try:
+        return float(x)
+    except OverflowError as exc:
+        raise StructureError(f"value {frac_str(x)} is too large for a decimal") from exc
+
+
 def frac_json(x: Fraction) -> dict:
     """A rational as both its exact form and a decimal for plotting."""
-    return {"frac": frac_str(x), "decimal": float(x)}
+    return {"frac": frac_str(x), "decimal": as_decimal(x)}
 
 
 def mask_of(workers: Iterable[int]) -> int:
@@ -344,12 +352,6 @@ class LoadAssignment:
     def sorted_items(self) -> list[tuple[int, int, Fraction]]:
         """(worker, mask, share) triples in a deterministic order."""
         return sorted((n, m, v) for (n, m), v in self.shares.items())
-
-    def to_json_obj(self) -> list[dict]:
-        return [
-            {"n": n, "classMask": m, "share": frac_str(v)}
-            for n, m, v in self.sorted_items()
-        ]
 
 
 @dataclass(frozen=True)

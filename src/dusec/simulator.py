@@ -34,6 +34,7 @@ from .model import (
     ProblemInstance,
     ProfileMode,
     StructureError,
+    as_decimal,
     as_fraction,
     frac_json,
     is_int,
@@ -581,13 +582,13 @@ def reports_to_csv(reports: Sequence[StepReport]) -> str:
         row = [
             str(rep.step_index),
             str(len(rep.vm_ids)),
-            format(float(rep.c_star), ".17g"),
+            format(as_decimal(rep.c_star), ".17g"),
             str(rep.n_star),
-            format(float(rep.coverage), ".17g"),
+            format(as_decimal(rep.coverage), ".17g"),
         ]
         for k in baseline_keys:
             value = rep.baseline_times.get(k)
-            row.append("" if value is None else format(float(value), ".17g"))
+            row.append("" if value is None else format(as_decimal(value), ".17g"))
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
 

@@ -343,6 +343,85 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     assert code == 2 and "workers" in err
 
 
+def test_share_rows_are_written_from_the_assignment():
+    shares = {(1, 1): F(1, 8), (2, 3): F(1, 8), (2, 2): F(0), (1, 3): F(1, 16)}
+    asg = LoadAssignment(n_workers=2, redundancy=1, shares=shares)
+    rows = json.loads(cli._dumps({"loads": asg}))["loads"]
+    assert rows == [  # sorted by (worker, mask); the zero share is not written
+        {"n": 1, "classMask": 1, "share": "1/8"},
+        {"n": 1, "classMask": 3, "share": "1/16"},
+        {"n": 2, "classMask": 3, "share": "1/8"},
+    ]
+    assert all(list(row) == ["n", "classMask", "share"] for row in rows)
+
+
+_big = st.integers(min_value=-(1 << 80), max_value=1 << 80)
+_fracs = st.builds(F, _big, _big.filter(bool))
+_frac_json = _fracs.map(lambda x: {"frac": f"{x.numerator}/{x.denominator}", "decimal": float(x)})
+
+
+@st.composite
+def _solve_objects(draw):
+    """A `solve` output: the object for the writer and its json.dumps reference."""
+    n = draw(st.integers(1, 4))
+    obj = {
+        "schemaVersion": 1,
+        "mode": draw(st.sampled_from(["exact", "asymptotic"])),
+        "n": n,
+        "speedsSorted": draw(st.lists(_fracs.map(str), min_size=n, max_size=n)),
+        "sourceOrder": draw(st.permutations(range(n))),
+    }
+    if draw(st.booleans()):
+        obj["redundancy"] = draw(st.integers(1, n))
+        obj["excludedClasses"] = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=3))
+    obj["cStar"] = draw(_frac_json)
+    obj["nStar"] = draw(st.integers(1, n))
+    obj["perVmTime"] = draw(st.lists(_frac_json, min_size=n, max_size=n))
+    obj["perVmLoad"] = draw(st.lists(_frac_json, min_size=n, max_size=n))
+    cells = st.tuples(st.integers(1, n), st.integers(1, (1 << n) - 1))
+    shares = draw(st.dictionaries(cells, _fracs, max_size=draw(st.sampled_from([0, 1, 6]))))
+    asg = LoadAssignment(n_workers=n, redundancy=1, shares=shares)
+    obj["loads"] = asg
+    ref = dict(obj, loads=[
+        {"n": w, "classMask": m, "share": f"{v.numerator}/{v.denominator}"}
+        for w, m, v in asg.sorted_items()
+    ])
+    if draw(st.booleans()):
+        ref["oracle"] = obj["oracle"] = {"checked": True, "value": draw(_frac_json)}
+    return obj, ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_solve_objects())
+def test_writer_matches_json_dumps(case):
+    obj, ref = case
+    assert cli._dumps(obj) == json.dumps(ref, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    {}, [], [[]], {"a": {}}, [1, True, None, 2.5, "x\n\u00e9"], {"a": [1, [2, {"b": ()}]]},
+    {"k": float("inf"), "j": (3, 4)}, [{"a": 1}, 2],
+])
+def test_writer_matches_json_dumps_on_mixed_values(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+def test_decimal_overflow_exits_2(tmp_path, capsys):
+    code, out, err = _run(capsys, ["solve", "--speeds", "1e-400,1", "--alpha", "2"])
+    assert (code, out) == (2, "")
+    assert "too large for a decimal" in err
+    scenario = json.loads(
+        (Path(cli.__file__).parent / "scenarios" / "paper_example.json").read_text()
+    )
+    scenario["steps"][1]["speeds"]["vm3"] = "1e-400"
+    path, csv = tmp_path / "s.json", tmp_path / "x.csv"
+    path.write_text(json.dumps(scenario))
+    code, out, err = _run(capsys, ["simulate", "--scenario", str(path), "--out", str(csv)])
+    assert (code, out) == (2, "")
+    assert "too large for a decimal" in err
+    assert not csv.exists()
+
+
 def test_oracle_mismatch_exits_3(capsys, monkeypatch):
     monkeypatch.setattr(cli, "lp_oracle", lambda *a, **k: F(1, 3))
     code, out, err = _run(

@@ -197,9 +197,6 @@ def test_assignment_accessors():
     assert asg.per_worker_loads() == (F(3, 16), F(1, 8))
     assert asg.per_worker_loads() is asg.per_worker_loads()  # summed once
     assert asg.class_totals() == {1: F(1, 8), 3: F(3, 16)}
-    obj = asg.to_json_obj()
-    assert {"n": 1, "classMask": 1, "share": "1/8"} in obj
-    assert all(set(item) == {"n", "classMask", "share"} for item in obj)
 
 
 def _half_storage_fleet():

@@ -1,5 +1,5 @@
-"""Exact outputs of the coding round, the oracle and the simulator, pinned by
-sha256: their arithmetic may change, their results may not."""
+"""Exact outputs of the coding round, the oracle, the simulator and the CLI,
+pinned by sha256: their arithmetic may change, their results may not."""
 
 import hashlib
 import random
@@ -91,4 +91,46 @@ def test_simulate_reports_are_pinned(tmp_path):
         digest.update(csv.read_bytes() + js.read_bytes())
     assert digest.hexdigest() == (
         "bab9221c9ad8064b21037ca4f5e06b4821d5439ee7005b58c3d935242cbed520"
+    )
+
+
+def test_cli_output_bytes_are_pinned(tmp_path, capsys, monkeypatch):
+    """`dusec solve` and `dusec profile`: stdout, stderr and exit code, byte for byte."""
+    profile = tmp_path / "storage.json"
+    cases = [
+        ["profile", "--K", "40", "--M", "20", "--N", "4", "--seed", "5", "--exact"],
+        ["profile", "--K", "30", "--M", "12", "--N", "6", "--seed", "2"],
+        ["profile", "--K", "60", "--M", "25", "--N", "7", "--seed", "3", "--exact"],
+        ["solve", "--speeds", "1,2,5,5", "--alpha", "2"],
+        ["solve", "--speeds", "7", "--alpha", "1"],  # N = 1, nothing stored: empty loads
+        ["solve", "--speeds", "7", "--alpha", "5/2"],
+        ["solve", "--speeds", "1,3,9", "--alpha", "1"],
+        ["solve", "--speeds", "5,1/3,2,5,8,13/7", "--alpha", "7/4"],
+        ["solve", "--speeds", "1,2,3,4,5,6,7,8,9", "--alpha", "9/7"],  # shares past 2^64
+        ["solve", "--speeds", "1,2,5,5", "--alpha", "2", "--oracle"],
+        ["solve", "--speeds", "1,100,100", "--alpha", "2", "--straggler", "1,1", "--oracle"],
+        ["solve", "--speeds", "1,2,3,4,5", "--alpha", "3", "--straggler", "1,2"],
+        ["solve", "--speeds", "1,2,5,5", "--alpha", "2", "--straggler", "9,9"],
+        ["solve", "--speeds", "5,1,2,5", "--profile-file", profile],
+        ["solve", "--speeds", "5,1,2,5", "--profile-file", profile, "--oracle"],
+        ["solve", "--speeds", "5,1,2,5", "--profile-file", profile, "--straggler", "1,1"],
+    ]
+    digest = hashlib.sha256()
+
+    def record(argv):
+        code = cli.run([str(a) for a in argv])
+        out, err = capsys.readouterr()
+        if argv[0] == "profile" and argv[2] == "40":
+            profile.write_text(out)
+        label = ["PROFILE" if a is profile else a for a in argv]
+        digest.update(repr((label, code, out, err)).encode())
+
+    for argv in cases:
+        record(argv)
+    # the exit-3 path prints the result, with "oracle" after "loads", before failing
+    monkeypatch.setattr(cli, "lp_oracle", lambda *a, **k: F(1, 3))
+    record(["solve", "--speeds", "1,2,5,5", "--alpha", "2", "--oracle"])
+    record(["solve", "--speeds", "5,1,2,5", "--profile-file", profile, "--oracle"])
+    assert digest.hexdigest() == (
+        "86f85bfece5542c9b3fe38344b2a8786426d2761cc6c53b5b72c36e32fab7a91"
     )
