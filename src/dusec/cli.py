@@ -21,6 +21,7 @@ import json
 import sys
 from fractions import Fraction
 from importlib import resources
+from math import gcd
 from pathlib import Path
 
 from .model import (
@@ -157,7 +158,8 @@ def _nests(values) -> bool:
 def _dumps(value, pad: str = "\n") -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for ``value`` nested at
     the indentation ``pad`` ends with; a LoadAssignment is written as its share
-    rows, ``{"n": worker, "classMask": mask, "share": "p/q"}``, sorted.
+    rows, ``{"n": worker, "classMask": mask, "share": "p/q"}``, sorted, from
+    its integer units.
 
     ``indent`` sends ``json.dumps`` to CPython's pure-Python encoder.  Here
     only containers of containers (dict keys must be str) are walked in
@@ -167,11 +169,16 @@ def _dumps(value, pad: str = "\n") -> str:
     """
     inner = pad + "  "
     if isinstance(value, LoadAssignment):
-        brackets, items = "[]", [
-            f'{{{inner}  "n": {n},{inner}  "classMask": {m},'
-            f'{inner}  "share": "{v.numerator}/{v.denominator}"{inner}}}'
-            for n, m, v in value.sorted_items()
-        ]
+        units = value.shares
+        den = units.denom
+        items = []
+        for (n, m), u in sorted(units.units.items()):
+            common = gcd(u, den)  # the share in lowest terms, as Fraction prints it
+            items.append(
+                f'{{{inner}  "n": {n},{inner}  "classMask": {m},'
+                f'{inner}  "share": "{u // common}/{den // common}"{inner}}}'
+            )
+        brackets = "[]"
     elif isinstance(value, dict) and _nests(value.values()):
         brackets, items = "{}", [f"{json.dumps(k)}: {_dumps(v, inner)}" for k, v in value.items()]
     elif isinstance(value, (list, tuple)) and _nests(value):

@@ -6,20 +6,22 @@ Conventions used across the package:
 * A set of workers is an N-bit mask: worker n corresponds to bit n-1.
   Storage classes (the datasets stored by exactly the workers in V) are
   identified by these masks.
-* Every quantity that enters solver arithmetic is an exact
-  ``fractions.Fraction``.  Floats appear only in rendered output.
+* Every quantity that enters solver arithmetic is an exact rational:
+  a ``fractions.Fraction``, or integers over one stated denominator
+  (:class:`UnitMap`, as measured profiles and all assignments hold
+  them).  Floats appear only in rendered output.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
 
 SCHEMA_VERSION = 1  # of every JSON document read or written (scenarios, reports, CLI output)
 CLASS_MAP_MAX_WORKERS = 22  # largest N whose formula profile builds its 2^N - 1 class map
@@ -62,6 +64,62 @@ def over_one_denominator(values) -> tuple[list[int], int]:
     """Integer numerators of the Fractions ``values`` over their least common denominator."""
     denom = lcm(*{v.denominator for v in values})
     return [v.numerator * (denom // v.denominator) for v in values], denom
+
+
+class UnitMap(Mapping):
+    """A read-only map to exact rationals, held as integers over one denominator.
+
+    ``units`` maps each key to its integer numerator and ``denom`` is the
+    one positive denominator.  Reading a value gives it as a ``Fraction``;
+    the Fractions are built together, on the first such read.  Iteration,
+    ``len`` and ``in`` read the keys alone.  The map keeps ``units``
+    without a copy or a check: :class:`ClassProfile` and
+    :class:`LoadAssignment` check it and keep their own copy.
+    """
+
+    __slots__ = ("units", "denom", "_fractions")
+
+    def __init__(self, units: Mapping, denom: int):
+        if not is_int(denom) or denom < 1:
+            raise StructureError(f"denominator must be a positive integer, got {denom!r}")
+        self.units = MappingProxyType(units)
+        self.denom = denom
+        self._fractions: Mapping | None = None
+
+    @classmethod
+    def of(cls, fractions: Mapping) -> UnitMap:
+        """The Fractions ``fractions`` over their least common denominator."""
+        numerators, denom = over_one_denominator(fractions.values())
+        return cls(dict(zip(fractions, numerators)), denom)
+
+    def _values(self) -> Mapping:
+        if self._fractions is None:
+            denom = self.denom
+            self._fractions = MappingProxyType(
+                {key: Fraction(unit, denom) for key, unit in self.units.items()}
+            )
+        return self._fractions
+
+    def __getitem__(self, key):
+        return self._values()[key]
+
+    def __iter__(self):
+        return iter(self.units)
+
+    def __len__(self) -> int:
+        return len(self.units)
+
+    def __contains__(self, key) -> bool:
+        return key in self.units
+
+    def items(self):
+        return self._values().items()
+
+    def values(self):
+        return self._values().values()
+
+    def __repr__(self) -> str:
+        return f"UnitMap({dict(self.units)!r}, {self.denom})"
 
 
 def frac_str(x: Fraction) -> str:
@@ -193,19 +251,56 @@ class ProfileMode(enum.Enum):
     ASYMPTOTIC = "asymptotic"
 
 
+def _check_numerators(units: UnitMap) -> None:
+    """Refuse numerators that are not Python ints: a numpy integer would
+    wrap on overflow once the solvers scale it."""
+    if not set(map(type, units.units.values())) <= {int}:
+        raise StructureError("numerators must be Python integers")
+
+
+def _checked_sizes(sizes: UnitMap, limit: int) -> UnitMap:
+    """Class sizes checked on their integers: masks in 1..limit-1, no
+    negative size, zero sizes dropped, in ascending mask order; then the
+    numerators and the denominator divided by their gcd."""
+    _check_numerators(sizes)
+    items = sorted(sizes.units.items())
+    if items and not (0 < items[0][0] and items[-1][0] < limit):
+        mask = next(mask for mask, _ in items if not 0 < mask < limit)
+        raise StructureError(f"class mask {mask} out of range for N={limit.bit_length() - 1}")
+    units = dict(items)
+    if units and min(units.values()) <= 0:
+        for mask, unit in items:
+            if unit < 0:
+                raise StructureError(
+                    f"class {mask} has negative size {Fraction(unit, sizes.denom)}"
+                )
+        units = {mask: unit for mask, unit in items if unit}
+    common = gcd(sizes.denom, *units.values())
+    if common > 1:
+        units = {mask: unit // common for mask, unit in units.items()}
+    return UnitMap(units, sizes.denom // common)
+
+
 @dataclass(frozen=True)
 class ClassProfile:
     """Normalized storage-class sizes a(V) for the nonempty worker subsets V.
 
     A measured (exact) profile carries ``class_sizes``: only its nonzero
-    classes, as a read-only mask -> size map in ascending mask order.  Each
-    dataset lands in exactly one class, so there are at most
+    classes, as a read-only mask -> size :class:`UnitMap` in ascending mask
+    order.  Each dataset lands in exactly one class, so there are at most
     min(K, 2^N - 1) of them.  A formula (asymptotic) profile has no
     ``class_sizes``: N and ``alpha`` = K/(K-M) >= 1 fix it, and
     ``alpha=None`` is full storage, as in :attr:`ProblemInstance.alpha`.
     Its law a(V) = beta*(alpha-1)^|V| depends on V through |V| alone, so it
     stays usable where 2^N tables are impossible.  Read classes through
-    :attr:`classes`.
+    :attr:`classes`, or as integers over one denominator through
+    :attr:`class_units`.
+
+    ``class_sizes`` may be given as a map to Fractions (or ints and
+    strings) or as a :class:`UnitMap`, such as dataset counts over their
+    total from :func:`~dusec.storage.exact_profile`.  Either way the
+    profile keeps the sizes as integers over one denominator, divided by
+    their gcd, and builds its Fractions only on a read.
     """
 
     n_workers: int
@@ -223,17 +318,10 @@ class ClassProfile:
                 raise StructureError(f"alpha must be >= 1, got {self.alpha}")
         if self.class_sizes is None:
             return
-        clean: dict[int, Fraction] = {}
-        limit = 1 << self.n_workers
-        for mask, raw in sorted(self.class_sizes.items()):
-            if not 0 < mask < limit:
-                raise StructureError(f"class mask {mask} out of range for N={self.n_workers}")
-            size = as_fraction(raw)
-            if size.numerator < 0:
-                raise StructureError(f"class {mask} has negative size {size}")
-            if size:
-                clean[mask] = size
-        object.__setattr__(self, "class_sizes", MappingProxyType(clean))
+        sizes = self.class_sizes
+        if not isinstance(sizes, UnitMap):
+            sizes = UnitMap.of({mask: as_fraction(raw) for mask, raw in sizes.items()})
+        object.__setattr__(self, "class_sizes", _checked_sizes(sizes, 1 << self.n_workers))
 
     @property
     def mode(self) -> ProfileMode:
@@ -284,6 +372,15 @@ class ClassProfile:
         })
 
     @cached_property
+    def class_units(self) -> UnitMap:
+        """The nonzero classes as integer numerators over one denominator:
+        a measured profile's ``class_sizes``; a formula profile puts
+        :attr:`classes` over its least common denominator."""
+        if self.class_sizes is not None:
+            return self.class_sizes
+        return UnitMap.of(self.classes)
+
+    @cached_property
     def cumulative(self) -> tuple[Fraction, ...]:
         """L[n] = sum of a(V) over nonempty V contained in workers 1..n.
 
@@ -296,10 +393,11 @@ class ClassProfile:
                 # full-storage profile: only the all-workers class exists
                 return tuple([Fraction(0)] * n + [Fraction(1)])
             return tuple(self.beta * (self.alpha**k - 1) for k in range(n + 1))
-        by_top = [Fraction(0)] * (n + 1)
-        for mask, size in self.classes.items():
-            by_top[mask.bit_length()] += size
-        return tuple(accumulate(by_top))
+        sizes = self.class_units
+        by_top = [0] * (n + 1)
+        for mask, unit in sizes.units.items():
+            by_top[mask.bit_length()] += unit
+        return tuple(Fraction(total, sizes.denom) for total in accumulate(by_top))
 
 
 @dataclass(frozen=True)
@@ -309,25 +407,36 @@ class LoadAssignment:
     Only nonzero shares are stored.  ``redundancy`` r says each class must
     be covered r times in total (r = 1 for the plain elastic assignment,
     r = s + m for straggler-coded plans).
+
+    ``shares`` may be given as a map to Fractions (or ints and strings) or
+    as a :class:`UnitMap` of integer units over one denominator, as the
+    solvers give it.  Either way the assignment keeps a :class:`UnitMap`,
+    whose ``units`` and ``denom`` are the integer form, and builds its
+    Fractions only on a read.
     """
 
     n_workers: int
     redundancy: int
-    shares: Mapping[tuple[int, int], Fraction]
+    shares: Mapping[tuple[int, int], Fraction]  # a UnitMap once constructed
 
     def __post_init__(self):
         if self.redundancy < 1:
             raise StructureError("redundancy must be >= 1")
-        clean: dict[tuple[int, int], Fraction] = {}
-        for (n, mask), raw in self.shares.items():
+        limit = 1 << self.n_workers
+        given = self.shares
+        if not isinstance(given, UnitMap):
+            given = UnitMap.of({key: as_fraction(raw) for key, raw in given.items()})
+        _check_numerators(given)
+        clean: dict[tuple[int, int], int] = {}
+        for key, unit in given.units.items():
+            n, mask = key
             if not 1 <= n <= self.n_workers:
                 raise StructureError(f"share worker {n} out of range 1..{self.n_workers}")
-            if not 0 < mask < (1 << self.n_workers):
+            if not 0 < mask < limit:
                 raise StructureError(f"share class mask {mask} out of range for N={self.n_workers}")
-            value = as_fraction(raw)
-            if value != 0:
-                clean[(n, mask)] = value
-        object.__setattr__(self, "shares", MappingProxyType(clean))
+            if unit:
+                clean[key] = unit
+        object.__setattr__(self, "shares", UnitMap(clean, given.denom))
 
     def share(self, worker: int, mask: int) -> Fraction:
         return self.shares.get((worker, mask), Fraction(0))
@@ -337,11 +446,12 @@ class LoadAssignment:
 
     @cached_property
     def _per_worker_loads(self) -> tuple[Fraction, ...]:
-        """Share sums per worker, added up on the first call only."""
-        loads = [Fraction(0)] * self.n_workers
-        for (n, _), v in self.shares.items():
-            loads[n - 1] += v
-        return tuple(loads)
+        """Share sums per worker, added up on integer units on the first call only."""
+        units = self.shares
+        loads = [0] * self.n_workers
+        for (n, _), unit in units.units.items():
+            loads[n - 1] += unit
+        return tuple(Fraction(load, units.denom) for load in loads)
 
     def class_totals(self) -> dict[int, Fraction]:
         totals: dict[int, Fraction] = {}

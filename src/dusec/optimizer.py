@@ -12,9 +12,9 @@ it completes (the frontier L(n) - L(n-1)), and repairs any inversion by
 pooling contiguous equal-time groups and shifting delta load from the
 faster group onto the slower one.  Both routes are exact: the closed form
 runs on ``Fraction``, and the sweep on integer numerators over one
-denominator, reduced by their gcd after every merge, with its shares,
-loads and times returned as exact ``Fraction``.  An LP-based oracle lives
-separately in ``oracle``.
+denominator, reduced by their gcd after every merge.  The sweep hands its
+shares over on those integers and returns its loads and times as exact
+``Fraction``.  An LP-based oracle lives separately in ``oracle``.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .model import (
     ProfileMode,
     StructureError,
     TimeResult,
+    UnitMap,
     check_pair,
     iter_submasks,
     over_one_denominator,
@@ -251,8 +252,9 @@ def assign_loads(
     none, so the one class is split in proportion to speed directly.
 
     The sweep runs on integer numerators over one denominator, reduced by
-    their gcd after every merge; shares and loads become exact ``Fraction``
-    once, at the end.
+    their gcd after every merge.  The assignment keeps those integers and
+    builds its ``Fraction`` shares only when they are read; the loads
+    become exact ``Fraction`` once, at the end.
 
     ``trace``, when given, collects ("tentative", n, t) and
     ("merge", RearrangeDelta) events for inspection.
@@ -261,8 +263,10 @@ def assign_loads(
     events: list = []
     groups = _staircase(profile.cumulative, instance.prefix_speed_sums(), instance.N, events)
     if profile.alpha is None:
-        total = sum(instance.speeds)
-        shares = {(n, (1 << instance.N) - 1): s / total for n, s in enumerate(instance.speeds, 1)}
+        # one class, split in proportion to speed: speed numerators over their sum
+        speed_units, _ = over_one_denominator(instance.speeds)
+        full = (1 << instance.N) - 1
+        shares = UnitMap({(n, full): u for n, u in enumerate(speed_units, 1)}, sum(speed_units))
         assignment = LoadAssignment(n_workers=instance.N, redundancy=1, shares=shares)
         loads = assignment.per_worker_loads()
     else:
@@ -277,11 +281,7 @@ def assign_loads(
         for (n, _), u in units.items():
             load_units[n - 1] += u
         loads = tuple(Fraction(u, den) for u in load_units)
-        assignment = LoadAssignment(
-            n_workers=instance.N,
-            redundancy=1,
-            shares={key: Fraction(u, den) for key, u in units.items()},
-        )
+        assignment = LoadAssignment(n_workers=instance.N, redundancy=1, shares=UnitMap(units, den))
     if trace is not None:
         trace.extend(events)
     times = tuple(load / s for load, s in zip(loads, instance.speeds))

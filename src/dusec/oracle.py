@@ -31,12 +31,14 @@ that subset's speed.  Two routes compute it:
   feasible, and a direct sum of locked(S) / speed(S) over the maximizing
   S proves it tight.
 
-Both routes run on integers.  ``_active_classes`` turns the class sizes
-into numerators over one denominator; the zeta transform adds those and
-compares ratios by cross-multiplying, and the flow scales every capacity
-by the lcm of the capacities' denominators and divides flows back by it,
-so results are exact Fractions.  Beyond ``model``'s helpers, nothing is shared
-with the closed-form solver in ``optimizer``, so the two routes check each other.
+Both routes run on integers.  ``_active_classes`` reads the class sizes
+as the profile holds them, numerators over one denominator; the zeta
+transform adds those and compares ratios by cross-multiplying, and the
+flow scales every capacity by the lcm of the capacities' denominators.
+``flow_assign`` hands its integer flows and that scale to the assignment,
+which builds exact Fractions only when they are read.  Beyond ``model``'s
+helpers, nothing is shared with the closed-form solver in ``optimizer``,
+so the two routes check each other.
 The two routes run different flow code: ``lp_oracle`` and ``feasible_at``
 use the plain Dinic of ``_MaxFlow`` on the network ``_build_flow`` builds,
 and ``flow_assign`` uses ``_Transport``.
@@ -54,6 +56,7 @@ from .model import (
     ProblemInstance,
     StructureError,
     TimeResult,
+    UnitMap,
     check_pair,
     over_one_denominator,
 )
@@ -195,10 +198,11 @@ def _active_classes(
     check_pair(instance, profile)
     if redundancy < 1:
         raise StructureError("redundancy must be >= 1")
-    bad = [mask for mask in profile.classes if mask.bit_count() < redundancy]
+    sizes = profile.class_units
+    bad = [mask for mask in sizes if mask.bit_count() < redundancy]
     if bad:
         raise InfeasibleRedundancy(redundancy, bad)
-    return _IntClasses(list(profile.classes), *over_one_denominator(profile.classes.values()))
+    return _IntClasses(list(sizes.units), list(sizes.units.values()), sizes.denom)
 
 
 def _bottleneck(
@@ -623,14 +627,14 @@ def flow_assign(
         if raised <= value:  # the source side of a short flow locks more than T * speed(S)
             raise AssertionError(f"Newton step from T = {value} did not raise T")
         value = raised
-    shares: dict[tuple[int, int], Fraction] = {}
+    units: dict[tuple[int, int], int] = {}
     loads = [0] * instance.N
     masks, scale = classes.masks, flow.scale
     for ci, w, pushed in flow.flows:
-        shares[(w + 1, masks[ci])] = Fraction(pushed, scale)
+        units[(w + 1, masks[ci])] = pushed
         loads[w] += pushed
     assignment = LoadAssignment(
-        n_workers=instance.N, redundancy=redundancy, shares=shares
+        n_workers=instance.N, redundancy=redundancy, shares=UnitMap(units, scale)
     )
     times = tuple(Fraction(load, scale) / s for load, s in zip(loads, speeds))
     result = TimeResult(c_star=value, n_star=flow.cut_size(), per_worker_time=times)

@@ -34,6 +34,7 @@ from .model import (
     ProblemInstance,
     ProfileMode,
     StructureError,
+    UnitMap,
     as_decimal,
     as_fraction,
     frac_json,
@@ -428,7 +429,8 @@ def _run_step(
         raise CodingConfigError(f"steps[{step_index}]: {exc}") from exc
     task_value = None
     if straggler is not None:
-        messages = _demo_messages(sorted(plan.assignment.class_totals()), straggler)
+        covered = {mask for _, mask in plan.assignment.shares}
+        messages = _demo_messages(sorted(covered), straggler)
         task_value = ()
         if messages:
             transmissions = encode(plan.assignment, straggler, messages)  # one per vm, in order
@@ -505,10 +507,10 @@ def baseline_assign(
         holders = [((1 << r) - 1) << (g * r) for g in range(n_blocks)]
     else:  # man
         holders = [sum(1 << n for n in subset) for subset in combinations(range(N), r)]
-    sizes: dict[int, Fraction] = {}
+    blocks: dict[int, int] = {}
     for mask in holders:  # cyclic at r = N puts every block in one class
-        sizes[mask] = sizes.get(mask, 0) + Fraction(1, n_blocks)
-    profile = ClassProfile(n_workers=N, class_sizes=sizes)
+        blocks[mask] = blocks.get(mask, 0) + 1
+    profile = ClassProfile(n_workers=N, class_sizes=UnitMap(blocks, n_blocks))
     _, time = flow_assign(instance, profile, redundancy=1)
     return profile, time.c_star
 

@@ -9,13 +9,12 @@ the workers already present.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .model import ClassProfile, StructureError, is_int
+from .model import ClassProfile, StructureError, UnitMap, is_int
 
 MASK_MAX_WORKERS = 62  # largest N of a measured placement's class masks (int64 arrays)
 
@@ -65,6 +64,9 @@ class ExplicitStorage:
         if not self.per_worker:
             raise StructureError("storage needs at least one worker")
         for i, arr in enumerate(self.per_worker):
+            # a float or boolean array names no datasets
+            if not isinstance(arr, np.ndarray) or arr.ndim != 1 or arr.dtype.kind not in "iu":
+                raise StructureError(f"worker {i + 1} needs a 1-D integer array of dataset indices")
             if len(arr) != self.M:
                 raise StructureError(f"worker {i + 1} stores {len(arr)} datasets, expected {self.M}")
             if len(arr) and (arr.min() < 0 or arr.max() >= self.K):
@@ -107,7 +109,7 @@ class ExplicitStorage:
             "M": self.M,
             "N": self.n_workers,
             "seed": self.seed,
-            "perVm": [[int(d) for d in arr] for arr in self.per_worker],
+            "perVm": [arr.tolist() for arr in self.per_worker],  # integer dtypes give ints
         }
 
     @classmethod
@@ -156,10 +158,14 @@ def generate_decentralized(K: int, M: int, N: int, seed: int = 0) -> ExplicitSto
 
 
 def exact_profile(storage: ExplicitStorage) -> ClassProfile:
-    """Measured class sizes a(V) = |datasets stored by exactly V| / K."""
+    """Measured class sizes a(V) = |datasets stored by exactly V| / K, held
+    as the dataset counts over K (each divided by their gcd with K)."""
     masks, counts = np.unique(storage.class_index, return_counts=True)
-    sizes = {mask: Fraction(c, storage.K) for mask, c in zip(masks.tolist(), counts.tolist()) if mask}
-    return ClassProfile(n_workers=storage.n_workers, class_sizes=sizes)
+    counts_by_mask = dict(zip(masks.tolist(), counts.tolist()))
+    counts_by_mask.pop(0, None)  # datasets stored nowhere
+    return ClassProfile(
+        n_workers=storage.n_workers, class_sizes=UnitMap(counts_by_mask, storage.K)
+    )
 
 
 def profile_from_alpha(alpha, n_workers: int) -> ClassProfile:

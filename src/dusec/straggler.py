@@ -26,9 +26,10 @@ and reported, never silently zeroed.
 
 from __future__ import annotations
 
+import operator
 import struct
+from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -41,9 +42,9 @@ from .model import (
     ProblemInstance,
     StructureError,
     TimeResult,
+    UnitMap,
     check_pair,
     is_int,
-    over_one_denominator,
     workers_of,
 )
 from .oracle import flow_assign
@@ -157,10 +158,11 @@ def filtered_for_redundancy(profile: ClassProfile, r: int) -> ClassProfile:
     Such classes cannot be covered r times.  Returns ``profile`` itself
     when no class of nonzero size is too small.
     """
-    kept = {mask: size for mask, size in profile.classes.items() if mask.bit_count() >= r}
-    if len(kept) == len(profile.classes):
+    sizes = profile.class_units
+    kept = {mask: unit for mask, unit in sizes.units.items() if mask.bit_count() >= r}
+    if len(kept) == len(sizes):
         return profile
-    return ClassProfile(n_workers=profile.n_workers, class_sizes=kept)
+    return ClassProfile(n_workers=profile.n_workers, class_sizes=UnitMap(kept, sizes.denom))
 
 
 def redundant_assign(
@@ -179,7 +181,7 @@ def redundant_assign(
             f"redundancy r = s + m = {r} exceeds N = {instance.N}: no class can be covered {r} times"
         )
     coverable = filtered_for_redundancy(profile, r)
-    excluded = tuple(mask for mask in profile.classes if mask not in coverable.classes)
+    excluded = tuple(mask for mask in profile.class_units if mask.bit_count() < r)
     assignment, time = flow_assign(instance, coverable, redundancy=r)
     return StragglerPlan(assignment=assignment, time=time, excluded_classes=excluded)
 
@@ -195,26 +197,26 @@ def part_schedule(
     of every class ends up with exactly s+m distinct workers.
     Returns {(class mask, part j): sorted worker tuple}.
 
-    The quotas are worked out on integers: over a common denominator the
-    class's shares become numerators N_n summing to S, and the quota of
-    worker n is m*(s+m)*N_n / S.  A negative share, or a share given to a
+    The quotas are worked out on the assignment's integer units: the
+    class's shares are numerators N_n summing to S, and the quota of
+    worker n is m*(s+m)*N_n / S.  Only these ratios enter, so the common
+    denominator does not matter.  A negative share, or a share given to a
     worker outside its class, raises StructureError.
     """
     m = config.m
     r = config.redundancy
     slots = m * r
-    by_class: dict[int, dict[int, Fraction]] = {}
-    for (n, mask), value in assignment.shares.items():
-        if value < 0:
-            raise StructureError(f"class {mask} gives worker {n} a negative share {value}")
+    by_class: dict[int, dict[int, int]] = {}
+    for (n, mask), unit in assignment.shares.units.items():
+        if unit < 0:
+            share = assignment.shares[n, mask]
+            raise StructureError(f"class {mask} gives worker {n} a negative share {share}")
         if not mask >> (n - 1) & 1:
             raise StructureError(f"class {mask} gives a share to worker {n}, who does not store it")
-        by_class.setdefault(mask, {})[n] = value
+        by_class.setdefault(mask, {})[n] = unit
     schedule: dict[tuple[int, int], tuple[int, ...]] = {}
     for mask in sorted(by_class):
-        shares = by_class[mask]
-        numerators, _ = over_one_denominator(shares.values())
-        nums = dict(zip(shares, numerators))
+        nums = by_class[mask]
         total = sum(nums.values())
         members = workers_of(mask)
         floors: dict[int, int] = {}
@@ -262,18 +264,36 @@ def _field_dtype(p: int):
 def _residues(rows: Sequence[Sequence[int]], p: int, dtype) -> np.ndarray:
     """Equal-length rows of integers as one array of ``dtype`` holding c % p.
 
-    A float, string or other non-integer element raises
-    :class:`CodingConfigError`; nothing is truncated to an integer.
+    An element is an integer when ``operator.index`` takes it: ints,
+    booleans, numpy integers and any type with ``__index__``.  A float,
+    string or other element raises :class:`CodingConfigError`; nothing is
+    truncated to an integer.
+
+    Rows that are all lists of one length go through one ``array('q')``,
+    whose ``fromlist`` takes, by that same rule, the integers that fit
+    int64; anything else it refuses (a float, a string, an int past int64)
+    takes numpy's inference below, which also gives the refusal.
     """
+    if dtype is not object and rows and all(type(row) is list for row in rows):
+        width = len(rows[0])
+        buf = array("q")
+        try:
+            for row in rows:
+                if len(row) != width:
+                    break
+                buf.fromlist(row)
+            else:
+                return np.frombuffer(buf, dtype=np.int64).reshape(len(rows), width) % p
+        except (TypeError, OverflowError):
+            pass
     arr = np.array(rows)
     if arr.dtype.kind == "i" and dtype is not object:
         return arr.astype(np.int64, copy=False) % p
     # numpy folds ints past int64, or ints beside uint64, into object or float arrays
-    if arr.dtype.kind not in "iu" and not all(
-        isinstance(c, (int, np.integer)) for row in rows for c in row
-    ):
-        raise CodingConfigError("field elements must be integers")
-    return np.array([[int(c) % p for c in row] for row in rows], dtype=dtype)
+    try:
+        return np.array([[operator.index(c) % p for c in row] for row in rows], dtype=dtype)
+    except TypeError:
+        raise CodingConfigError("field elements must be integers") from None
 
 
 # Terms per int64 product: with coefs below p < 2^31 and 16-bit limbs each

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from dusec.model import (
@@ -10,6 +11,7 @@ from dusec.model import (
     ProblemInstance,
     ProfileMode,
     StructureError,
+    UnitMap,
     as_fraction,
     iter_class_masks,
     iter_submasks,
@@ -175,6 +177,61 @@ def test_exact_profile_checks_its_class_table():
     assert prof.mode is ProfileMode.EXACT
     assert prof.a(2) == 0 and prof.a(3) == F(1, 4)
     assert prof.cumulative == (F(0), F(3, 4), F(1))
+
+
+def test_profile_from_counts_checks_on_integers():
+    # counts over a total: the same checks as Fractions, then divided by
+    # their gcd with the total
+    for bad in ({0: 1}, {4: 1}, {1: -1}):
+        with pytest.raises(StructureError):
+            ClassProfile(n_workers=2, class_sizes=UnitMap(bad, 4))
+    for denom in (0, -4, 4.0, True):
+        with pytest.raises(StructureError, match="denominator"):
+            UnitMap({1: 1}, denom)
+    for unit in (1.0, True, F(1), np.int64(1)):
+        with pytest.raises(StructureError, match="numerators must be Python integers"):
+            ClassProfile(n_workers=2, class_sizes=UnitMap({1: unit}, 4))
+        with pytest.raises(StructureError, match="numerators must be Python integers"):
+            LoadAssignment(n_workers=2, redundancy=1, shares=UnitMap({(1, 1): unit}, 4))
+    prof = ClassProfile(n_workers=2, class_sizes=UnitMap({3: 2, 2: 0, 1: 6}, 16))
+    assert dict(prof.class_sizes.units) == {1: 3, 3: 1} and prof.class_sizes.denom == 8
+    assert list(prof.classes) == [1, 3] and 2 not in prof.classes
+    assert dict(prof.classes) == {1: F(3, 8), 3: F(1, 8)}
+    assert prof == ClassProfile(n_workers=2, class_sizes={1: F(3, 8), 3: F(1, 8)})
+    assert prof.cumulative == (F(0), F(3, 8), F(1, 2))
+    assert ClassProfile(n_workers=2, class_sizes=UnitMap({}, 5)).class_units.denom == 1
+    # the first mask out of range in ascending order is named
+    with pytest.raises(StructureError, match="class mask 8 out of range for N=3"):
+        ClassProfile(n_workers=3, class_sizes=UnitMap({16: 1, 1: 1, 8: 1}, 4))
+
+
+def test_fraction_input_is_kept_as_integers_too():
+    # sizes and shares given as Fractions are stored as the solvers' are:
+    # integers over their least common denominator
+    prof = ClassProfile(n_workers=2, class_sizes={3: "1/6", 2: 0, 1: F(1, 4)})
+    assert isinstance(prof.class_sizes, UnitMap)
+    assert dict(prof.class_sizes.units) == {1: 3, 3: 2} and prof.class_sizes.denom == 12
+    assert prof.class_units is prof.class_sizes
+    asg = LoadAssignment(n_workers=2, redundancy=1, shares={(2, 3): F(1, 6), (1, 1): "1/4"})
+    assert isinstance(asg.shares, UnitMap)
+    assert dict(asg.shares.units) == {(2, 3): 2, (1, 1): 3} and asg.shares.denom == 12
+    assert dict(asg.shares) == {(2, 3): F(1, 6), (1, 1): F(1, 4)}
+
+
+def test_assignment_from_units_checks_on_integers():
+    with pytest.raises(StructureError, match=r"share worker 3 out of range 1\.\.2"):
+        LoadAssignment(n_workers=2, redundancy=1, shares=UnitMap({(3, 1): 1}, 2))
+    with pytest.raises(StructureError, match="share class mask 4 out of range for N=2"):
+        LoadAssignment(n_workers=2, redundancy=1, shares=UnitMap({(1, 4): 1}, 2))
+    units = {(1, 1): 2, (2, 3): 2, (2, 2): 0, (1, 3): 1}
+    asg = LoadAssignment(n_workers=2, redundancy=1, shares=UnitMap(units, 16))
+    assert list(asg.shares) == [(1, 1), (2, 3), (1, 3)]  # zero shares dropped, order kept
+    assert asg.shares.denom == 16
+    assert asg == LoadAssignment(
+        n_workers=2, redundancy=1, shares={(1, 1): F(1, 8), (2, 3): F(1, 8), (1, 3): F(1, 16)}
+    )
+    assert asg.per_worker_loads() == (F(3, 16), F(1, 8))
+    assert asg.sorted_items() == [(1, 1, F(1, 8)), (1, 3, F(1, 16)), (2, 3, F(1, 8))]
 
 
 def test_assignment_refuses_bad_shapes():

@@ -77,3 +77,27 @@ def test_flow_assign_and_lp_oracle_share_no_flow_code():
     assert {"_MaxFlow", "_build_flow"} <= oracle_side
     assert {"_Transport", "_Residual"} <= flow_side
     assert oracle_side & flow_side == {"_active_classes", "_IntClasses", "InfeasibleRedundancy", "_locked_ratio"}
+
+
+def test_the_exact_pipeline_stays_on_integers():
+    # a measured profile and a solver's assignment hold integers over one
+    # denominator from exact_profile to the coded round; Fractions are built
+    # only where a caller reads them, and no step takes an lcm to get back
+    functions = {
+        f"{path.stem}.{node.name}": node
+        for path, tree in _modules()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+
+    def names(name):
+        return {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(functions[name])
+            if isinstance(n, (ast.Name, ast.Attribute))
+        }
+
+    for name in ("storage.exact_profile", "straggler.part_schedule", "straggler.encode"):
+        assert "Fraction" not in names(name), name
+    for name in ("straggler.part_schedule", "oracle._active_classes"):
+        assert not names(name) & {"over_one_denominator", "lcm"}, name

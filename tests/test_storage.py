@@ -72,6 +72,18 @@ def test_storage_validation():
             generate_decentralized(10, M, 2)
 
 
+def test_storage_refuses_arrays_that_are_not_integers():
+    # a float or boolean array would be written out as other datasets by
+    # to_json_obj, and fails class_index with a bare IndexError
+    for bad in (np.array([0.5, 1.5]), np.array([0.0, 1.0]), np.array([False, True]),
+                [0, 1], np.array([[0, 1]])):
+        with pytest.raises(StructureError, match="1-D integer array of dataset indices"):
+            ExplicitStorage(K=4, M=2, per_worker=(bad, np.array([0, 1])))
+    storage = ExplicitStorage(K=4, M=2, per_worker=(np.array([1, 3], dtype=np.uint8),))
+    per_vm = storage.to_json_obj()["perVm"]
+    assert per_vm == [[1, 3]] and all(type(d) is int for d in per_vm[0])
+
+
 def test_exact_profile_matches_set_arithmetic():
     storage = generate_decentralized(30, 11, 4, seed=7)
     prof = exact_profile(storage)

@@ -9,12 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dusec.model import (
+    ClassProfile,
     LoadAssignment,
     ProblemInstance,
     StructureError,
+    UnitMap,
     workers_of,
 )
 from dusec.optimizer import assign_loads
+from dusec.oracle import flow_assign
 from dusec.storage import (
     ExplicitStorage,
     exact_profile,
@@ -27,6 +30,7 @@ from dusec.straggler import (
     CodingConfigError,
     InsufficientResponses,
     StragglerConfig,
+    _residues,
     decode,
     deserialize_transmission,
     encode,
@@ -427,3 +431,113 @@ def test_part_schedule_refuses_a_negative_quota():
     asg = LoadAssignment(n_workers=3, redundancy=2, shares={(n, 7): F(-2, 3) for n in (1, 2, 3)})
     with pytest.raises(StructureError, match="class 7 gives worker 1 a negative share"):
         part_schedule(asg, StragglerConfig(s=1, m=1))
+    # the smallest negative unit, given as integers over one denominator
+    asg = LoadAssignment(n_workers=2, redundancy=1, shares=UnitMap({(1, 3): 3, (2, 3): -1}, 2))
+    with pytest.raises(StructureError, match="class 3 gives worker 2 a negative share -1/2"):
+        part_schedule(asg, StragglerConfig(s=0, m=1))
+
+
+def test_list_messages_convert_as_numpy_would():
+    # list rows go through one int64 buffer; what it refuses falls back to
+    # numpy's inference, which accepts or refuses exactly as before
+    p = P31
+    dtype = np.int64
+    ints = _residues([[1, -2], [3, 4]], p, dtype)
+    assert ints.dtype == np.int64 and ints.tolist() == [[1, p - 2], [3, 4]]
+    # a float in the last row, after the buffer took the rows before it
+    with pytest.raises(CodingConfigError, match="integers"):
+        _residues([[1, 2], [3, 4], [5, 6.0]], p, dtype)
+    with pytest.raises(CodingConfigError, match="integers"):
+        _residues([[1, 2], ["3", 4]], p, dtype)
+    # past int64: exact Python arithmetic
+    assert _residues([[1 << 63, 1], [-(1 << 63) - 1, 2]], p, dtype).tolist() == [
+        [(1 << 63) % p, 1], [(-(1 << 63) - 1) % p, 2]
+    ]
+    assert _residues([[np.int64(5), np.int64(-1)]], p, dtype).tolist() == [[5, p - 1]]
+    assert _residues([[True, False], [2, True]], p, dtype).tolist() == [[1, 0], [2, 1]]
+    assert _residues([[True, False]], p, dtype).tolist() == [[1, 0]]
+    assert _residues([[], []], p, dtype).shape == (2, 0)
+    assert _residues([], p, dtype).shape == (0,)
+    # a type with __index__ is an integer on both paths
+    class Index:
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+    for rows in ([[Index(3), 2], [1, Index(-1)]], [(Index(3), 2), (1, Index(-1))]):
+        assert _residues(rows, p, dtype).tolist() == [[3, 2], [1, p - 1]]
+        assert _residues(rows, (1 << 61) - 1, object).tolist() == [[3, 2], [1, (1 << 61) - 2]]
+    # ragged rows are refused, even when their total would fill the shape
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        _residues([[1, 2], [3], [4, 5, 6]], p, dtype)
+
+
+def test_encode_takes_list_messages_like_tuples():
+    cfg = StragglerConfig(s=1, m=2)
+    inst = ProblemInstance.from_alpha(F(2), (F(1), F(100), F(100)))
+    plan = redundant_assign(inst, profile_from_alpha(F(2), 3), cfg)
+    covered = sorted({mask for _, mask in plan.assignment.shares})
+    rows = {mask: [mask, 1 << 63, True, np.int64(-7)] for mask in covered}
+    expected = encode(plan.assignment, cfg, {
+        mask: tuple(int(v) % cfg.field_modulus for v in row) for mask, row in rows.items()
+    })
+    assert encode(plan.assignment, cfg, rows) == expected
+    rows[covered[-1]] = [1, 2, 3, 4.0]
+    with pytest.raises(CodingConfigError, match="integers"):
+        encode(plan.assignment, cfg, rows)
+
+
+@st.composite
+def _measured_cases(draw):
+    """A measured placement (N <= 7), speeds in storage order and r in 1..3."""
+    n = draw(st.integers(1, 7))
+    K = draw(st.integers(1, 24))
+    M = draw(st.integers(0, K))
+    per_worker = tuple(
+        np.array(sorted(draw(st.permutations(range(K)))[:M]), dtype=np.int64)
+        for _ in range(n)
+    )
+    speeds = draw(st.lists(st.sampled_from([F(1), F(3, 2), F(2), F(5)]), min_size=n, max_size=n))
+    return ExplicitStorage(K=K, M=M, per_worker=per_worker), speeds, draw(st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_measured_cases())
+def test_integer_and_fraction_forms_agree(case):
+    # exact_profile hands over dataset counts over K; the same classes given
+    # as Fractions must give the same integers, so every flow is the same
+    storage, speeds, r = case
+    inst = ProblemInstance(K=storage.K, M=storage.M, speeds=speeds)
+    counted = exact_profile(storage.subset([i + 1 for i in inst.source_order]))
+    given = ClassProfile(n_workers=inst.N, class_sizes=dict(counted.classes))
+    assert isinstance(counted.class_sizes, UnitMap)
+    assert counted == given
+    assert list(counted.classes.items()) == list(given.classes.items())
+    assert counted.cumulative == given.cumulative
+    assert dict(counted.class_units.units) == dict(given.class_units.units)
+    assert counted.class_units.denom == given.class_units.denom
+    flows = [flow_assign(inst, prof) for prof in (counted, given)]
+    assert flows[0] == flows[1]
+    assert list(flows[0][0].shares.items()) == list(flows[1][0].shares.items())
+    if r > inst.N:
+        return
+    cfg = StragglerConfig(s=r - 1, m=1) if r % 2 else StragglerConfig(s=r - 2, m=2)
+    plans = [redundant_assign(inst, prof, cfg) for prof in (counted, given)]
+    assert plans[0] == plans[1]
+    from_units = plans[0].assignment
+    from_fractions = LoadAssignment(
+        n_workers=inst.N, redundancy=r, shares=dict(from_units.shares)
+    )
+    assert isinstance(from_units.shares, UnitMap)
+    assert from_units == from_fractions
+    assert dict(from_units.shares) == dict(from_fractions.shares)
+    assert from_units.per_worker_loads() == from_fractions.per_worker_loads()
+    assert from_units.sorted_items() == from_fractions.sorted_items()
+    schedule = part_schedule(from_units, cfg)
+    assert part_schedule(from_fractions, cfg) == part_schedule(plans[1].assignment, cfg) == schedule
+    messages = {mask: [mask, 2 * mask] for mask, _ in schedule}
+    if messages:
+        sent = encode(from_units, cfg, messages)
+        assert encode(from_fractions, cfg, messages) == encode(plans[1].assignment, cfg, messages) == sent
