@@ -155,6 +155,12 @@ def _nests(values) -> bool:
     return any(issubclass(t, _CONTAINERS) for t in set(map(type, values)))
 
 
+def _lowest_terms(num: int, den: int) -> str:
+    """``frac_str(Fraction(num, den))`` for ``den > 0``, with one gcd and no Fraction."""
+    common = gcd(num, den)
+    return f"{num // common}/{den // common}"
+
+
 def _dumps(value, pad: str = "\n") -> str:
     """``json.dumps(value, indent=2)``, byte for byte, for ``value`` nested at
     the indentation ``pad`` ends with; a LoadAssignment is written as its share
@@ -170,14 +176,11 @@ def _dumps(value, pad: str = "\n") -> str:
     inner = pad + "  "
     if isinstance(value, LoadAssignment):
         units = value.shares
-        den = units.denom
-        items = []
-        for (n, m), u in sorted(units.units.items()):
-            common = gcd(u, den)  # the share in lowest terms, as Fraction prints it
-            items.append(
-                f'{{{inner}  "n": {n},{inner}  "classMask": {m},'
-                f'{inner}  "share": "{u // common}/{den // common}"{inner}}}'
-            )
+        items = [
+            f'{{{inner}  "n": {n},{inner}  "classMask": {m},'
+            f'{inner}  "share": "{_lowest_terms(u, units.denom)}"{inner}}}'
+            for (n, m), u in sorted(units.units.items())
+        ]
         brackets = "[]"
     elif isinstance(value, dict) and _nests(value.values()):
         brackets, items = "{}", [f"{json.dumps(k)}: {_dumps(v, inner)}" for k, v in value.items()]
@@ -197,9 +200,12 @@ def _cmd_profile(args) -> int:
     obj = {"schemaVersion": SCHEMA_VERSION, "storage": storage.to_json_obj()}
     if args.exact:
         profile = exact_profile(storage)
+        sizes = profile.class_units
         obj["profile"] = {
             "mode": "exact",
-            "classSizes": {str(mask): frac_str(size) for mask, size in profile.classes.items()},
+            "classSizes": {
+                str(mask): _lowest_terms(unit, sizes.denom) for mask, unit in sizes.units.items()
+            },
             "cumulative": [frac_str(x) for x in profile.cumulative],
         }
     print(_dumps(obj))

@@ -27,9 +27,12 @@ that subset's speed.  Two routes compute it:
 * ``lp_oracle`` takes the maximum over every S from one ranked zeta
   transform in O(r * N * 2^N) (Bjorklund, Husfeldt, Kaski, Koivisto,
   "Fourier meets Mobius", STOC 2007), so it stops at
-  ``ORACLE_MAX_WORKERS``.  One max-flow then proves the candidate
-  feasible, and a direct sum of locked(S) / speed(S) over the maximizing
-  S proves it tight.
+  ``ORACLE_MAX_WORKERS``.  A direct sum of locked(S) / speed(S) over the
+  maximizing S then proves the value tight.  It runs no flow: by the
+  supply-demand theorem (Gale 1957) the transport network saturates at T
+  exactly when T * speed(S) >= locked(S) for every S, so the maximum over
+  all S is feasible, and a flow could refute it only if the transform
+  missed a set.
 
 Both routes run on integers.  ``_active_classes`` reads the class sizes
 as the profile holds them, numerators over one denominator; the zeta
@@ -38,10 +41,8 @@ flow scales every capacity by the lcm of the capacities' denominators.
 ``flow_assign`` hands its integer flows and that scale to the assignment,
 which builds exact Fractions only when they are read.  Beyond ``model``'s
 helpers, nothing is shared with the closed-form solver in ``optimizer``,
-so the two routes check each other.
-The two routes run different flow code: ``lp_oracle`` and ``feasible_at``
-use the plain Dinic of ``_MaxFlow`` on the network ``_build_flow`` builds,
-and ``flow_assign`` uses ``_Transport``.
+so the two routes check each other.  The only flow code is
+``flow_assign``'s ``_Transport`` and ``_Residual``.
 """
 
 from __future__ import annotations
@@ -77,102 +78,6 @@ class InfeasibleRedundancy(ValueError):
         super().__init__(
             f"classes {class_masks} have fewer than {redundancy} members and nonzero size"
         )
-
-
-class _MaxFlow:
-    """Dinic max-flow over integer capacities."""
-
-    def __init__(self, n_nodes: int):
-        self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_edge(self, u: int, v: int, cap: int) -> int:
-        idx = len(self.to)
-        self.adj[u].append(idx)
-        self.to.append(v)
-        self.cap.append(cap)
-        self.adj[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(0)
-        return idx
-
-    def reached_from(self, s: int) -> list[int]:
-        """BFS level of every node over residual edges from ``s`` (-1: unreached)."""
-        adj, to, cap = self.adj, self.to, self.cap
-        level = [-1] * len(adj)
-        level[s] = 0
-        queue = [s]
-        for u in queue:
-            next_level = level[u] + 1
-            for idx in adj[u]:
-                v = to[idx]
-                if cap[idx] > 0 and level[v] < 0:
-                    level[v] = next_level
-                    queue.append(v)
-        return level
-
-    def reaching(self, t: int) -> list[bool]:
-        """Whether each node has a residual path to ``t``."""
-        adj, to, cap = self.adj, self.to, self.cap
-        seen = [False] * len(adj)
-        seen[t] = True
-        queue = [t]
-        for v in queue:
-            for idx in adj[v]:
-                u = to[idx]
-                if not seen[u] and cap[idx ^ 1] > 0:
-                    seen[u] = True
-                    queue.append(u)
-        return seen
-
-    def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> int:
-        """Push one path's bottleneck along the first s-t path of the level graph.
-
-        ``it[u]`` is the next edge to try at u; it moves past an edge only
-        when that edge leads to a dead end, so a saturated path is tried
-        again from the same edges next time.  Returns 0 when no path is left.
-        """
-        adj, to, cap = self.adj, self.to, self.cap
-        path: list[int] = []
-        u = s
-        while u != t:
-            edges = adj[u]
-            want = level[u] + 1
-            i = it[u]
-            while i < len(edges):
-                idx = edges[i]
-                if cap[idx] > 0 and level[to[idx]] == want:
-                    break
-                i += 1
-            it[u] = i
-            if i < len(edges):
-                path.append(edges[i])
-                u = to[edges[i]]
-            elif path:  # dead end: step back and skip the edge that led here
-                u = to[path.pop() ^ 1]
-                it[u] += 1
-            else:
-                return 0
-        pushed = min(cap[idx] for idx in path)
-        for idx in path:
-            cap[idx] -= pushed
-            cap[idx ^ 1] += pushed
-        return pushed
-
-    def max_flow(self, s: int, t: int) -> int:
-        """Max flow from s to t."""
-        total = 0
-        while True:
-            level = self.reached_from(s)
-            if level[t] < 0:
-                return total
-            it = [0] * len(self.adj)
-            while True:
-                pushed = self._augment(s, t, level, it)
-                if pushed == 0:
-                    break
-                total += pushed
 
 
 def _check_scope(n_workers: int) -> None:
@@ -253,45 +158,6 @@ def _bottleneck(
     return Fraction(best_locked * speed_denom, best_spd * classes.denom), best_mask
 
 
-def _build_flow(
-    classes: _IntClasses, speeds: tuple[Fraction, ...], redundancy: int, T: Fraction
-) -> tuple[_MaxFlow, int, int, list[tuple[int, int, int]]]:
-    """Flow network: source -> class (r*a) -> member workers (cap a) -> sink (T*s).
-
-    Every capacity is scaled by L, the lcm of their denominators, so the
-    network is integral.  Returns (network, demand, L, share edges); a flow
-    f on the network stands for f / L.
-    """
-    n = len(speeds)
-    sink_caps = [T * s for s in speeds]
-    scale = lcm(classes.denom, *{cap.denominator for cap in sink_caps})
-    factor = scale // classes.denom
-    first_worker = 1 + len(classes.masks)
-    net = _MaxFlow(first_worker + n + 1)
-    demand = 0
-    share_edges: list[tuple[int, int, int]] = []  # (edge idx, worker, class mask)
-    for ci, (mask, unit) in enumerate(zip(classes.masks, classes.units)):
-        size = unit * factor
-        net.add_edge(0, 1 + ci, redundancy * size)
-        demand += redundancy * size
-        rest = mask
-        while rest:
-            worker = (rest & -rest).bit_length()
-            idx = net.add_edge(1 + ci, first_worker + worker - 1, size)
-            share_edges.append((idx, worker, mask))
-            rest &= rest - 1
-    for i, cap in enumerate(sink_caps):
-        net.add_edge(first_worker + i, first_worker + n, cap.numerator * (scale // cap.denominator))
-    return net, demand, scale, share_edges
-
-
-def _saturates(
-    classes: _IntClasses, speeds: tuple[Fraction, ...], redundancy: int, T: Fraction
-) -> bool:
-    net, demand, _, _ = _build_flow(classes, speeds, redundancy, T)
-    return net.max_flow(0, len(net.adj) - 1) == demand
-
-
 def _prefix_bound(classes: _IntClasses, speeds: tuple[Fraction, ...], redundancy: int) -> Fraction:
     """max over k of locked(slowest k) / speed(slowest k), a lower bound on T*.
 
@@ -328,29 +194,21 @@ def _locked_ratio(
     return Fraction(locked, classes.denom) / speed
 
 
-def feasible_at(
-    instance: ProblemInstance, profile: ClassProfile, redundancy: int, T: Fraction
-) -> bool:
-    """Exact feasibility of covering every class r times within time T."""
-    classes = _active_classes(instance, profile, redundancy)
-    return _saturates(classes, instance.speeds, redundancy, T)
-
-
 def lp_oracle(
     instance: ProblemInstance, profile: ClassProfile, redundancy: int = 1
 ) -> Fraction:
     """Exact optimal min-max time by subset enumeration, independent of the solvers.
 
-    The enumerated candidate T = locked(S) / speed(S) is certified exactly:
-    a saturating max-flow at T proves T feasible, and locked(S) / speed(S),
-    summed again over the classes for the maximizing S, proves no time
-    below T is.
+    T* is the largest locked(S) / speed(S) over every worker set S: no
+    time below it covers the load S locks, and by the supply-demand
+    theorem the maximum over all S is feasible.  locked(S) / speed(S),
+    summed again over the classes for the maximizing S, proves the value
+    tight.  A set the zeta transform missed would make the value too low;
+    ``--oracle``'s comparison with the solver reports that as a mismatch.
     """
     _check_scope(instance.N)
     classes = _active_classes(instance, profile, redundancy)
     value, workers = _bottleneck(classes, instance.speeds, redundancy)
-    if not _saturates(classes, instance.speeds, redundancy, value):
-        raise AssertionError(f"oracle candidate {value} unexpectedly infeasible")
     if _locked_ratio(classes, instance.speeds, redundancy, workers) != value:
         raise AssertionError(f"oracle candidate {value} is not tight")
     return value
@@ -362,8 +220,8 @@ class _Residual:
     Edge ``idx`` runs to node ``to[idx]`` with residual capacity
     ``cap[idx]``, and ``idx ^ 1`` is its reverse; node u's edges are
     ``adj[first[u]:first[u + 1]]``.  Search order follows that edge order,
-    so a network laid out as :func:`_build_flow` lays it out takes the same
-    augmenting paths as :class:`_MaxFlow` would.
+    so a network laid out edge by edge as a plain Dinic would add its
+    edges takes the same augmenting paths as that Dinic.
     """
 
     def __init__(self, to: list[int], cap: list[int], adj: list[int], first: list[int]):
@@ -450,12 +308,11 @@ class _Transport:
     behind it is saturated.  So the pass is run directly on the class
     masks, pushing min(demand left, class size, sink room left) on each
     (class, member) edge.  Only when it falls short is the network built,
-    in :class:`_Residual`'s flat arrays with the node and edge order of
-    :func:`_build_flow`, carrying the greedy flow; Dinic then goes on from
-    its second phase and writes its final flow back.  Either way ``flows``
-    holds (class index, worker bit, flow) of every nonzero share, class by
-    class, and ``room`` each worker's slack to the sink: the shares and n*
-    are read from that table alone.
+    in :class:`_Residual`'s flat arrays, carrying the greedy flow; Dinic
+    then goes on from its second phase and writes its final flow back.
+    Either way ``flows`` holds (class index, worker bit, flow) of every
+    nonzero share, class by class, and ``room`` each worker's slack to the
+    sink: the shares and n* are read from that table alone.
     """
 
     def __init__(
@@ -510,7 +367,15 @@ class _Transport:
         return short
 
     def _residual_network(self, redundancy: int) -> _Residual:
-        """The network of :func:`_build_flow`, carrying the greedy flow."""
+        """The transport network, carrying the greedy flow.
+
+        Node 0 is the source, then one node per class in order, one per
+        worker, and the sink.  Each node's edges come in the order they
+        would be added one by one: the source's to each class; each
+        class's reverse edge to the source, then its members by ascending
+        bit; each worker's reverse edges from its classes, then its edge
+        to the sink.
+        """
         n_classes, n = len(self.masks), len(self.room)
         first_worker = 1 + n_classes
         to: list[int] = []
@@ -613,8 +478,7 @@ def flow_assign(
     speed(S), and T moves up to locked(S) / speed(S).  The first flow that
     saturates is at T*, and it is the assignment.  n* is the size of the
     largest bottleneck set: the workers with no residual path to the sink.
-    Each flow is a :class:`_Transport`, which shares no flow code with
-    :func:`lp_oracle`.
+    Each flow is a :class:`_Transport`; :func:`lp_oracle` runs no flow.
     """
     classes = _active_classes(instance, profile, redundancy)
     speeds = instance.speeds

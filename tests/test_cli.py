@@ -16,10 +16,12 @@ from hypothesis import strategies as st
 
 import dusec.cli as cli
 import dusec.simulator as simulator
+from dusec import oracle
 from dusec.model import LoadAssignment, ProblemInstance, validate
-from dusec.oracle import feasible_at, lp_oracle
+from dusec.oracle import lp_oracle
 from dusec.storage import ExplicitStorage, exact_profile, generate_decentralized
 from dusec.straggler import filtered_for_redundancy
+from flow_reference import feasible_at
 
 
 def _run(capsys, argv):
@@ -431,6 +433,22 @@ def test_oracle_mismatch_exits_3(capsys, monkeypatch):
     assert "mismatch" in err
     obj = json.loads(out)  # the result is still printed for inspection
     assert obj["oracle"]["value"]["frac"] == "1/3"
+
+
+def test_oracle_missing_the_bottleneck_set_exits_3(capsys, monkeypatch):
+    # lp_oracle runs no flow, so a zeta transform that misses the maximizing
+    # set yields a tight but too-low value; the comparison with the solver catches it
+    def slowest_alone(classes, speeds, r):
+        return oracle._locked_ratio(classes, speeds, r, 0b1), 0b1
+
+    monkeypatch.setattr(oracle, "_bottleneck", slowest_alone)
+    code, out, err = _run(
+        capsys, ["solve", "--speeds", "1,2,5,5", "--alpha", "2", "--oracle"]
+    )
+    assert code == 3
+    assert "oracle mismatch: solver 15/208 vs oracle " in err
+    obj = json.loads(out)
+    assert F(obj["oracle"]["value"]["frac"]) < F(obj["cStar"]["frac"]) == F(15, 208)
 
 
 def test_simulate_is_byte_deterministic(tmp_path, capsys):

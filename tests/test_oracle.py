@@ -19,7 +19,6 @@ from dusec.oracle import (
     ORACLE_MAX_WORKERS,
     InfeasibleRedundancy,
     OracleScopeError,
-    feasible_at,
     flow_assign,
     lp_oracle,
 )
@@ -35,6 +34,7 @@ from dusec.straggler import (
     filtered_for_redundancy,
     redundant_assign,
 )
+from flow_reference import _build_flow, feasible_at
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -67,7 +67,7 @@ def test_feasibility_thresholds():
 
 
 def test_oracle_refuses_a_value_no_set_attains(monkeypatch):
-    # 15/208 * (1 + 2^-50) is feasible and a flow at (1 - 2^-40) times it is not,
+    # 15/208 * (1 + 2^-50) is above T*, so every time that high is feasible,
     # but no worker set locks that much load per speed: the direct sum refuses it
     inst, prof = _reference_fleet()
     bottleneck = oracle._bottleneck
@@ -301,7 +301,7 @@ def test_flow_assign_past_the_enumeration_cap(monkeypatch):
 
 
 def _reference_flow(inst, prof, r):
-    """flow_assign's outputs from the reference max-flow (_build_flow and _MaxFlow).
+    """flow_assign's outputs from the reference max-flow in flow_reference.
 
     A Newton loop of its own starts at the best slowest-k prefix bound, and
     locked(S) / speed(S) is summed here directly.
@@ -316,7 +316,7 @@ def _reference_flow(inst, prof, r):
     first_worker = 1 + len(classes.masks)
     value = max(ratio((1 << k) - 1) for k in range(1, inst.N + 1))
     while True:
-        net, demand, scale, share_edges = oracle._build_flow(classes, inst.speeds, r, value)
+        net, demand, scale, share_edges = _build_flow(classes, inst.speeds, r, value)
         sink = len(net.adj) - 1
         if net.max_flow(0, sink) == demand:
             break

@@ -56,7 +56,7 @@ def test_one_function_picks_the_solver():
 
 
 def test_flow_assign_and_lp_oracle_share_no_flow_code():
-    # --oracle checks flow_assign against a max-flow written apart from it;
+    # --oracle checks flow_assign against a value taken without any flow;
     # the two share only the input check and the locked-load sum
     (tree,) = [tree for path, tree in _modules() if path.stem == "oracle"]
     top = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
@@ -74,9 +74,22 @@ def test_flow_assign_and_lp_oracle_share_no_flow_code():
         return seen
 
     oracle_side, flow_side = reached("lp_oracle"), reached("flow_assign")
-    assert {"_MaxFlow", "_build_flow"} <= oracle_side
+    assert {"_bottleneck", "_check_scope"} <= oracle_side
+    assert not {"_Transport", "_Residual"} & oracle_side
     assert {"_Transport", "_Residual"} <= flow_side
     assert oracle_side & flow_side == {"_active_classes", "_IntClasses", "InfeasibleRedundancy", "_locked_ratio"}
+
+
+def test_one_max_flow_in_the_library():
+    # the tests' plain Dinic lives in tests/flow_reference.py, not in the package
+    found = [
+        f"{path.stem}.{node.name}"
+        for path, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "max_flow" for f in node.body)
+    ]
+    assert found == ["oracle._Residual"]
 
 
 def test_the_exact_pipeline_stays_on_integers():
