@@ -200,7 +200,7 @@ def _cmd_profile(args) -> int:
     obj = {"schemaVersion": SCHEMA_VERSION, "storage": storage.to_json_obj()}
     if args.exact:
         profile = exact_profile(storage)
-        sizes = profile.class_units
+        sizes = profile.classes
         obj["profile"] = {
             "mode": "exact",
             "classSizes": {
@@ -251,8 +251,7 @@ def _cmd_solve(args) -> int:
         obj["redundancy"] = config.redundancy
         obj["excludedClasses"] = list(plan.excluded_classes)
     obj.update(time.to_json_obj())
-    # every solver sets per_worker_time = load / speed, so this is the load exactly
-    obj["perVmLoad"] = [frac_json(t * s) for t, s in zip(time.per_worker_time, instance.speeds)]
+    obj["perVmLoad"] = [frac_json(load) for load in plan.assignment.per_worker_loads()]
     obj["loads"] = plan.assignment
 
     if args.oracle:

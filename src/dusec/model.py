@@ -189,6 +189,18 @@ def check_pair(instance: ProblemInstance, profile: ClassProfile) -> None:
         )
 
 
+def check_counts(K, M) -> None:
+    """Refuse a dataset count K or a per-worker count M that is not an
+    integer (booleans included), K < 1, or M outside [0, K]."""
+    for name, value in (("K", K), ("M", M)):
+        if not is_int(value):
+            raise StructureError(f"{name} must be an integer, got {value!r}")
+    if K < 1:
+        raise StructureError(f"K must be >= 1, got {K}")
+    if not 0 <= M <= K:
+        raise StructureError(f"M must lie in [0, K]; got M={M}, K={K}")
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """K datasets, each worker stores M of them, speeds sorted ascending.
@@ -204,10 +216,7 @@ class ProblemInstance:
     source_order: tuple[int, ...] = field(default=(), init=False)
 
     def __post_init__(self):
-        if self.K < 1:
-            raise StructureError(f"K must be >= 1, got {self.K}")
-        if not 0 <= self.M <= self.K:
-            raise StructureError(f"M must lie in [0, K]; got M={self.M}, K={self.K}")
+        check_counts(self.K, self.M)
         if not self.speeds:
             raise StructureError("at least one worker is required")
         coerced = tuple(as_fraction(s) for s in self.speeds)
@@ -293,8 +302,8 @@ class ClassProfile:
     ``alpha=None`` is full storage, as in :attr:`ProblemInstance.alpha`.
     Its law a(V) = beta*(alpha-1)^|V| depends on V through |V| alone, so it
     stays usable where 2^N tables are impossible.  Read classes through
-    :attr:`classes`, or as integers over one denominator through
-    :attr:`class_units`.
+    :attr:`classes`, a :class:`UnitMap` on both modes: integers over one
+    denominator in ``units`` and ``denom``, exact Fractions as a map.
 
     ``class_sizes`` may be given as a map to Fractions (or ints and
     strings) or as a :class:`UnitMap`, such as dataset counts over their
@@ -352,33 +361,26 @@ class ClassProfile:
         return self.sizes_by_card[mask.bit_count()]  # type: ignore[index]
 
     @cached_property
-    def classes(self) -> Mapping[int, Fraction]:
+    def classes(self) -> UnitMap:
         """The nonzero classes: a read-only mask -> size map, ascending by mask.
 
-        Formula profiles materialize it from their per-cardinality sizes;
-        at alpha = 1 it is empty, without a walk over the masks.
+        A measured profile's is ``class_sizes``.  A formula profile gives
+        each mask the numerator of its cardinality's size, over the one
+        denominator of :attr:`sizes_by_card`; at alpha = 1 it is empty,
+        without a walk over the masks.
         """
         if self.class_sizes is not None:
             return self.class_sizes
         if self.alpha == 1:  # nothing is stored
-            return MappingProxyType({})
+            return UnitMap({}, 1)
         if self.n_workers > CLASS_MAP_MAX_WORKERS:
             raise StructureError(f"refusing to materialize 2^{self.n_workers} classes")
-        by_card = self.sizes_by_card
-        return MappingProxyType({
-            mask: by_card[mask.bit_count()]
+        by_card, denom = over_one_denominator(self.sizes_by_card)
+        return UnitMap({
+            mask: unit
             for mask in iter_class_masks(self.n_workers)
-            if by_card[mask.bit_count()] != 0
-        })
-
-    @cached_property
-    def class_units(self) -> UnitMap:
-        """The nonzero classes as integer numerators over one denominator:
-        a measured profile's ``class_sizes``; a formula profile puts
-        :attr:`classes` over its least common denominator."""
-        if self.class_sizes is not None:
-            return self.class_sizes
-        return UnitMap.of(self.classes)
+            if (unit := by_card[mask.bit_count()])
+        }, denom)
 
     @cached_property
     def cumulative(self) -> tuple[Fraction, ...]:
@@ -393,7 +395,7 @@ class ClassProfile:
                 # full-storage profile: only the all-workers class exists
                 return tuple([Fraction(0)] * n + [Fraction(1)])
             return tuple(self.beta * (self.alpha**k - 1) for k in range(n + 1))
-        sizes = self.class_units
+        sizes = self.classes
         by_top = [0] * (n + 1)
         for mask, unit in sizes.units.items():
             by_top[mask.bit_length()] += unit

@@ -19,6 +19,7 @@ shares over on those integers and returns its loads and times as exact
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -154,14 +155,14 @@ def _rearranged_shares(
     units: dict[tuple[int, int], int],
     den: int,
     rd: RearrangeDelta,
-    class_units: list[int],
+    sizes: Mapping[int, int],
 ) -> int:
     """Apply one merge of the sweep to the share table ``units``, in place,
     and return the table's new denominator.
 
-    Share (n, V) is units[n, V] / den; ``class_units`` are the class sizes
-    by cardinality, as integers over a denominator of their own (only their
-    ratios enter).  One descending walk over the merged span fills the
+    Share (n, V) is units[n, V] / den; ``sizes`` maps each class to its
+    size, as integers over a denominator of their own (only their ratios
+    enter).  One descending walk over the merged span fills the
     carrier table: the classes both groups store, keyed by (receiver part,
     donor part).  Current loads are summed per part and per worker.  The
     delta is split across donor/receiver worker pairs in proportion to the
@@ -184,9 +185,7 @@ def _rearranged_shares(
     carriers: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for w in iter_submasks(span):
         if w & recv_mask and w & donor_mask:
-            carriers.setdefault((w & recv_mask, w & donor_mask), []).append(
-                (w, class_units[w.bit_count()])
-            )
+            carriers.setdefault((w & recv_mask, w & donor_mask), []).append((w, sizes[w]))
 
     # Current loads: receivers keyed by the class part inside the receiver
     # group, donors by the part inside the donor group, then by worker.
@@ -253,8 +252,8 @@ def assign_loads(
 
     The sweep runs on integer numerators over one denominator, reduced by
     their gcd after every merge.  The assignment keeps those integers and
-    builds its ``Fraction`` shares only when they are read; the loads
-    become exact ``Fraction`` once, at the end.
+    builds its ``Fraction`` shares only when they are read; the times are
+    its per-worker loads over the speeds.
 
     ``trace``, when given, collects ("tentative", n, t) and
     ("merge", RearrangeDelta) events for inspection.
@@ -267,24 +266,19 @@ def assign_loads(
         speed_units, _ = over_one_denominator(instance.speeds)
         full = (1 << instance.N) - 1
         shares = UnitMap({(n, full): u for n, u in enumerate(speed_units, 1)}, sum(speed_units))
-        assignment = LoadAssignment(n_workers=instance.N, redundancy=1, shares=shares)
-        loads = assignment.per_worker_loads()
     else:
-        # Tentative split: every class sits whole on its fastest member, as
-        # integers over the lcm of the class sizes' denominators.
-        class_units, den = over_one_denominator(profile.sizes_by_card)
-        units = {(mask.bit_length(), mask): class_units[mask.bit_count()] for mask in profile.classes}
+        # Tentative split: every class sits whole on its fastest member.
+        sizes = profile.classes
+        units = {(mask.bit_length(), mask): unit for mask, unit in sizes.units.items()}
+        den = sizes.denom
         for event in events:
             if event[0] == "merge":
-                den = _rearranged_shares(units, den, event[1], class_units)
-        load_units = [0] * instance.N
-        for (n, _), u in units.items():
-            load_units[n - 1] += u
-        loads = tuple(Fraction(u, den) for u in load_units)
-        assignment = LoadAssignment(n_workers=instance.N, redundancy=1, shares=UnitMap(units, den))
+                den = _rearranged_shares(units, den, event[1], sizes.units)
+        shares = UnitMap(units, den)
+    assignment = LoadAssignment(n_workers=instance.N, redundancy=1, shares=shares)
     if trace is not None:
         trace.extend(events)
-    times = tuple(load / s for load, s in zip(loads, instance.speeds))
+    times = tuple(load / s for load, s in zip(assignment.per_worker_loads(), instance.speeds))
     result = TimeResult(
         c_star=groups[0][2], n_star=groups[0][1], per_worker_time=times
     )

@@ -35,11 +35,13 @@ that subset's speed.  Two routes compute it:
   missed a set.
 
 Both routes run on integers.  ``_active_classes`` reads the class sizes
-as the profile holds them, numerators over one denominator; the zeta
+from the profile's ``classes`` map, which on a measured and a formula
+profile alike holds them as numerators over one denominator; the zeta
 transform adds those and compares ratios by cross-multiplying, and the
 flow scales every capacity by the lcm of the capacities' denominators.
 ``flow_assign`` hands its integer flows and that scale to the assignment,
-which builds exact Fractions only when they are read.  Beyond ``model``'s
+which builds exact Fractions only when they are read; the times are the
+assignment's per-worker loads over the speeds.  Beyond ``model``'s
 helpers, nothing is shared with the closed-form solver in ``optimizer``,
 so the two routes check each other.  The only flow code is
 ``flow_assign``'s ``_Transport`` and ``_Residual``.
@@ -103,7 +105,7 @@ def _active_classes(
     check_pair(instance, profile)
     if redundancy < 1:
         raise StructureError("redundancy must be >= 1")
-    sizes = profile.class_units
+    sizes = profile.classes
     bad = [mask for mask in sizes if mask.bit_count() < redundancy]
     if bad:
         raise InfeasibleRedundancy(redundancy, bad)
@@ -491,15 +493,11 @@ def flow_assign(
         if raised <= value:  # the source side of a short flow locks more than T * speed(S)
             raise AssertionError(f"Newton step from T = {value} did not raise T")
         value = raised
-    units: dict[tuple[int, int], int] = {}
-    loads = [0] * instance.N
-    masks, scale = classes.masks, flow.scale
-    for ci, w, pushed in flow.flows:
-        units[(w + 1, masks[ci])] = pushed
-        loads[w] += pushed
+    masks = classes.masks
+    units = {(w + 1, masks[ci]): pushed for ci, w, pushed in flow.flows}
     assignment = LoadAssignment(
-        n_workers=instance.N, redundancy=redundancy, shares=UnitMap(units, scale)
+        n_workers=instance.N, redundancy=redundancy, shares=UnitMap(units, flow.scale)
     )
-    times = tuple(Fraction(load, scale) / s for load, s in zip(loads, speeds))
+    times = tuple(load / s for load, s in zip(assignment.per_worker_loads(), speeds))
     result = TimeResult(c_star=value, n_star=flow.cut_size(), per_worker_time=times)
     return assignment, result

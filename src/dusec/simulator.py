@@ -75,11 +75,18 @@ def _check_K(K) -> None:
         raise ScenarioError(f"K: must be a positive integer, got {K!r}")
 
 
+def _fraction_at(obj, path: str) -> Fraction:
+    try:
+        return as_fraction(obj)
+    except (StructureError, ValueError, TypeError) as exc:
+        raise ScenarioError(f"{path}: not a rational number ({obj!r})") from exc
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     """One worker's frozen storage: either an integer seed to draw it, or
     the explicit dataset list, a tuple of integer ids.  ``fraction`` is the
-    stored share M/K."""
+    stored share M/K, coerced to a Fraction as :func:`as_fraction` does."""
 
     fraction: Fraction
     seed: int | None = None
@@ -88,6 +95,7 @@ class CatalogEntry:
     def __post_init__(self):
         if (self.seed is None) == (self.datasets is None):
             raise ScenarioError("catalog entry needs exactly one of seed/datasets")
+        object.__setattr__(self, "fraction", _fraction_at(self.fraction, "fraction"))
         if not 0 <= self.fraction <= 1:
             raise ScenarioError(f"storage fraction {self.fraction} outside [0, 1]")
         if self.seed is not None and not is_int(self.seed):
@@ -100,9 +108,18 @@ class CatalogEntry:
 
 @dataclass(frozen=True)
 class TimelineStep:
+    """The vms up in one step, their speeds (coerced to Fractions as
+    :func:`as_fraction` does) and the vms among them that straggle."""
+
     available: tuple[str, ...]
     speeds: Mapping[str, Fraction]
     stragglers: frozenset[str] = frozenset()
+
+    def __post_init__(self):
+        if not isinstance(self.speeds, Mapping):
+            raise ScenarioError(f"speeds: expected a mapping, got {self.speeds!r}")
+        speeds = {vm_id: _fraction_at(s, f"speeds.{vm_id}") for vm_id, s in self.speeds.items()}
+        object.__setattr__(self, "speeds", speeds)
 
 
 @dataclass(frozen=True)
@@ -213,13 +230,6 @@ class Scenario:
                     f"steps[{i}]: storage fractions differ across available vms "
                     f"({sorted(map(str, fractions))})"
                 )
-
-
-def _fraction_at(obj, path: str) -> Fraction:
-    try:
-        return as_fraction(obj)
-    except (StructureError, ValueError, TypeError) as exc:
-        raise ScenarioError(f"{path}: not a rational number ({obj!r})") from exc
 
 
 def _int_at(obj, path: str) -> int:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ClassProfile, StructureError, UnitMap, is_int
+from .model import ClassProfile, StructureError, UnitMap, check_counts, is_int
 
 MASK_MAX_WORKERS = 62  # largest N of a measured placement's class masks (int64 arrays)
 
@@ -42,8 +42,7 @@ def _sample_subset(K: int, M: int, rng: np.random.Generator) -> np.ndarray:
 
 def generate_worker_subset(K: int, M: int, seed: int) -> np.ndarray:
     """Storage of a single worker with its own seed (catalog use)."""
-    if not 0 <= M <= K:
-        raise StructureError(f"M must lie in [0, K]; got M={M}, K={K}")
+    check_counts(K, M)
     return _sample_subset(K, M, _worker_rng(seed, 0))
 
 
@@ -57,10 +56,7 @@ class ExplicitStorage:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.K < 1:
-            raise StructureError(f"K must be >= 1, got {self.K}")
-        if not 0 <= self.M <= self.K:
-            raise StructureError(f"M must lie in [0, K]; got M={self.M}, K={self.K}")
+        check_counts(self.K, self.M)
         if not self.per_worker:
             raise StructureError("storage needs at least one worker")
         for i, arr in enumerate(self.per_worker):
@@ -151,8 +147,7 @@ def generate_decentralized(K: int, M: int, N: int, seed: int = 0) -> ExplicitSto
     """
     if N < 1:
         raise StructureError("N must be >= 1")
-    if not 0 <= M <= K:
-        raise StructureError(f"M must lie in [0, K]; got M={M}, K={K}")
+    check_counts(K, M)
     per_worker = tuple(_sample_subset(K, M, _worker_rng(seed, n)) for n in range(1, N + 1))
     return ExplicitStorage(K=K, M=M, per_worker=per_worker, seed=seed)
 

@@ -158,7 +158,7 @@ def filtered_for_redundancy(profile: ClassProfile, r: int) -> ClassProfile:
     Such classes cannot be covered r times.  Returns ``profile`` itself
     when no class of nonzero size is too small.
     """
-    sizes = profile.class_units
+    sizes = profile.classes
     kept = {mask: unit for mask, unit in sizes.units.items() if mask.bit_count() >= r}
     if len(kept) == len(sizes):
         return profile
@@ -181,7 +181,7 @@ def redundant_assign(
             f"redundancy r = s + m = {r} exceeds N = {instance.N}: no class can be covered {r} times"
         )
     coverable = filtered_for_redundancy(profile, r)
-    excluded = tuple(mask for mask in profile.class_units if mask.bit_count() < r)
+    excluded = tuple(mask for mask in profile.classes if mask.bit_count() < r)
     assignment, time = flow_assign(instance, coverable, redundancy=r)
     return StragglerPlan(assignment=assignment, time=time, excluded_classes=excluded)
 

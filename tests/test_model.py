@@ -16,6 +16,7 @@ from dusec.model import (
     iter_class_masks,
     iter_submasks,
     mask_of,
+    over_one_denominator,
     validate,
     workers_of,
 )
@@ -70,6 +71,13 @@ def test_instance_validation():
         ProblemInstance(K=4, M=2, speeds=(F(1), F(0)))
     with pytest.raises(StructureError):
         ProblemInstance(K=4, M=2, speeds=(1.5, 2.0))
+    # counts must be integers; a float or a boolean count is refused, not compared
+    with pytest.raises(StructureError, match="K must be an integer, got 4.0"):
+        ProblemInstance(K=4.0, M=2, speeds=(F(1),))
+    with pytest.raises(StructureError, match="K must be an integer, got True"):
+        ProblemInstance(K=True, M=0, speeds=(F(1),))
+    with pytest.raises(StructureError, match="M must be an integer, got 2.0"):
+        ProblemInstance(K=4, M=2.0, speeds=(F(1),))
     # the sort computes source_order; a value passed in would be overwritten
     with pytest.raises(TypeError, match="source_order"):
         ProblemInstance(K=4, M=2, speeds=(F(2), F(1)), source_order=(0, 1))
@@ -167,6 +175,24 @@ def test_formula_profile_is_n_and_alpha():
         ClassProfile(n_workers=3, sizes_by_card=(F(0), F(1, 3), F(0), F(0)))
 
 
+def test_formula_class_map_is_one_numerator_per_cardinality():
+    # the integer map is built once, from the N + 1 sizes by cardinality
+    for alpha in (F(3, 2), F(2), F(5, 2), F(3)):
+        for n in range(1, 9):
+            prof = profile_from_alpha(alpha, n)
+            by_card, denom = over_one_denominator(prof.sizes_by_card)
+            classes = prof.classes
+            assert isinstance(classes, UnitMap) and classes.denom == denom
+            assert list(classes.units) == list(iter_class_masks(n))
+            assert all(classes.units[m] == by_card[m.bit_count()] for m in iter_class_masks(n))
+            # read as a map, the sizes are the exact Fractions a() gives
+            assert dict(classes) == {m: prof.a(m) for m in iter_class_masks(n)}
+    empty = profile_from_alpha(F(1), 5).classes
+    assert isinstance(empty, UnitMap) and (dict(empty.units), empty.denom) == ({}, 1)
+    full = profile_from_alpha(None, 5).classes
+    assert isinstance(full, UnitMap) and (dict(full.units), full.denom) == ({0b11111: 1}, 1)
+
+
 def test_exact_profile_checks_its_class_table():
     for bad in ({0: F(1, 2)}, {4: F(1, 2)}, {1: F(-1, 2)}, {1: 0.5}):
         with pytest.raises(StructureError):
@@ -199,7 +225,7 @@ def test_profile_from_counts_checks_on_integers():
     assert dict(prof.classes) == {1: F(3, 8), 3: F(1, 8)}
     assert prof == ClassProfile(n_workers=2, class_sizes={1: F(3, 8), 3: F(1, 8)})
     assert prof.cumulative == (F(0), F(3, 8), F(1, 2))
-    assert ClassProfile(n_workers=2, class_sizes=UnitMap({}, 5)).class_units.denom == 1
+    assert ClassProfile(n_workers=2, class_sizes=UnitMap({}, 5)).classes.denom == 1
     # the first mask out of range in ascending order is named
     with pytest.raises(StructureError, match="class mask 8 out of range for N=3"):
         ClassProfile(n_workers=3, class_sizes=UnitMap({16: 1, 1: 1, 8: 1}, 4))
@@ -211,7 +237,7 @@ def test_fraction_input_is_kept_as_integers_too():
     prof = ClassProfile(n_workers=2, class_sizes={3: "1/6", 2: 0, 1: F(1, 4)})
     assert isinstance(prof.class_sizes, UnitMap)
     assert dict(prof.class_sizes.units) == {1: 3, 3: 2} and prof.class_sizes.denom == 12
-    assert prof.class_units is prof.class_sizes
+    assert prof.classes is prof.class_sizes
     asg = LoadAssignment(n_workers=2, redundancy=1, shares={(2, 3): F(1, 6), (1, 1): "1/4"})
     assert isinstance(asg.shares, UnitMap)
     assert dict(asg.shares.units) == {(2, 3): 2, (1, 1): 3} and asg.shares.denom == 12

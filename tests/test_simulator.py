@@ -247,6 +247,22 @@ def _timeline(available=("a", "b"), speeds=None, stragglers=(), K=None):
             r"datasets: expected a tuple of integers, got \(0, 1\.0\)",
         ),
         (lambda: CatalogEntry(fraction=F(1, 2), datasets=[0, 1]), "datasets: expected a tuple"),
+        # numbers built in code are coerced as ProblemInstance coerces speeds
+        *(
+            (
+                lambda value=value: CatalogEntry(fraction=value, seed=1),
+                rf"fraction: not a rational number \({value!r}\)",
+            )
+            for value in (0.5, True, "x")
+        ),
+        *(
+            (
+                lambda value=value: _timeline(available=("a",), speeds={"a": value}),
+                rf"speeds\.a: not a rational number \({value!r}\)",
+            )
+            for value in (0.5, True, "x")
+        ),
+        (lambda: TimelineStep(available=("a",), speeds=None), "speeds: expected a mapping, got None"),
     ],
 )
 def test_scenarios_built_in_code_are_refused(build, message):
@@ -259,6 +275,17 @@ def test_scenario_built_in_code_runs():
     assert scenario.baselines == ()
     (report,) = run_timeline(scenario)
     assert report.vm_ids == ("a", "b") and report.task_value is not None
+
+
+def test_scenario_numbers_built_in_code_are_coerced():
+    entry = CatalogEntry(fraction="1/2", seed=1)
+    assert entry.fraction == F(1, 2) and isinstance(entry.fraction, F)
+    step = TimelineStep(available=("a",), speeds={"a": "1", "b": 2})
+    assert step.speeds == {"a": F(1), "b": F(2)}
+    assert all(isinstance(s, F) for s in step.speeds.values())
+    timeline = ElasticTimeline(vm_catalog={"a": entry}, steps=(step,), K=4)
+    (report,) = run_timeline(Scenario(timeline, ProfileMode.EXACT))
+    assert report.vm_ids == ("a",) and report.c_star == F(1, 2)
 
 
 def _full_scenario():

@@ -9,6 +9,18 @@ def _modules():
         yield path, ast.parse(path.read_text(encoding="utf-8"))
 
 
+def _functions():
+    """Every top-level function and method, by ``module.name`` or ``module.Class.name``."""
+    for path, tree in _modules():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                yield f"{path.stem}.{node.name}", node
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        yield f"{path.stem}.{node.name}.{item.name}", item
+
+
 def test_library_has_no_assert_statements():
     # python -O strips asserts, so a check that must hold raises a typed error instead
     found = []
@@ -96,12 +108,7 @@ def test_the_exact_pipeline_stays_on_integers():
     # a measured profile and a solver's assignment hold integers over one
     # denominator from exact_profile to the coded round; Fractions are built
     # only where a caller reads them, and no step takes an lcm to get back
-    functions = {
-        f"{path.stem}.{node.name}": node
-        for path, tree in _modules()
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef)
-    }
+    functions = dict(_functions())
 
     def names(name):
         return {
@@ -114,3 +121,26 @@ def test_the_exact_pipeline_stays_on_integers():
         assert "Fraction" not in names(name), name
     for name in ("straggler.part_schedule", "oracle._active_classes"):
         assert not names(name) & {"over_one_denominator", "lcm"}, name
+
+
+def test_each_shared_value_has_one_owner():
+    # the dataset-count rule, the integer class map and the per-worker load
+    # sum are each built in one place, and the other layers read that one
+    functions = dict(_functions())
+
+    def texts(node):
+        return {n.value for n in ast.walk(node) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+    def names(node):
+        return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+    assert {name for name, node in functions.items() if any("M must lie in" in t for t in texts(node))} == {
+        "model.check_counts"
+    }
+    assert not any("class_units" in names(node) for node in functions.values())
+    for name in ("oracle.flow_assign", "optimizer.assign_loads", "cli._cmd_solve"):
+        assert "per_worker_loads" in names(functions[name]), name
+    # the CLI reads loads from the assignment; it does not rebuild them from times
+    assert not any(
+        isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult) for n in ast.walk(functions["cli._cmd_solve"])
+    )

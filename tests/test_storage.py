@@ -70,6 +70,15 @@ def test_storage_validation():
     for M in (-1, 11):
         with pytest.raises(StructureError, match=rf"M must lie in \[0, K\]; got M={M}, K=10"):
             generate_decentralized(10, M, 2)
+    # counts must be integers: booleans and floats are refused too
+    for build, message in (
+        (lambda: ExplicitStorage(K=4.5, M=0, per_worker=(np.empty(0, dtype=np.int64),)), "K"),
+        (lambda: ExplicitStorage(K=True, M=0, per_worker=(np.empty(0, dtype=np.int64),)), "K"),
+        (lambda: generate_decentralized(10.0, 5, 2), "K"),
+        (lambda: generate_worker_subset(10, 5.0, 1), "M"),
+    ):
+        with pytest.raises(StructureError, match=f"{message} must be an integer"):
+            build()
 
 
 def test_storage_refuses_arrays_that_are_not_integers():

@@ -516,8 +516,8 @@ def test_integer_and_fraction_forms_agree(case):
     assert counted == given
     assert list(counted.classes.items()) == list(given.classes.items())
     assert counted.cumulative == given.cumulative
-    assert dict(counted.class_units.units) == dict(given.class_units.units)
-    assert counted.class_units.denom == given.class_units.denom
+    assert dict(counted.classes.units) == dict(given.classes.units)
+    assert counted.classes.denom == given.classes.denom
     flows = [flow_assign(inst, prof) for prof in (counted, given)]
     assert flows[0] == flows[1]
     assert list(flows[0][0].shares.items()) == list(flows[1][0].shares.items())
