@@ -60,10 +60,10 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def over_one_denominator(values) -> tuple[list[int], int]:
+def over_one_denominator(values) -> tuple[tuple[int, ...], int]:
     """Integer numerators of the Fractions ``values`` over their least common denominator."""
     denom = lcm(*{v.denominator for v in values})
-    return [v.numerator * (denom // v.denominator) for v in values], denom
+    return tuple(v.numerator * (denom // v.denominator) for v in values), denom
 
 
 class UnitMap(Mapping):
@@ -189,14 +189,20 @@ def check_pair(instance: ProblemInstance, profile: ClassProfile) -> None:
         )
 
 
+def check_count(name: str, value) -> None:
+    """Refuse a count (K, N, redundancy) that is not an integer (booleans included) or is < 1."""
+    if not is_int(value):
+        raise StructureError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise StructureError(f"{name} must be >= 1, got {value}")
+
+
 def check_counts(K, M) -> None:
     """Refuse a dataset count K or a per-worker count M that is not an
     integer (booleans included), K < 1, or M outside [0, K]."""
-    for name, value in (("K", K), ("M", M)):
-        if not is_int(value):
-            raise StructureError(f"{name} must be an integer, got {value!r}")
-    if K < 1:
-        raise StructureError(f"K must be >= 1, got {K}")
+    check_count("K", K)
+    if not is_int(M):
+        raise StructureError(f"M must be an integer, got {M!r}")
     if not 0 <= M <= K:
         raise StructureError(f"M must lie in [0, K]; got M={M}, K={K}")
 
@@ -229,6 +235,11 @@ class ProblemInstance:
     @property
     def N(self) -> int:
         return len(self.speeds)
+
+    @cached_property
+    def speed_units(self) -> tuple[tuple[int, ...], int]:
+        """The speeds as integer numerators over their least common denominator."""
+        return over_one_denominator(self.speeds)
 
     @property
     def alpha(self) -> Fraction | None:
@@ -317,8 +328,7 @@ class ClassProfile:
     class_sizes: Mapping[int, Fraction] | None = None
 
     def __post_init__(self):
-        if self.n_workers < 1:
-            raise StructureError("profile needs at least one worker")
+        check_count("n_workers", self.n_workers)
         if self.alpha is not None:
             if self.class_sizes is not None:
                 raise StructureError("a measured profile takes class_sizes without alpha")
@@ -422,8 +432,8 @@ class LoadAssignment:
     shares: Mapping[tuple[int, int], Fraction]  # a UnitMap once constructed
 
     def __post_init__(self):
-        if self.redundancy < 1:
-            raise StructureError("redundancy must be >= 1")
+        check_count("n_workers", self.n_workers)
+        check_count("redundancy", self.redundancy)
         limit = 1 << self.n_workers
         given = self.shares
         if not isinstance(given, UnitMap):

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .model import (
     ClassProfile,
@@ -168,7 +168,7 @@ def _rearranged_shares(
     delta is split across donor/receiver worker pairs in proportion to the
     load each holds, and across the carriers of a pair of parts in
     proportion to class size, through one exact factor per pair of parts.
-    The table is scaled by the lcm of those factors' denominators, so the
+    The table is scaled by those factors' common denominator, so the
     moves run on integers, then divided by its gcd with ``den``, which keeps
     the numerators from growing merge after merge.  Per-class totals are
     conserved exactly.  Only ``assign_loads`` calls this, on formula
@@ -207,13 +207,12 @@ def _rearranged_shares(
         for v_part in recv_held
         for q_part in donor_held
     }
-    grow = lcm(*(f.denominator for f in factors.values()))
+    wholes, grow = over_one_denominator(factors.values())  # factor * grow, an int each
     if grow > 1:
         for key in units:
             units[key] *= grow
         den *= grow
-    for (v_part, q_part), factor in factors.items():
-        whole = factor.numerator * (grow // factor.denominator)  # factor * grow, an int
+    for (v_part, q_part), whole in zip(factors, wholes):
         recv_workers, donor_workers = recv_held[v_part], donor_held[q_part]
         for w, size in carriers[(v_part, q_part)]:
             gain = whole * size * donor_part_total[q_part]
@@ -263,7 +262,7 @@ def assign_loads(
     groups = _staircase(profile.cumulative, instance.prefix_speed_sums(), instance.N, events)
     if profile.alpha is None:
         # one class, split in proportion to speed: speed numerators over their sum
-        speed_units, _ = over_one_denominator(instance.speeds)
+        speed_units, _ = instance.speed_units
         full = (1 << instance.N) - 1
         shares = UnitMap({(n, full): u for n, u in enumerate(speed_units, 1)}, sum(speed_units))
     else:

@@ -34,32 +34,32 @@ that subset's speed.  Two routes compute it:
   all S is feasible, and a flow could refute it only if the transform
   missed a set.
 
-Both routes run on integers.  ``_active_classes`` reads the class sizes
-from the profile's ``classes`` map, which on a measured and a formula
-profile alike holds them as numerators over one denominator; the zeta
-transform adds those and compares ratios by cross-multiplying, and the
-flow scales every capacity by the lcm of the capacities' denominators.
-``flow_assign`` hands its integer flows and that scale to the assignment,
-which builds exact Fractions only when they are read; the times are the
-assignment's per-worker loads over the speeds.  Beyond ``model``'s
-helpers, nothing is shared with the closed-form solver in ``optimizer``,
-so the two routes check each other.  The only flow code is
-``flow_assign``'s ``_Transport`` and ``_Residual``.
+Both routes run on integers.  ``_active_classes`` checks the input and
+returns the profile's ``classes``: the class sizes as numerators over one
+denominator, on either profile mode.  The flow reads the speeds' integer
+form from ``ProblemInstance.speed_units`` and scales every capacity by
+the lcm of the sizes' denominator and T's times the speeds'.  The zeta
+transform converts the speeds on its own, so a wrong ``speed_units``
+fails its tightness sum.  Ratios are compared by cross-multiplying, and
+each returned value is one Fraction; the assignment keeps the flow's
+integers and their scale, and its times are its loads over the speeds.
+The routes share the class map, ``model``'s checks, ``_active_classes``
+and ``_locked_ratio``: ``--oracle`` catches a wrong flow or search, not a
+wrong class map.  The only flow code is ``_Transport`` and ``_Residual``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple
 
 from .model import (
     ClassProfile,
     LoadAssignment,
     ProblemInstance,
-    StructureError,
     TimeResult,
     UnitMap,
+    check_count,
     check_pair,
     over_one_denominator,
 )
@@ -90,43 +90,32 @@ def _check_scope(n_workers: int) -> None:
         )
 
 
-class _IntClasses(NamedTuple):
-    """Active classes with their sizes as integer numerators over one denominator."""
-
-    masks: list[int]
-    units: list[int]
-    denom: int
-
-
 def _active_classes(
     instance: ProblemInstance, profile: ClassProfile, redundancy: int
-) -> _IntClasses:
-    """Every nonzero class, sizes on integer numerators; checks the input first."""
+) -> UnitMap:
+    """The profile's nonzero classes, once the input is checked."""
     check_pair(instance, profile)
-    if redundancy < 1:
-        raise StructureError("redundancy must be >= 1")
-    sizes = profile.classes
-    bad = [mask for mask in sizes if mask.bit_count() < redundancy]
+    check_count("redundancy", redundancy)
+    classes = profile.classes
+    bad = [mask for mask in classes if mask.bit_count() < redundancy]
     if bad:
         raise InfeasibleRedundancy(redundancy, bad)
-    return _IntClasses(list(sizes.units), list(sizes.units.values()), sizes.denom)
+    return classes
 
 
-def _bottleneck(
-    classes: _IntClasses, speeds: tuple[Fraction, ...], redundancy: int
-) -> tuple[Fraction, int]:
+def _bottleneck(instance: ProblemInstance, classes: UnitMap, redundancy: int) -> tuple[Fraction, int]:
     """max over S of locked(S) / speed(S), and the largest maximizing S.
 
     within[k][S], the size of the classes with at most k members outside S,
     comes from one ranked zeta pass over the bits; locked(S) is the sum of
-    planes 0..r-1.  Plane 0 is the plain subset-sum (r = 1).  Sizes and
-    speeds run as integer numerators over one denominator each, so the
-    ratios are compared by cross-multiplying.
+    planes 0..r-1.  Plane 0 is the plain subset-sum (r = 1).  Ratios are
+    compared by cross-multiplying, on the class numerators and on speeds
+    converted here, not read from ``instance.speed_units``, which they check.
     """
-    n = len(speeds)
+    n = instance.N
     full = 1 << n
     locked = [0] * full
-    for mask, unit in zip(classes.masks, classes.units):
+    for mask, unit in classes.units.items():
         locked[mask] = unit
     # r > n leaves no active class (none has more than n members), so n planes do
     within = [locked] + [locked.copy() for _ in range(1, min(redundancy, n))]
@@ -145,7 +134,7 @@ def _bottleneck(
     for plane in within[1:]:  # plane 0 collects the sum
         for s_mask in range(full):
             locked[s_mask] += plane[s_mask]
-    speed_units, speed_denom = over_one_denominator(speeds)
+    speed_units, speed_denom = over_one_denominator(instance.speeds)
     spd = [0] * full
     for s_mask in range(1, full):
         low = s_mask & -s_mask
@@ -160,7 +149,7 @@ def _bottleneck(
     return Fraction(best_locked * speed_denom, best_spd * classes.denom), best_mask
 
 
-def _prefix_bound(classes: _IntClasses, speeds: tuple[Fraction, ...], redundancy: int) -> Fraction:
+def _prefix_bound(instance: ProblemInstance, classes: UnitMap, redundancy: int) -> Fraction:
     """max over k of locked(slowest k) / speed(slowest k), a lower bound on T*.
 
     Speeds ascend, so the slowest k workers are bits 0..k-1.  A class locks
@@ -168,32 +157,34 @@ def _prefix_bound(classes: _IntClasses, speeds: tuple[Fraction, ...], redundancy
     r highest members, so one pass over the classes gives every prefix's
     locked load, on integer numerators.  k = N gives r * sum(a) / sum(s).
     """
-    gain = [0] * (len(speeds) + 1)
-    for mask, unit in zip(classes.masks, classes.units):
+    speed_units, speed_denom = instance.speed_units
+    gain = [0] * (instance.N + 1)
+    for mask, unit in classes.units.items():
         for _ in range(redundancy):  # active classes have at least r members
             top = mask.bit_length()
             gain[top] += unit
             mask ^= 1 << (top - 1)
-    best = Fraction(0)
-    locked = 0
-    speed = Fraction(0)
-    for k, s in enumerate(speeds, start=1):
+    best_locked, best_speed = 0, 1  # the best ratio so far, locked / speed
+    locked = speed = 0
+    for k, unit in enumerate(speed_units, start=1):
         locked += gain[k]
-        speed += s
-        best = max(best, Fraction(locked, classes.denom) / speed)
-    return best
+        speed += unit
+        if locked * best_speed > best_locked * speed:
+            best_locked, best_speed = locked, speed
+    return Fraction(best_locked * speed_denom, best_speed * classes.denom)
 
 
 def _locked_ratio(
-    classes: _IntClasses, speeds: tuple[Fraction, ...], redundancy: int, workers: int
+    instance: ProblemInstance, classes: UnitMap, redundancy: int, workers: int
 ) -> Fraction:
     """locked(S) / speed(S) for the worker set S = ``workers`` (a mask)."""
     locked = sum(
         unit * max(0, redundancy - (mask & ~workers).bit_count())
-        for mask, unit in zip(classes.masks, classes.units)
+        for mask, unit in classes.units.items()
     )
-    speed = sum((s for i, s in enumerate(speeds) if workers >> i & 1), Fraction(0))
-    return Fraction(locked, classes.denom) / speed
+    speed_units, speed_denom = instance.speed_units
+    speed = sum(unit for i, unit in enumerate(speed_units) if workers >> i & 1)
+    return Fraction(locked * speed_denom, speed * classes.denom)
 
 
 def lp_oracle(
@@ -210,8 +201,8 @@ def lp_oracle(
     """
     _check_scope(instance.N)
     classes = _active_classes(instance, profile, redundancy)
-    value, workers = _bottleneck(classes, instance.speeds, redundancy)
-    if _locked_ratio(classes, instance.speeds, redundancy, workers) != value:
+    value, workers = _bottleneck(instance, classes, redundancy)
+    if _locked_ratio(instance, classes, redundancy, workers) != value:
         raise AssertionError(f"oracle candidate {value} is not tight")
     return value
 
@@ -302,30 +293,31 @@ class _Residual:
 class _Transport:
     """Max flow at time T on source -> class (r*a) -> member (a) -> sink (T*s).
 
-    Capacities are integers on one scale L, the lcm of their denominators;
-    a flow f stands for f / L.  Dinic's first phase on this network is a
-    greedy pass: its level graph holds only source -> class -> worker ->
-    sink paths, and its search takes the classes in order and each class's
-    members by ascending bit, leaving an edge only once it or the worker
-    behind it is saturated.  So the pass is run directly on the class
-    masks, pushing min(demand left, class size, sink room left) on each
-    (class, member) edge.  Only when it falls short is the network built,
-    in :class:`_Residual`'s flat arrays, carrying the greedy flow; Dinic
-    then goes on from its second phase and writes its final flow back.
-    Either way ``flows`` holds (class index, worker bit, flow) of every
-    nonzero share, class by class, and ``room`` each worker's slack to the
-    sink: the shares and n* are read from that table alone.
+    Capacities are integers on one scale L, the lcm of the class sizes'
+    denominator and T.denominator * D, where worker n's speed is u_n / D:
+    each sink cap T * u_n / D is then whole.  A flow f stands for f / L.
+    Dinic's first phase on this network is a greedy pass: its level graph
+    holds only source -> class -> worker -> sink paths, and its search takes
+    the classes in order and each class's members by ascending bit, leaving
+    an edge only once it or the worker behind it is saturated.  So the pass
+    is run directly on the class masks, pushing min(demand left, class size,
+    sink room left) on each (class, member) edge.  Only when it falls short
+    is the network built, in :class:`_Residual`'s flat arrays, carrying the
+    greedy flow; Dinic then goes on from its second phase and writes its
+    final flow back.  Either way ``flows`` holds (class index, worker bit,
+    flow) of every nonzero share, class by class, and ``room`` each worker's
+    slack to the sink: the shares and n* are read from that table alone.
     """
 
-    def __init__(
-        self, classes: _IntClasses, speeds: tuple[Fraction, ...], redundancy: int, T: Fraction
-    ):
-        sink_caps = [T * s for s in speeds]
-        self.scale = lcm(classes.denom, *{cap.denominator for cap in sink_caps})
+    def __init__(self, instance: ProblemInstance, classes: UnitMap, redundancy: int, T: Fraction):
+        speed_units, speed_denom = instance.speed_units
+        cap_denom = T.denominator * speed_denom
+        self.scale = lcm(classes.denom, cap_denom)
         factor = self.scale // classes.denom
-        self.masks = classes.masks
-        self.sizes = [unit * factor for unit in classes.units]
-        self.sink_caps = [cap.numerator * (self.scale // cap.denominator) for cap in sink_caps]
+        self.masks = list(classes.units)
+        self.sizes = [unit * factor for unit in classes.units.values()]
+        to_sink = T.numerator * (self.scale // cap_denom)  # T / D on scale L
+        self.sink_caps = [to_sink * unit for unit in speed_units]
         self.room = list(self.sink_caps)
         self.flows: list[tuple[int, int, int]] = []
         short = self._greedy(redundancy)
@@ -483,21 +475,20 @@ def flow_assign(
     Each flow is a :class:`_Transport`; :func:`lp_oracle` runs no flow.
     """
     classes = _active_classes(instance, profile, redundancy)
-    speeds = instance.speeds
-    value = _prefix_bound(classes, speeds, redundancy)
+    value = _prefix_bound(instance, classes, redundancy)
     while True:
-        flow = _Transport(classes, speeds, redundancy, value)
+        flow = _Transport(instance, classes, redundancy, value)
         if flow.saturated:
             break
-        raised = _locked_ratio(classes, speeds, redundancy, flow.source_side())
+        raised = _locked_ratio(instance, classes, redundancy, flow.source_side())
         if raised <= value:  # the source side of a short flow locks more than T * speed(S)
             raise AssertionError(f"Newton step from T = {value} did not raise T")
         value = raised
-    masks = classes.masks
+    masks = flow.masks
     units = {(w + 1, masks[ci]): pushed for ci, w, pushed in flow.flows}
     assignment = LoadAssignment(
         n_workers=instance.N, redundancy=redundancy, shares=UnitMap(units, flow.scale)
     )
-    times = tuple(load / s for load, s in zip(assignment.per_worker_loads(), speeds))
+    times = tuple(load / s for load, s in zip(assignment.per_worker_loads(), instance.speeds))
     result = TimeResult(c_star=value, n_star=flow.cut_size(), per_worker_time=times)
     return assignment, result

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ClassProfile, StructureError, UnitMap, check_counts, is_int
+from .model import ClassProfile, StructureError, UnitMap, check_count, check_counts, is_int
 
 MASK_MAX_WORKERS = 62  # largest N of a measured placement's class masks (int64 arrays)
 
@@ -145,8 +145,7 @@ def generate_decentralized(K: int, M: int, N: int, seed: int = 0) -> ExplicitSto
     Worker n's subset depends only on (seed, n): generating with N+1
     workers reproduces the first N subsets bit for bit.
     """
-    if N < 1:
-        raise StructureError("N must be >= 1")
+    check_count("N", N)
     check_counts(K, M)
     per_worker = tuple(_sample_subset(K, M, _worker_rng(seed, n)) for n in range(1, N + 1))
     return ExplicitStorage(K=K, M=M, per_worker=per_worker, seed=seed)

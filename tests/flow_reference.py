@@ -15,8 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from dusec.model import ClassProfile, ProblemInstance
-from dusec.oracle import _active_classes, _IntClasses
+from dusec.model import ClassProfile, ProblemInstance, UnitMap
+from dusec.oracle import _active_classes
 
 
 class _MaxFlow:
@@ -116,23 +116,24 @@ class _MaxFlow:
 
 
 def _build_flow(
-    classes: _IntClasses, speeds: tuple[Fraction, ...], redundancy: int, T: Fraction
+    classes: UnitMap, speeds: tuple[Fraction, ...], redundancy: int, T: Fraction
 ) -> tuple[_MaxFlow, int, int, list[tuple[int, int, int]]]:
     """Flow network: source -> class (r*a) -> member workers (cap a) -> sink (T*s).
 
-    Every capacity is scaled by L, the lcm of their denominators, so the
-    network is integral.  Returns (network, demand, L, share edges); a flow
-    f on the network stands for f / L.
+    The sink caps are the Fractions T * s, built here from the speeds as
+    given.  Every capacity is scaled by L, the lcm of their denominators,
+    so the network is integral.  Returns (network, demand, L, share edges);
+    a flow f on the network stands for f / L.
     """
     n = len(speeds)
     sink_caps = [T * s for s in speeds]
     scale = lcm(classes.denom, *{cap.denominator for cap in sink_caps})
     factor = scale // classes.denom
-    first_worker = 1 + len(classes.masks)
+    first_worker = 1 + len(classes)
     net = _MaxFlow(first_worker + n + 1)
     demand = 0
     share_edges: list[tuple[int, int, int]] = []  # (edge idx, worker, class mask)
-    for ci, (mask, unit) in enumerate(zip(classes.masks, classes.units)):
+    for ci, (mask, unit) in enumerate(classes.units.items()):
         size = unit * factor
         net.add_edge(0, 1 + ci, redundancy * size)
         demand += redundancy * size

@@ -438,8 +438,8 @@ def test_oracle_mismatch_exits_3(capsys, monkeypatch):
 def test_oracle_missing_the_bottleneck_set_exits_3(capsys, monkeypatch):
     # lp_oracle runs no flow, so a zeta transform that misses the maximizing
     # set yields a tight but too-low value; the comparison with the solver catches it
-    def slowest_alone(classes, speeds, r):
-        return oracle._locked_ratio(classes, speeds, r, 0b1), 0b1
+    def slowest_alone(instance, classes, r):
+        return oracle._locked_ratio(instance, classes, r, 0b1), 0b1
 
     monkeypatch.setattr(oracle, "_bottleneck", slowest_alone)
     code, out, err = _run(

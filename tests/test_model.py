@@ -170,6 +170,10 @@ def test_formula_profile_is_n_and_alpha():
     for bad in ({"alpha": 2.0}, {"alpha": F(1, 2)}, {"alpha": F(2), "class_sizes": {1: F(1)}}):
         with pytest.raises(StructureError):
             ClassProfile(n_workers=3, **bad)
+    # a float or boolean worker count is refused, not run as a range bound or as N = 1
+    for n in (2.0, True):
+        with pytest.raises(StructureError, match=f"n_workers must be an integer, got {n}"):
+            ClassProfile(n_workers=n, alpha=2)
     # sizes are derived from alpha, so they cannot be passed in to disagree with it
     with pytest.raises(TypeError):
         ClassProfile(n_workers=3, sizes_by_card=(F(0), F(1, 3), F(0), F(0)))
@@ -263,6 +267,17 @@ def test_assignment_from_units_checks_on_integers():
 def test_assignment_refuses_bad_shapes():
     with pytest.raises(StructureError, match="redundancy must be >= 1"):
         LoadAssignment(n_workers=2, redundancy=0, shares={})
+    # counts must be integers: a fractional or boolean r is no number of copies
+    for r in (1.5, True):
+        with pytest.raises(StructureError, match=f"redundancy must be an integer, got {r}"):
+            LoadAssignment(n_workers=2, redundancy=r, shares={})
+    with pytest.raises(StructureError, match="n_workers must be an integer, got True"):
+        LoadAssignment(n_workers=True, redundancy=1, shares={})
+    inst = ProblemInstance.from_alpha(2, (1, 2))
+    for solve in (flow_assign, lp_oracle):
+        for r in (1.5, True):
+            with pytest.raises(StructureError, match=f"redundancy must be an integer, got {r}"):
+                solve(inst, profile_from_alpha(2, 2), redundancy=r)
     with pytest.raises(StructureError, match=r"share worker 3 out of range 1\.\.2"):
         LoadAssignment(n_workers=2, redundancy=1, shares={(3, 1): F(1)})
     with pytest.raises(StructureError, match=r"share worker 0 out of range"):

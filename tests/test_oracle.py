@@ -224,9 +224,12 @@ def _placements(draw):
         np.array(sorted(draw(st.permutations(range(K)))[:M]), dtype=np.int64)
         for _ in range(n)
     )
-    # a small pool forces ties; list order is the caller's, so usually unsorted
+    # a small pool forces ties; denominators 2, 3, 4 and 7 put the speeds over
+    # a common denominator of up to 84; list order is the caller's, so usually unsorted
     speeds = draw(st.lists(
-        st.sampled_from([F(1), F(3, 2), F(2), F(5)]), min_size=n, max_size=n
+        st.sampled_from([F(1), F(3, 2), F(2), F(5), F(2, 3), F(7, 4), F(9, 7)]),
+        min_size=n,
+        max_size=n,
     ))
     inst = ProblemInstance(K=K, M=M, speeds=speeds)
     storage = ExplicitStorage(K=K, M=M, per_worker=per_worker)
@@ -281,6 +284,24 @@ def test_redundant_assign_equals_oracle_on_measured_placements(case):
             redundant_assign(inst, prof, StragglerConfig(s=s, m=n + 1 - s))
 
 
+@settings(max_examples=60, deadline=None)
+@given(case=_placements(), lam=st.sampled_from([F(2), F(1, 3), F(7, 4), F(5, 6), F(11, 14)]))
+def test_speed_scaling_on_measured_placements(case, lam):
+    # every speed times lam: the same flow on the same classes, so the same
+    # shares and n*, and every time divided by lam
+    inst, prof, _ = case  # every redundancy is tried below
+    scaled = ProblemInstance(K=inst.K, M=inst.M, speeds=[s * lam for s in inst.speeds])
+    for r in range(1, inst.N + 1):
+        coverable = filtered_for_redundancy(prof, r)
+        asg, res = flow_assign(inst, coverable, r)
+        asg_scaled, res_scaled = flow_assign(scaled, coverable, r)
+        assert res_scaled.c_star == res.c_star / lam
+        assert res_scaled.per_worker_time == tuple(t / lam for t in res.per_worker_time)
+        assert res_scaled.n_star == res.n_star
+        assert dict(asg_scaled.shares) == dict(asg.shares)
+        assert lp_oracle(scaled, coverable, r) == lp_oracle(inst, coverable, r) / lam
+
+
 def test_flow_assign_past_the_enumeration_cap(monkeypatch):
     # the Newton search runs max-flows only, so the 12-worker cap of lp_oracle does not apply;
     # feasible_at checks the answer on the reference flow network
@@ -313,7 +334,7 @@ def _reference_flow(inst, prof, r):
         return locked / sum(s for i, s in enumerate(inst.speeds) if workers >> i & 1)
 
     classes = oracle._active_classes(inst, prof, r)
-    first_worker = 1 + len(classes.masks)
+    first_worker = 1 + len(classes)
     value = max(ratio((1 << k) - 1) for k in range(1, inst.N + 1))
     while True:
         net, demand, scale, share_edges = _build_flow(classes, inst.speeds, r, value)

@@ -21,6 +21,15 @@ def _functions():
                         yield f"{path.stem}.{node.name}.{item.name}", item
 
 
+def _names(node):
+    """Every name and attribute read inside ``node``."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
 def test_library_has_no_assert_statements():
     # python -O strips asserts, so a check that must hold raises a typed error instead
     found = []
@@ -89,7 +98,7 @@ def test_flow_assign_and_lp_oracle_share_no_flow_code():
     assert {"_bottleneck", "_check_scope"} <= oracle_side
     assert not {"_Transport", "_Residual"} & oracle_side
     assert {"_Transport", "_Residual"} <= flow_side
-    assert oracle_side & flow_side == {"_active_classes", "_IntClasses", "InfeasibleRedundancy", "_locked_ratio"}
+    assert oracle_side & flow_side == {"_active_classes", "InfeasibleRedundancy", "_locked_ratio"}
 
 
 def test_one_max_flow_in_the_library():
@@ -109,18 +118,10 @@ def test_the_exact_pipeline_stays_on_integers():
     # denominator from exact_profile to the coded round; Fractions are built
     # only where a caller reads them, and no step takes an lcm to get back
     functions = dict(_functions())
-
-    def names(name):
-        return {
-            n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(functions[name])
-            if isinstance(n, (ast.Name, ast.Attribute))
-        }
-
     for name in ("storage.exact_profile", "straggler.part_schedule", "straggler.encode"):
-        assert "Fraction" not in names(name), name
+        assert "Fraction" not in _names(functions[name]), name
     for name in ("straggler.part_schedule", "oracle._active_classes"):
-        assert not names(name) & {"over_one_denominator", "lcm"}, name
+        assert not _names(functions[name]) & {"over_one_denominator", "lcm"}, name
 
 
 def test_each_shared_value_has_one_owner():
@@ -143,4 +144,31 @@ def test_each_shared_value_has_one_owner():
     # the CLI reads loads from the assignment; it does not rebuild them from times
     assert not any(
         isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult) for n in ast.walk(functions["cli._cmd_solve"])
+    )
+    # the speeds' integer form is built once, on ProblemInstance; lp_oracle's
+    # zeta transform converts them on its own so that --oracle stays independent
+    speed_conversions = {
+        name
+        for name, node in functions.items()
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call)
+        and getattr(n.func, "id", None) == "over_one_denominator"
+        and "speeds" in ast.unparse(n.args[0])
+    }
+    assert speed_conversions == {"model.ProblemInstance.speed_units", "oracle._bottleneck"}
+    # one lcm for every set of Fractions, and the flow's scale of two denominators
+    assert {name for name, node in functions.items() if "lcm" in _names(node)} == {
+        "model.over_one_denominator",
+        "oracle._Transport.__init__",
+    }
+    lcm_imports = {
+        path.stem
+        for path, tree in _modules()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.ImportFrom) and any(alias.name == "lcm" for alias in n.names)
+    }
+    assert lcm_imports == {"model", "oracle"}
+    # the flow and the sweep read the profile's UnitMap; no class copies it
+    assert not any(
+        isinstance(n, ast.ClassDef) and n.name == "_IntClasses" for _, tree in _modules() for n in ast.walk(tree)
     )

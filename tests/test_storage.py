@@ -76,6 +76,8 @@ def test_storage_validation():
         (lambda: ExplicitStorage(K=True, M=0, per_worker=(np.empty(0, dtype=np.int64),)), "K"),
         (lambda: generate_decentralized(10.0, 5, 2), "K"),
         (lambda: generate_worker_subset(10, 5.0, 1), "M"),
+        (lambda: generate_decentralized(10, 5, 2.0), "N"),
+        (lambda: generate_decentralized(10, 5, True), "N"),
     ):
         with pytest.raises(StructureError, match=f"{message} must be an integer"):
             build()
