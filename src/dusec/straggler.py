@@ -16,6 +16,10 @@ coefficient for a part is the value at x_n of the polynomial that is 1 at
 the part's anchor and 0 at every other anchor and every worker not
 computing the part; a survivor's decoding weight at an anchor is the value
 there of the polynomial that is 1 at that survivor and 0 at the others.
+``encode`` evaluates all its polynomials in one call, and so does
+``decode``; each call takes one modular inverse for all its denominators.
+The coded vectors and the aggregate are one field product each,
+``_field_combine``, exact on float64 matrix products for primes below 2^31.
 ``encode`` and ``recompute_transmission`` hold messages to one shape rule,
 ``_part_length``.
 
@@ -45,7 +49,6 @@ from .model import (
     UnitMap,
     check_pair,
     is_int,
-    workers_of,
 )
 from .oracle import flow_assign
 
@@ -217,24 +220,27 @@ def part_schedule(
     schedule: dict[tuple[int, int], tuple[int, ...]] = {}
     for mask in sorted(by_class):
         nums = by_class[mask]
+        # a member without a share would get floor 0 and remainder 0; the
+        # remainders sum to deficit * total, each below total, so more than
+        # deficit of them are positive and the deficit never reaches it
+        holders = sorted(nums)
         total = sum(nums.values())
-        members = workers_of(mask)
         floors: dict[int, int] = {}
         remainders: list[tuple[int, int]] = []
-        for n in members:
-            floors[n], rem = divmod(slots * nums.get(n, 0), total)
-            remainders.append((rem, n))
+        for n in holders:
+            floors[n], rem = divmod(slots * nums[n], total)
+            remainders.append((-rem, n))
         deficit = slots - sum(floors.values())
-        if any(r * nums.get(n, 0) > total for n in members):
+        if r * max(nums.values()) > total:
             raise StructureError(f"class {mask} coverage is not exactly {r} times its size")
-        remainders.sort(key=lambda t: (-t[0], t[1]))
+        remainders.sort()
         for _, n in remainders[:deficit]:
             floors[n] += 1
         tokens: list[int] = []
-        for n in members:
+        for n in holders:
             tokens.extend([n] * floors[n])
         for j in range(1, m + 1):
-            part_workers = tuple(sorted(tokens[j - 1 :: m]))
+            part_workers = tuple(tokens[j - 1 :: m])  # tokens ascend, so each part's workers do
             if len(set(part_workers)) != r:
                 raise StructureError(f"class {mask} part {j} landed on a duplicate worker")
             schedule[(mask, j)] = part_workers
@@ -256,8 +262,8 @@ def _points(n_workers: int, config: StragglerConfig) -> tuple[list[int], list[in
 
 
 def _field_dtype(p: int):
-    """int64 holds every partial sum of :func:`_field_combine` for p < 2^31;
-    larger primes use exact Python integers."""
+    """int64 residues for p < 2^31, whose product :func:`_field_combine`
+    takes exactly on float64; larger primes use exact Python integers."""
     return np.int64 if p < 1 << 31 else object
 
 
@@ -296,32 +302,61 @@ def _residues(rows: Sequence[Sequence[int]], p: int, dtype) -> np.ndarray:
         raise CodingConfigError("field elements must be integers") from None
 
 
-# Terms per int64 product: with coefs below p < 2^31 and 16-bit limbs each
-# partial sum stays below (terms + 1) * 2^47 < 2^63.
-_MAX_TERMS = 1 << 15
+# Terms per float64 product: a 16-bit coefficient limb times a residue below
+# 2^31 is below 2^47, so every partial sum of 64 terms is an integer below
+# 64 * 2^47 = 2^53, exact in float64 whatever order the sum is taken in.
+_MAX_TERMS = 64
 
 
 def _field_combine(coefs: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
     """coefs @ rows mod p, exactly, for residues in [0, p) of :func:`_field_dtype`.
 
-    Rows are split into 16-bit limbs, so a coefficient times a limb stays
-    below 2^47 and int64 sums of up to ``_MAX_TERMS`` terms cannot overflow.
+    ``coefs`` is one coefficient vector or a matrix of them, one per row of
+    the result.  Object residues (p >= 2^31) take the product on Python
+    integers.  int64 residues take it as float64 matrix products: each
+    coefficient is split into two 16-bit limbs, stacked as twice as many
+    coefficient rows against whole residues below 2^31, and at most
+    ``_MAX_TERMS`` terms enter one product, so every partial sum stays an
+    integer below 2^53 (FMA included).  The limb products recombine as
+    ((hi mod p) << 16) + lo, mod p.
     """
+    if rows.dtype == object:
+        return coefs @ rows % p
+    lead = coefs.shape[:-1]
+    flat = coefs.reshape(prod(lead), coefs.shape[-1])
+    limbs = np.concatenate((flat >> 16, flat & 0xFFFF)).astype(np.float64)
+    whole = rows.astype(np.float64)
     out = 0
     for start in range(0, max(len(rows), 1), _MAX_TERMS):
-        c = coefs[..., start : start + _MAX_TERMS]
-        block = rows[start : start + _MAX_TERMS]
-        out = (out + ((c @ (block >> 16)) % p << 16) + c @ (block & 0xFFFF)) % p
-    return out
+        block = whole[start : start + _MAX_TERMS]
+        hi, lo = np.split((limbs[:, start : start + _MAX_TERMS] @ block).astype(np.int64), 2)
+        out = (out + (hi % p << 16) + lo) % p
+    return out.reshape(lead + rows.shape[1:])
 
 
 def _basis_values(
-    points: Sequence[int], one_at: int, roots: Sequence[int], p: int
-) -> tuple[int, ...]:
-    """Values at ``points`` of the polynomial that is 1 at ``one_at`` and 0 at
-    every root: prod(x - z) / prod(one_at - z) over the roots, mod p."""
-    inv_denom = pow(prod(one_at - z for z in roots) % p, p - 2, p)
-    return tuple(inv_denom * prod(x - z for z in roots) % p for x in points)
+    points: Sequence[int], polys: Sequence[tuple[int, Sequence[int]]], p: int
+) -> list[tuple[int, ...]]:
+    """Values at ``points`` of each polynomial of ``polys``, mod p.
+
+    A polynomial is given as (one_at, roots): it is 1 at ``one_at`` and 0
+    at every root, prod(x - z) / prod(one_at - z) over the roots.  The
+    denominators are nonzero because all points are distinct mod the prime
+    p, and they share one modular inverse (Montgomery's batched inversion):
+    invert the product of all of them, then peel each one off.
+    """
+    denoms = [prod([one_at - z for z in roots]) % p for one_at, roots in polys]
+    running = [1]
+    for d in denoms:
+        running.append(running[-1] * d % p)
+    inv = pow(running[-1], p - 2, p)
+    values: list[tuple[int, ...]] = [()] * len(polys)
+    for i in range(len(polys) - 1, -1, -1):
+        inv_denom = inv * running[i] % p
+        inv = inv * denoms[i] % p
+        roots = polys[i][1]
+        values[i] = tuple([inv_denom * prod([x - z for z in roots]) % p for x in points])
+    return values
 
 
 def _part_length(messages: Mapping[int, Sequence[int]], m: int) -> int:
@@ -356,8 +391,9 @@ def encode(
     point, so the vector is supported exactly on parts worker n computes.
 
     A coefficient depends only on the part's computing workers and its
-    index j, so it is worked out once per (workers, j) and reused across
-    classes.  The vectors are one field product, coefficient matrix times
+    index j, so each distinct (workers, j) is one polynomial, and all of
+    them are evaluated at every worker point in one :func:`_basis_values`
+    call.  The vectors are one field product, coefficient matrix times
     message parts mod p, taken over chunks of ``_CLASS_CHUNK`` classes so
     that the message rows are never all held at once.
     """
@@ -376,32 +412,39 @@ def encode(
     schedule = sorted(part_schedule(assignment, config).items())
     dtype = _field_dtype(p)
 
+    keys = list(dict.fromkeys((part_workers, j) for (_, j), part_workers in schedule))
+    # 1 at anchor y_j, 0 at every other anchor and every worker not computing part j
+    polys = [
+        (
+            ys[j - 1],
+            [x for n, x in enumerate(xs, 1) if n not in part_workers]
+            + [y for k, y in enumerate(ys, 1) if k != j],
+        )
+        for part_workers, j in keys
+    ]
+    column_of = dict(zip(keys, _basis_values(xs, polys, p)))
     # column i*m + j - 1 of the matrix is part j of the i-th scheduled class
-    coef_matrix = np.zeros((n_workers, len(schedule)), dtype=dtype)
-    rows: dict[int, dict[tuple[int, int], int]] = {n: {} for n in range(1, n_workers + 1)}
-    memo: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
-    for col, ((mask, j), part_workers) in enumerate(schedule):
-        key = (part_workers, j)
-        if key not in memo:
-            # 1 at anchor y_j, 0 at every other anchor and every worker not computing part j
-            roots = [x for n, x in enumerate(xs, 1) if n not in part_workers]
-            roots += [y for k, y in enumerate(ys, 1) if k != j]
-            memo[key] = _basis_values([xs[n - 1] for n in part_workers], ys[j - 1], roots, p)
-        for n, coef in zip(part_workers, memo[key]):
-            rows[n][(mask, j)] = coef
-            coef_matrix[n - 1, col] = coef
+    coef_matrix = np.array(
+        [column_of[part_workers, j] for (_, j), part_workers in schedule], dtype=dtype
+    ).reshape(len(schedule), n_workers).T
+    # a column is 0 at each worker not computing its part, a root, and
+    # nonzero at the others, the points being distinct mod p: a worker's
+    # encoding row is the nonzeros of its matrix row, in schedule order
+    parts = [part for part, _ in schedule]
+    encoding_rows = []
+    for coefs in coef_matrix:
+        nonzero = np.flatnonzero(coefs).tolist()
+        encoding_rows.append(dict(zip([parts[col] for col in nonzero], coefs[nonzero].tolist())))
     masks = [mask for (mask, j), _ in schedule if j == 1]
     vectors = np.zeros((n_workers, part_len), dtype=dtype)
     for start in range(0, len(masks), _CLASS_CHUNK):
         chunk = masks[start : start + _CLASS_CHUNK]
-        parts = _residues([messages[mask] for mask in chunk], p, dtype)
+        block = _residues([messages[mask] for mask in chunk], p, dtype)
         cols = coef_matrix[:, start * m : (start + len(chunk)) * m]
-        vectors = (vectors + _field_combine(cols, parts.reshape(len(chunk) * m, part_len), p)) % p
+        vectors = (vectors + _field_combine(cols, block.reshape(len(chunk) * m, part_len), p)) % p
     return tuple(
-        CodedTransmission(
-            vm_index=n, coded_vector=tuple(vectors[n - 1].tolist()), encoding_row=rows[n]
-        )
-        for n in range(1, n_workers + 1)
+        CodedTransmission(vm_index=n, coded_vector=tuple(vector), encoding_row=row)
+        for n, (vector, row) in enumerate(zip(vectors.tolist(), encoding_rows), 1)
     )
 
 
@@ -435,9 +478,10 @@ def decode(
 ) -> tuple[int, ...]:
     """Aggregate message (sum over covered classes) from any >= N-s responses.
 
-    Interpolates each anchor point from the received evaluations, one
-    modular inverse per survivor; the fleet size ``n_total`` fixes the
-    response threshold, which a surviving subset alone cannot reveal.
+    Interpolates each anchor point from the received evaluations, with one
+    modular inverse for all the survivors' weights; the fleet size
+    ``n_total`` fixes the response threshold, which a surviving subset
+    alone cannot reveal.
     """
     p = config.field_modulus
     seen: dict[int, CodedTransmission] = {}
@@ -458,7 +502,7 @@ def decode(
     xs_all, ys = _points(n_total, config)
     survivors = sorted(seen)
     xs = [xs_all[n - 1] for n in survivors]
-    weights = [_basis_values(ys, x, xs[:i] + xs[i + 1 :], p) for i, x in enumerate(xs)]
+    weights = _basis_values(ys, [(x, xs[:i] + xs[i + 1 :]) for i, x in enumerate(xs)], p)
     dtype = _field_dtype(p)
     vectors = _residues([seen[n].coded_vector for n in survivors], p, dtype)
     out = _field_combine(np.array(weights, dtype=dtype).T, vectors, p)
@@ -466,7 +510,7 @@ def decode(
 
 
 _HEADER = struct.Struct("<IQQ")
-_ELEMENT = struct.Struct("<Q")
+_ELEMENT_SIZE = struct.calcsize("<Q")
 
 
 def serialize_transmission(transmission: CodedTransmission, config: StragglerConfig) -> bytes:
@@ -477,19 +521,15 @@ def serialize_transmission(transmission: CodedTransmission, config: StragglerCon
     :class:`CodingConfigError`; :class:`StragglerConfig` keeps the modulus
     below 2^64.
     """
+    vector = transmission.coded_vector
     try:
-        chunks = [
-            _HEADER.pack(
-                transmission.vm_index, len(transmission.coded_vector), config.field_modulus
-            )
-        ]
-        chunks.extend(_ELEMENT.pack(e) for e in transmission.coded_vector)
+        header = _HEADER.pack(transmission.vm_index, len(vector), config.field_modulus)
+        return header + struct.pack(f"<{len(vector)}Q", *vector)
     except struct.error as exc:
         raise CodingConfigError(
             f"transmission of worker {transmission.vm_index} does not fit the wire format: "
             f"every element must be a u64 value below 2^64, the worker index a u32 ({exc})"
         ) from exc
-    return b"".join(chunks)
 
 
 def deserialize_transmission(data: bytes) -> tuple[CodedTransmission, int]:
@@ -497,11 +537,8 @@ def deserialize_transmission(data: bytes) -> tuple[CodedTransmission, int]:
     if len(data) < _HEADER.size:
         raise StructureError(f"transmission blob too short ({len(data)} bytes)")
     vm_index, part_len, modulus = _HEADER.unpack_from(data)
-    expected = _HEADER.size + part_len * _ELEMENT.size
+    expected = _HEADER.size + part_len * _ELEMENT_SIZE
     if len(data) != expected:
         raise StructureError(f"transmission blob is {len(data)} bytes, header implies {expected}")
-    vector = tuple(
-        _ELEMENT.unpack_from(data, _HEADER.size + i * _ELEMENT.size)[0]
-        for i in range(part_len)
-    )
+    vector = struct.unpack_from(f"<{part_len}Q", data, _HEADER.size)
     return CodedTransmission(vm_index=vm_index, coded_vector=vector, encoding_row=None), modulus

@@ -166,6 +166,22 @@ def test_readme_worker_limits_name_their_constants():
         assert getattr(importlib.import_module(f"dusec.{module}"), name) == int(limit)
 
 
+
+def test_readme_scenario_example_simulates(tmp_path, capsys):
+    # the README's scenario file runs as printed: an exact step with a
+    # straggler, so the run encodes, drops vm2 and decodes the aggregate
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```json\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    path = tmp_path / "scenario.json"
+    path.write_text(block, encoding="utf-8")
+    report = tmp_path / "report.json"
+    code, _, err = _run(
+        capsys, ["simulate", "--scenario", str(path), "--out", str(tmp_path / "r.csv"), "--json", str(report)]
+    )
+    assert code == 0, err
+    (step,) = json.loads(report.read_text(encoding="utf-8"))["steps"]
+    assert step["taskValue"] is not None
+
 def test_profile_file_past_the_oracle_cap(tmp_path, capsys):
     storage = generate_decentralized(200, 100, 13, seed=13)
     path = tmp_path / "storage.json"

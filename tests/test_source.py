@@ -172,3 +172,33 @@ def test_each_shared_value_has_one_owner():
     assert not any(
         isinstance(n, ast.ClassDef) and n.name == "_IntClasses" for _, tree in _modules() for n in ast.walk(tree)
     )
+
+
+
+def _calls(node, name):
+    """Whether each call of the function ``name`` inside ``node`` sits in a loop or comprehension."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = []
+
+    def visit(parent, looped):
+        for child in ast.iter_child_nodes(parent):
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == name:
+                found.append(looped)
+            visit(child, looped or isinstance(child, loops))
+
+    visit(node, False)
+    return found
+
+
+def test_one_lagrange_basis_and_one_batched_inversion():
+    # encode and decode each evaluate all their polynomials in one
+    # _basis_values call, whose denominators share one modular inverse; no
+    # other coding step inverts
+    functions = dict(_functions())
+    for name in ("straggler.encode", "straggler.decode"):
+        assert _calls(functions[name], "_basis_values") == [False], name
+    assert _calls(functions["straggler._basis_values"], "pow") == [False]
+    (tree,) = [tree for path, tree in _modules() if path.stem == "straggler"]
+    owners = {name for name, node in functions.items() if name.startswith("straggler.") and _calls(node, "pow")}
+    assert owners == {"straggler._is_prime", "straggler._basis_values"}
+    assert len(_calls(tree, "pow")) == sum(len(_calls(functions[name], "pow")) for name in owners)

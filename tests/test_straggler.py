@@ -30,6 +30,7 @@ from dusec.straggler import (
     CodingConfigError,
     InsufficientResponses,
     StragglerConfig,
+    _field_combine,
     _residues,
     decode,
     deserialize_transmission,
@@ -312,9 +313,10 @@ def test_serialization_layout_and_roundtrip():
 def test_serialization_refuses_what_u64_cannot_carry():
     with pytest.raises(CodingConfigError, match=r"below 2\^64"):
         StragglerConfig(s=1, m=1, field_modulus=(1 << 89) - 1)
-    stray = CodedTransmission(vm_index=1, coded_vector=(3, -1), encoding_row=None)
-    with pytest.raises(CodingConfigError, match=r"below 2\^64"):
-        serialize_transmission(stray, StragglerConfig(s=1, m=1))
+    for element in (-1, 1 << 64, 2.5):
+        stray = CodedTransmission(vm_index=1, coded_vector=(3, element), encoding_row=None)
+        with pytest.raises(CodingConfigError, match=r"below 2\^64"):
+            serialize_transmission(stray, StragglerConfig(s=1, m=1))
 
 
 def test_part_schedule_rounds_remainders_to_the_lowest_worker():
@@ -541,3 +543,44 @@ def test_integer_and_fraction_forms_agree(case):
     if messages:
         sent = encode(from_units, cfg, messages)
         assert encode(from_fractions, cfg, messages) == encode(plans[1].assignment, cfg, messages) == sent
+
+
+@pytest.mark.parametrize("p, odd", [(P31, 0x7FFEFFFF), (7919, 7917)])
+@pytest.mark.parametrize("terms", [1, 63, 64, 65, 129])
+def test_field_combine_is_exact_at_its_bound(p, odd, terms):
+    # every coefficient and residue at p - 1, the largest products; then odd
+    # coefficients (low limb 0xFFFF at P31) against odd residues, whose sums
+    # past 2^53 float64 cannot hold
+    top = p - 1
+    for coef, residue in ((top, top), (odd, p - 2)):
+        rows = np.full((terms, 3), residue, dtype=np.int64)
+        expected = [sum(coef * residue for _ in range(terms)) % p] * 3
+        assert _field_combine(np.full(terms, coef, dtype=np.int64), rows, p).tolist() == expected
+        assert _field_combine(np.full((4, terms), coef, dtype=np.int64), rows, p).tolist() == [expected] * 4
+    # exact Python integers past 2^31
+    top = P61 - 1
+    rows = np.full((terms, 2), top, dtype=object)
+    expected = [terms * top * top % P61] * 2
+    assert _field_combine(np.full((2, terms), top, dtype=object), rows, P61).tolist() == [expected] * 2
+    assert _field_combine(np.full(terms, top, dtype=object), rows, P61).tolist() == expected
+
+
+def test_encode_takes_class_chunks_past_64_columns():
+    # N = 8 at s = 1, m = 2 puts 64 classes of 2 parts, 128 coefficient columns,
+    # into one field product; the Hypothesis property stays below that size
+    storage = generate_decentralized(1440, 720, 8, seed=7)
+    inst = ProblemInstance(K=1440, M=720, speeds=[F(n) for n in range(1, 9)])
+    cfg = StragglerConfig(s=1, m=2)
+    plan = redundant_assign(inst, exact_profile(storage), cfg)
+    schedule = sorted(part_schedule(plan.assignment, cfg).items())
+    covered = sorted({mask for (mask, _), _ in schedule})
+    assert len(covered) > 64
+    rng = random.Random(7)
+    p = cfg.field_modulus
+    messages = {mask: [rng.randrange(-p, 2 * p) for _ in range(6)] for mask in covered}
+    transmissions = encode(plan.assignment, cfg, messages)
+    for t in transmissions:
+        assert t.coded_vector == _reference_vector(t, messages, p, 3)
+        assert list(t.encoding_row) == [part for part, workers in schedule if t.vm_index in workers]
+    expected = tuple(sum(v[i] for v in messages.values()) % p for i in range(6))
+    assert decode(transmissions[1:], cfg, 8) == expected
