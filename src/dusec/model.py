@@ -450,9 +450,6 @@ class LoadAssignment:
                 clean[key] = unit
         object.__setattr__(self, "shares", UnitMap(clean, given.denom))
 
-    def share(self, worker: int, mask: int) -> Fraction:
-        return self.shares.get((worker, mask), Fraction(0))
-
     def per_worker_loads(self) -> tuple[Fraction, ...]:
         return self._per_worker_loads
 

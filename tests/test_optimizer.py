@@ -18,7 +18,6 @@ from dusec.model import (
 )
 from dusec.optimizer import (
     assign_loads,
-    critical_conditions_hold,
     cutset_bounds,
     optimal_time,
 )
@@ -181,18 +180,11 @@ def test_critical_conditions_worked_examples():
     ]:
         inst = ProblemInstance.from_alpha(alpha, speeds)
         prof = profile_from_alpha(alpha, inst.N)
-        assert critical_conditions_hold(inst, prof, optimal_time(inst, prof))
-    # one claim that breaks each condition in turn; L(n)/S(n) is 1/16, 1/16,
-    # 7/128, 15/208 at (1, 2, 5, 5) and 1/8, 3/40, 1/24 at (1, 4, 16)
-    for speeds, c_star, n_star in [
-        ((F(1), F(2), F(5), F(5)), F(1, 13), 4),  # the prefix bound at n* is 15/208
-        ((F(1), F(4), F(16)), F(3, 40), 2),  # the prefix n = 1 exceeds 3/40
-        ((F(1), F(2), F(5), F(5)), F(1, 16), 1),  # the tail 2..4 pools to 7/96
-    ]:
-        inst = ProblemInstance.from_alpha(F(2), speeds)
-        prof = profile_from_alpha(F(2), inst.N)
-        claim = TimeResult(c_star=c_star, n_star=n_star, per_worker_time=(c_star,) * inst.N)
-        assert not critical_conditions_hold(inst, prof, claim)
+        res = optimal_time(inst, prof)
+        # the prefix bound at n* is c*, and no prefix or pooled tail exceeds it
+        bounds = {(b.kind, b.n): b.value for b in cutset_bounds(inst, prof)}
+        assert bounds[("prefix", res.n_star)] == res.c_star
+        assert max(bounds.values()) == res.c_star
 
 
 def test_closed_form_refuses_measured_profiles():
@@ -207,8 +199,6 @@ def test_closed_form_refuses_measured_profiles():
         optimal_time(inst, prof)
     with pytest.raises(StructureError, match="flow_assign or lp_oracle"):
         cutset_bounds(inst, prof)
-    with pytest.raises(StructureError, match="flow_assign or lp_oracle"):
-        critical_conditions_hold(inst, prof, flow)
     with pytest.raises(StructureError, match="flow_assign or lp_oracle"):
         assign_loads(inst, prof)
     assert flow.c_star == F(9, 100)
@@ -275,7 +265,6 @@ def test_seeded_construction_invariants():
         assert res.c_star == optimal_time(inst, prof).c_star
         assert res.n_star == optimal_time(inst, prof).n_star
         assert max(res.per_worker_time) == res.c_star
-        assert critical_conditions_hold(inst, prof, res)
         bounds = cutset_bounds(inst, prof)
         assert max(b.value for b in bounds) == res.c_star
 

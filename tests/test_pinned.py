@@ -13,9 +13,9 @@ from dusec.straggler import (
     StragglerConfig,
     decode,
     encode,
-    recompute_transmission,
     redundant_assign,
 )
+from coding_reference import reference_vector
 
 _MODULI = (7919, (1 << 31) - 1, (1 << 61) - 1)
 
@@ -53,7 +53,7 @@ def test_coding_rounds_are_pinned():
         digest.update(
             repr((
                 [(t.vm_index, t.coded_vector, sorted(t.encoding_row.items())) for t in sent],
-                [recompute_transmission(t, config, messages) for t in sent],
+                [reference_vector(t, messages, p, part_len) for t in sent],
                 decode(survivors, config, instance.N),
             )).encode()
         )

@@ -1,7 +1,10 @@
 import ast
+import re
 from pathlib import Path
 
 import dusec
+
+_REPO = Path(__file__).resolve().parents[1]
 
 
 def _modules():
@@ -28,6 +31,23 @@ def _names(node):
         for n in ast.walk(node)
         if isinstance(n, (ast.Name, ast.Attribute))
     }
+
+
+def test_every_public_name_has_a_reader():
+    # a name in __all__ is read by another library module, or named by the
+    # bench, the acceptance gate or the README; what only unit tests read
+    # belongs in the tests
+    loaded = {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for path, tree in _modules()
+        if path.name != "__init__.py"
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)
+    }
+    texts = [path.read_text(encoding="utf-8") for path in sorted((_REPO / "bench").glob("*.py"))]
+    texts += [(_REPO / name).read_text(encoding="utf-8") for name in ("tests/test_acceptance.py", "README.md")]
+    words = set(re.findall(r"\w+", "\n".join(texts)))
+    assert [name for name in dusec.__all__ if name not in loaded | words] == []
 
 
 def test_library_has_no_assert_statements():
