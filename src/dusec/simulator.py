@@ -7,7 +7,7 @@ step is solved independently: workers are sorted by speed (ties by vm
 id), the step's storage-class profile is built, and ``solve_snapshot``,
 which also serves ``dusec solve``, picks the solver and runs it.
 
-The scenario rules live in the types (:class:`ElasticTimeline`,
+Every scenario rule lives in the types (:class:`ElasticTimeline`,
 :class:`Scenario`); ``load_scenario`` checks only the JSON shapes, so a
 scenario built in code meets the same rules as one read from a file.
 
@@ -34,6 +34,7 @@ from .model import (
     ProblemInstance,
     ProfileMode,
     StructureError,
+    TimeResult,
     UnitMap,
     as_decimal,
     as_fraction,
@@ -178,9 +179,7 @@ class ElasticTimeline:
 class StepReport:
     step_index: int
     vm_ids: tuple[str, ...]  # available workers, slowest first
-    c_star: Fraction
-    n_star: int
-    per_vm_time: tuple[Fraction, ...]
+    time: TimeResult  # per-worker times in vm_ids order
     coverage: Fraction
     task_value: tuple[int, ...] | None
     baseline_times: Mapping[str, Fraction]
@@ -190,9 +189,7 @@ class StepReport:
             "step": self.step_index,
             "nAvailable": len(self.vm_ids),
             "vmIds": list(self.vm_ids),
-            "cStar": frac_json(self.c_star),
-            "nStar": self.n_star,
-            "perVmTime": [frac_json(t) for t in self.per_vm_time],
+            **self.time.to_json_obj(),
             "coverage": frac_json(self.coverage),
             "taskValue": list(self.task_value) if self.task_value is not None else None,
             "baselines": {k: frac_json(v) for k, v in sorted(self.baseline_times.items())},
@@ -201,9 +198,10 @@ class StepReport:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A timeline and how to run it.  K is required in exact mode and with
-    baselines; stragglers need a straggler block; every step uses one
-    storage fraction."""
+    """A timeline and how to run it.  Baselines are (kind in ``BASELINE_KINDS``,
+    positive integer replication) pairs.  K is required in exact mode and with
+    baselines; a step's stragglers need a straggler block and number at most
+    its s; every step uses one storage fraction."""
 
     timeline: ElasticTimeline
     mode: ProfileMode
@@ -215,6 +213,12 @@ class Scenario:
             raise ScenarioError(f"mode: expected a ProfileMode, got {self.mode!r}")
         if self.straggler is not None and not isinstance(self.straggler, StragglerConfig):
             raise ScenarioError(f"straggler: expected a StragglerConfig or None, got {self.straggler!r}")
+        for i, pair in enumerate(self.baselines):
+            path = f"baselines[{i}]"
+            if not (isinstance(pair, tuple) and len(pair) == 2 and pair[0] in BASELINE_KINDS):
+                raise ScenarioError(f"{path}: expected {{kind: one of {BASELINE_KINDS}, replication}}")
+            if not is_int(pair[1]) or pair[1] < 1:
+                raise ScenarioError(f"{path}.replication: must be a positive integer")
         if self.timeline.K is None:
             if self.mode is ProfileMode.EXACT:
                 raise ScenarioError("K: required in exact mode")
@@ -224,6 +228,9 @@ class Scenario:
         for i, step in enumerate(self.timeline.steps):
             if step.stragglers and self.straggler is None:
                 raise ScenarioError(f"steps[{i}].stragglers: set but scenario has no straggler config")
+            if self.straggler is not None and len(step.stragglers) > self.straggler.s:
+                k, s = len(step.stragglers), self.straggler.s
+                raise ScenarioError(f"steps[{i}]: {k} stragglers exceed the configured s={s}")
             fractions = {catalog[v].fraction for v in step.available}
             if len(fractions) != 1:
                 raise ScenarioError(
@@ -242,7 +249,7 @@ def load_scenario(obj: dict) -> Scenario:
     """Parse a scenario object (see README for the format).
 
     This checks the JSON shapes and types; :class:`ElasticTimeline` and
-    :class:`Scenario` check the rest.
+    :class:`Scenario` check the rest, the baselines and straggler budget too.
     """
     if not isinstance(obj, dict):
         raise ScenarioError("scenario: expected a JSON object")
@@ -338,13 +345,9 @@ def load_scenario(obj: dict) -> Scenario:
         raise ScenarioError("baselines: expected an array")
     baselines = []
     for i, b in enumerate(baselines_raw):
-        path = f"baselines[{i}]"
-        if not isinstance(b, dict) or b.get("kind") not in BASELINE_KINDS:
-            raise ScenarioError(f"{path}: expected {{kind: one of {BASELINE_KINDS}, replication}}")
-        r = b.get("replication")
-        if not is_int(r) or r < 1:
-            raise ScenarioError(f"{path}.replication: must be a positive integer")
-        baselines.append((b["kind"], r))
+        if not isinstance(b, dict):
+            raise ScenarioError(f"baselines[{i}]: expected an object")
+        baselines.append((b.get("kind"), b.get("replication")))
 
     timeline = ElasticTimeline(vm_catalog=catalog, steps=tuple(steps), K=K)
     return Scenario(timeline=timeline, mode=mode, straggler=straggler, baselines=tuple(baselines))
@@ -429,10 +432,6 @@ def _run_step(
 ) -> StepReport:
     straggler = scenario.straggler
     order, instance, profile = _step_instance(scenario, step, storage_cache)
-    if straggler is not None and len(step.stragglers) > straggler.s:
-        raise ScenarioError(
-            f"steps[{step_index}]: {len(step.stragglers)} stragglers exceed the configured s={straggler.s}"
-        )
     try:
         plan = solve_snapshot(instance, profile, straggler, shares=False)
     except CodingConfigError as exc:
@@ -461,9 +460,7 @@ def _run_step(
     return StepReport(
         step_index=step_index,
         vm_ids=order,
-        c_star=plan.time.c_star,
-        n_star=plan.time.n_star,
-        per_vm_time=plan.time.per_worker_time,
+        time=plan.time,
         coverage=profile.cumulative[instance.N],
         task_value=task_value,
         baseline_times=baseline_times,
@@ -475,7 +472,7 @@ def run_timeline(scenario: Scenario) -> tuple[StepReport, ...]:
 
     Storage is drawn once per catalog worker (first appearance) and reused
     across steps.  A step with more stragglers than the straggler block's s
-    raises :class:`ScenarioError`.
+    never gets here: :class:`Scenario` refuses it.
     """
     exact = scenario.mode is ProfileMode.EXACT
     storage_cache = _catalog_storage(scenario.timeline) if exact else {}
@@ -503,8 +500,8 @@ def baseline_assign(
     N, K, r = instance.N, instance.K, replication
     if kind not in BASELINE_KINDS:
         raise ConfigurationError(f"unknown baseline kind {kind!r}")
-    if not 1 <= r <= N:
-        raise ConfigurationError(f"replication {r} outside [1, {N}]")
+    if not (is_int(r) and 1 <= r <= N):
+        raise ConfigurationError(f"replication {r!r} is not an integer in [1, {N}]")
     if kind == "repetition" and N % r:
         raise ConfigurationError(f"repetition needs r | N; got N={N}, r={r}")
     n_blocks = N if kind == "cyclic" else N // r if kind == "repetition" else comb(N, r)
@@ -594,8 +591,8 @@ def reports_to_csv(reports: Sequence[StepReport]) -> str:
         row = [
             str(rep.step_index),
             str(len(rep.vm_ids)),
-            format(as_decimal(rep.c_star), ".17g"),
-            str(rep.n_star),
+            format(as_decimal(rep.time.c_star), ".17g"),
+            str(rep.time.n_star),
             format(as_decimal(rep.coverage), ".17g"),
         ]
         for k in baseline_keys:

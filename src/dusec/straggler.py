@@ -182,7 +182,7 @@ def redundant_assign(
             f"redundancy r = s + m = {r} exceeds N = {instance.N}: no class can be covered {r} times"
         )
     coverable = filtered_for_redundancy(profile, r)
-    excluded = tuple(mask for mask in profile.classes if mask.bit_count() < r)
+    excluded = tuple(mask for mask in profile.classes if mask not in coverable.classes)
     assignment, time = flow_assign(instance, coverable, redundancy=r)
     return StragglerPlan(assignment=assignment, time=time, excluded_classes=excluded)
 

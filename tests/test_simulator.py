@@ -191,6 +191,28 @@ def _timeline(available=("a", "b"), speeds=None, stragglers=(), K=None):
             r"steps\[0\]: storage fractions differ",
         ),
         (lambda: Scenario(_timeline(), ProfileMode.EXACT, None, ()), "K: required in exact mode"),
+        # the baselines and the straggler budget are the type's rules, not only the loader's
+        *(
+            (
+                lambda r=r: Scenario(_timeline(K=4), ProfileMode.ASYMPTOTIC, None, (("cyclic", r),)),
+                r"baselines\[0\]\.replication: must be a positive integer",
+            )
+            for r in (True, 2.0, 0)
+        ),
+        (
+            lambda: Scenario(_timeline(K=4), ProfileMode.ASYMPTOTIC, None, (("ring", 2),)),
+            r"baselines\[0\]: expected \{kind: one of \('cyclic', 'repetition', 'man'\), replication\}",
+        ),
+        (
+            lambda: Scenario(_timeline(K=4), ProfileMode.ASYMPTOTIC, None, ("cyclic",)),
+            r"baselines\[0\]: expected \{kind: one of",
+        ),
+        (
+            lambda: Scenario(
+                _timeline(stragglers=("a", "b"), K=4), ProfileMode.EXACT, StragglerConfig(s=1, m=1)
+            ),
+            r"steps\[0\]: 2 stragglers exceed the configured s=1",
+        ),
         (lambda: Scenario(_timeline(), "exact", None, ()), "mode: expected a ProfileMode, got 'exact'"),
         (
             lambda: Scenario(_timeline(K=4), ProfileMode.EXACT, (1, 1), ()),
@@ -285,7 +307,7 @@ def test_scenario_numbers_built_in_code_are_coerced():
     assert all(isinstance(s, F) for s in step.speeds.values())
     timeline = ElasticTimeline(vm_catalog={"a": entry}, steps=(step,), K=4)
     (report,) = run_timeline(Scenario(timeline, ProfileMode.EXACT))
-    assert report.vm_ids == ("a",) and report.c_star == F(1, 2)
+    assert report.vm_ids == ("a",) and report.time.c_star == F(1, 2)
 
 
 def _full_scenario():
@@ -399,14 +421,14 @@ def test_bundled_showcase_scenario():
     reports = run_timeline(load_scenario(_bundled("paper_example.json")))
     first = reports[0]
     assert first.vm_ids == ("vm1", "vm2", "vm3", "vm4")
-    assert first.c_star == F(15, 208)
-    assert first.n_star == 4
+    assert first.time.c_star == F(15, 208)
+    assert first.time.n_star == 4
     assert first.coverage == F(15, 16)
     assert first.baseline_times["cyclic_r2"] == F(1, 12)
     assert first.baseline_times["repetition_r2"] == F(1, 6)
     # two equal fast workers left alone
     second = reports[1]
-    assert second.c_star == F(3, 40)
+    assert second.time.c_star == F(3, 40)
     assert second.baseline_times["cyclic_r2"] == F(1, 10)
 
 
@@ -415,8 +437,7 @@ def test_steps_are_solved_independently():
     reports = run_timeline(replace(scenario, baselines=()))
     inst = ProblemInstance.from_alpha(F(2), (F(1), F(2), F(5), F(6)))
     _, res = assign_loads(inst, profile_from_alpha(F(2), 4))
-    assert reports[2].c_star == res.c_star
-    assert reports[2].per_vm_time == res.per_worker_time
+    assert reports[2].time == res
 
 
 def test_storage_frozen_across_steps():
@@ -432,7 +453,7 @@ def test_storage_frozen_across_steps():
     }
     reports = run_timeline(load_scenario(obj))
     assert reports[0].coverage == reports[1].coverage  # same drawn subset
-    assert reports[0].c_star == 4 * reports[1].c_star  # only the speed moved
+    assert reports[0].time.c_star == 4 * reports[1].time.c_star  # only the speed moved
 
 
 def test_exact_mode_matches_direct_solve():
@@ -440,7 +461,7 @@ def test_exact_mode_matches_direct_solve():
     reports = run_timeline(replace(scenario, baselines=()))
     assert len(reports) == 10
     for rep in reports:
-        assert max(rep.per_vm_time) == rep.c_star
+        assert max(rep.time.per_worker_time) == rep.time.c_star
         assert 0 < rep.coverage <= 1
 
 
@@ -472,13 +493,12 @@ def test_straggler_step_decodes_the_aggregate():
     expected = tuple((0b111 * 2654435761 + j) % p for j in range(2))
     assert reports[0].task_value == expected
     assert reports[1].task_value == expected  # losing one response changes nothing
-    assert reports[0].c_star == F(1, 8)
+    assert reports[0].time.c_star == F(1, 8)
 
 
 def test_straggler_budget_enforced_per_step():
-    scenario = load_scenario(_straggler_scenario(["a", "b"]))
-    with pytest.raises(ScenarioError, match=r"steps\[0\].*exceed"):
-        run_timeline(scenario)
+    with pytest.raises(ScenarioError, match=r"steps\[0\]: 2 stragglers exceed the configured s=1"):
+        load_scenario(_straggler_scenario(["a", "b"]))
 
 
 def test_coverage_matches_catalog_union():
@@ -605,6 +625,10 @@ def test_baseline_divisibility_errors():
     inst = ProblemInstance(K=16, M=8, speeds=(F(1), F(2), F(5), F(5)))
     with pytest.raises(ConfigurationError, match="unknown baseline kind 'ring'"):
         baseline_assign("ring", 2, inst)
+    with pytest.raises(ConfigurationError, match=r"replication True is not an integer in \[1, 4\]"):
+        baseline_assign("cyclic", True, inst)  # not run as r = 1
+    with pytest.raises(ConfigurationError, match=r"replication 2\.0 is not an integer in \[1, 4\]"):
+        baseline_assign("cyclic", 2.0, inst)
     with pytest.raises(ConfigurationError):
         baseline_assign("cyclic", 5, inst)  # r > N
     with pytest.raises(ConfigurationError):

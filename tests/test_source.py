@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
@@ -222,3 +223,37 @@ def test_one_lagrange_basis_and_one_batched_inversion():
     owners = {name for name, node in functions.items() if name.startswith("straggler.") and _calls(node, "pow")}
     assert owners == {"straggler._is_prime", "straggler._basis_values"}
     assert len(_calls(tree, "pow")) == sum(len(_calls(functions[name], "pow")) for name in owners)
+
+
+def test_each_scenario_rule_and_step_result_has_one_owner():
+    # a Scenario built in code meets the baseline and straggler-budget rules
+    # that a scenario file meets: the type states them, the loader and the
+    # step runner only reach them through it
+    functions = dict(_functions())
+
+    def owners(text):
+        return {
+            name
+            for name, node in functions.items()
+            for n in ast.walk(node)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str) and text in n.value
+        }
+
+    for text in ("expected {kind: one of", "replication: must be a positive integer", "stragglers exceed"):
+        assert owners(text) == {"simulator.Scenario.__post_init__"}, text
+    # baseline_assign keeps its own refusal of a kind it cannot build
+    assert {name for name, node in functions.items() if "BASELINE_KINDS" in _names(node)} == {
+        "simulator.Scenario.__post_init__",
+        "simulator.baseline_assign",
+    }
+    # a step's c*, n* and per-worker times are the solver's TimeResult, written by its own to_json_obj
+    json_keys = {
+        name
+        for name, node in functions.items()
+        for n in ast.walk(node)
+        if isinstance(n, ast.Dict)
+        and any(isinstance(k, ast.Constant) and k.value in ("cStar", "nStar", "perVmTime") for k in n.keys)
+    }
+    assert json_keys == {"model.TimeResult.to_json_obj"}
+    fields = {f.name for f in dataclasses.fields(dusec.StepReport)}
+    assert "time" in fields and not fields & {"c_star", "n_star", "per_vm_time"}
