@@ -13,17 +13,18 @@ that subset's speed.  Two routes compute it:
 * ``flow_assign`` runs a Newton (Dinkelbach) search on one flow network,
   source -> class (r * a(V)) -> member workers (a(V)) -> sink (T * s_n).
   It starts T at the best slowest-k prefix bound and runs one max-flow.
-  If the flow saturates, T is optimal and the flow is the assignment;
-  otherwise the workers the source still reaches form a set S with
+  The workers with no residual path to the sink are the largest S
+  minimizing T * speed(S) - locked(S).  If the flow saturates, T is
+  optimal, the flow is the assignment and n* = |S|; otherwise
   locked(S) > T * speed(S), and T <- locked(S) / speed(S) is the next,
-  strictly larger, guess (Dinkelbach 1967; Radzik 1992).  There are
-  finitely many cuts, so the search ends; it enumerates no subsets.
-  Each flow starts with Dinic's first phase, which on this network is a
-  greedy pass over the class masks and builds no network.  Only when
-  that pass falls short is the network built, in flat integer arrays
-  carrying the greedy flow, for Dinic's later phases; it then hands its
-  final flow back to the pass's table.  The shares and n* are read from
-  that table one way, whichever phase finished the flow.
+  strictly larger, guess (Dinkelbach 1967; Radzik 1992).  There are finitely many
+  cuts, so the search ends; it enumerates no subsets.  Each flow starts
+  with Dinic's first phase, which on this network is a greedy pass over
+  the class masks and builds no network.  Only when that pass falls
+  short is the network built, in flat integer arrays carrying the greedy
+  flow, for Dinic's later phases; it then hands its final flow back to
+  the pass's table.  The shares and S are read from that table one way,
+  whichever phase finished the flow.
 * ``lp_oracle`` takes the maximum over every S from one ranked zeta
   transform in O(r * N * 2^N) (Bjorklund, Husfeldt, Kaski, Koivisto,
   "Fourier meets Mobius", STOC 2007), so it stops at
@@ -277,14 +278,10 @@ class _Residual:
                 return total
 
     def max_flow(self, s: int, t: int) -> int:
-        """Flow from s to t on top of what the network already carries.
-
-        ``source_levels`` keeps the last search's labels: -1 marks the
-        nodes s no longer reaches.
-        """
+        """Flow from s to t on top of what the network already carries."""
         total = 0
         while True:
-            self.source_levels = level = self.levels(s)
+            level = self.levels(s)
             if level[t] < 0:
                 return total
             total += self._blocking_flow(s, t, level)
@@ -306,7 +303,8 @@ class _Transport:
     greedy flow; Dinic then goes on from its second phase and writes its
     final flow back.  Either way ``flows`` holds (class index, worker bit,
     flow) of every nonzero share, class by class, and ``room`` each worker's
-    slack to the sink: the shares and n* are read from that table alone.
+    slack to the sink: the shares and the bottleneck set are read from
+    that table alone.
     """
 
     def __init__(self, instance: ProblemInstance, classes: UnitMap, redundancy: int, T: Fraction):
@@ -321,9 +319,8 @@ class _Transport:
         self.room = list(self.sink_caps)
         self.flows: list[tuple[int, int, int]] = []
         short = self._greedy(redundancy)
-        self.net: _Residual | None = None
         if short:
-            self.net = net = self._residual_network(redundancy)
+            net = self._residual_network(redundancy)
             short -= net.max_flow(0, len(net.first) - 2)
             # hand the flow back to the table, class by class as the greedy
             # pass lists it; a reverse residual is the flow pushed
@@ -421,19 +418,17 @@ class _Transport:
         first.append(len(adj))
         return _Residual(to, cap, adj, first)
 
-    def source_side(self) -> int:
-        """Mask of the workers the source reaches in the residual network."""
-        level = self.net.source_levels
-        first_worker = 1 + len(self.masks)
-        return sum(1 << w for w in range(len(self.room)) if level[first_worker + w] >= 0)
+    def bottleneck(self) -> int:
+        """Mask of the workers with no residual path to the sink.
 
-    def cut_size(self) -> int:
-        """Number of workers with no residual path to the sink, on a saturated flow.
-
-        At saturation the source has no residual edge out, so the sink is
-        reached only through a worker with room, a class sending a reached
-        member less than its size, and a worker holding flow of a reached
-        class.  The loop walks exactly those edges on ``flows`` and ``room``.
+        In a maximum flow, saturated or short, the source lies on no path
+        to the sink, so the sink is reached only through a worker with
+        room, a class sending a reached member less than its size, and a
+        worker holding flow of a reached class.  The loop walks exactly
+        those edges on ``flows`` and ``room``.  The mask is the worker side
+        of the maximal minimum cut, the largest S minimizing T * speed(S) -
+        locked(S), and is the same for every maximum flow (Picard and
+        Queyranne 1980).
         """
         held = [0] * len(self.masks)
         whole = [0] * len(self.masks)
@@ -457,7 +452,7 @@ class _Transport:
             if grown == reached:
                 break
             reached, pending = grown, rest
-        return len(self.room) - reached.bit_count()
+        return ((1 << len(self.room)) - 1) ^ reached
 
 
 def flow_assign(
@@ -467,21 +462,22 @@ def flow_assign(
 
     Used for profiles without prefix structure (measured placements) and
     for redundant coverage.  T starts at the best slowest-k prefix bound.
-    While the flow at T falls short of the demand, the workers the source
-    reaches in the residual graph form a set S with locked(S) > T *
-    speed(S), and T moves up to locked(S) / speed(S).  The first flow that
-    saturates is at T*, and it is the assignment.  n* is the size of the
-    largest bottleneck set: the workers with no residual path to the sink.
-    Each flow is a :class:`_Transport`; :func:`lp_oracle` runs no flow.
+    While the flow at T falls short of the demand, its bottleneck set S,
+    the workers with no residual path to the sink, has locked(S) > T *
+    speed(S), and T moves up to locked(S) / speed(S), summed directly.
+    The first flow that saturates is at T*, and it is the assignment; its
+    S is the largest set attaining T*, so n* = |S|.  Each flow is a
+    :class:`_Transport`; :func:`lp_oracle` runs no flow.
     """
     classes = _active_classes(instance, profile, redundancy)
     value = _prefix_bound(instance, classes, redundancy)
     while True:
         flow = _Transport(instance, classes, redundancy, value)
+        bottleneck = flow.bottleneck()
         if flow.saturated:
             break
-        raised = _locked_ratio(instance, classes, redundancy, flow.source_side())
-        if raised <= value:  # the source side of a short flow locks more than T * speed(S)
+        raised = _locked_ratio(instance, classes, redundancy, bottleneck)
+        if raised <= value:  # the bottleneck set of a short flow locks more than T * speed(S)
             raise AssertionError(f"Newton step from T = {value} did not raise T")
         value = raised
     masks = flow.masks
@@ -490,5 +486,5 @@ def flow_assign(
         n_workers=instance.N, redundancy=redundancy, shares=UnitMap(units, flow.scale)
     )
     times = tuple(load / s for load, s in zip(assignment.per_worker_loads(), instance.speeds))
-    result = TimeResult(c_star=value, n_star=flow.cut_size(), per_worker_time=times)
+    result = TimeResult(c_star=value, n_star=bottleneck.bit_count(), per_worker_time=times)
     return assignment, result

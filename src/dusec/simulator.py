@@ -101,6 +101,8 @@ class CatalogEntry:
             raise ScenarioError(f"storage fraction {self.fraction} outside [0, 1]")
         if self.seed is not None and not is_int(self.seed):
             raise ScenarioError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed is not None and self.seed < 0:
+            raise ScenarioError(f"seed must be >= 0, got {self.seed}")
         if self.datasets is not None and not (
             isinstance(self.datasets, tuple) and all(map(is_int, self.datasets))
         ):
@@ -432,24 +434,24 @@ def _run_step(
 ) -> StepReport:
     straggler = scenario.straggler
     order, instance, profile = _step_instance(scenario, step, storage_cache)
-    try:
+    task_value = None
+    try:  # the solver's and the coded round's refusals name the step
         plan = solve_snapshot(instance, profile, straggler, shares=False)
+        if straggler is not None:
+            covered = {mask for _, mask in plan.assignment.shares}
+            messages = _demo_messages(sorted(covered), straggler)
+            task_value = ()
+            if messages:
+                transmissions = encode(plan.assignment, straggler, messages)  # one per vm, in order
+                survivors = [t for t, v in zip(transmissions, order) if v not in step.stragglers]
+                task_value = decode(survivors, straggler, instance.N)
+                expected = tuple(sum(part) % straggler.field_modulus for part in zip(*messages.values()))
+                if task_value != expected:
+                    raise AssertionError(
+                        f"steps[{step_index}]: decoded aggregate does not match the message sum"
+                    )
     except CodingConfigError as exc:
         raise CodingConfigError(f"steps[{step_index}]: {exc}") from exc
-    task_value = None
-    if straggler is not None:
-        covered = {mask for _, mask in plan.assignment.shares}
-        messages = _demo_messages(sorted(covered), straggler)
-        task_value = ()
-        if messages:
-            transmissions = encode(plan.assignment, straggler, messages)  # one per vm, in order
-            survivors = [t for t, v in zip(transmissions, order) if v not in step.stragglers]
-            task_value = decode(survivors, straggler, instance.N)
-            expected = tuple(sum(part) % straggler.field_modulus for part in zip(*messages.values()))
-            if task_value != expected:
-                raise AssertionError(
-                    f"steps[{step_index}]: decoded aggregate does not match the message sum"
-                )
     baseline_times: dict[str, Fraction] = {}
     for kind, r in scenario.baselines:
         try:

@@ -20,6 +20,11 @@ MASK_MAX_WORKERS = 62  # largest N of a measured placement's class masks (int64 
 
 
 def _worker_rng(seed: int, stream_key: int) -> np.random.Generator:
+    """Worker ``stream_key``'s stream; the seed is refused unless it is an int >= 0."""
+    if not is_int(seed):
+        raise StructureError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise StructureError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, stream_key])))
 
 

@@ -201,11 +201,16 @@ def part_schedule(
     The quotas are worked out on the assignment's integer units: the
     class's shares are numerators N_n summing to S, and the quota of
     worker n is m*(s+m)*N_n / S.  Only these ratios enter, so the common
-    denominator does not matter.  A negative share, or a share given to a
-    worker outside its class, raises StructureError.
+    denominator does not matter.  A plan built for another redundancy than
+    s + m, a negative share, or a share given to a worker outside its
+    class, raises StructureError.
     """
     m = config.m
     r = config.redundancy
+    if assignment.redundancy != r:
+        raise StructureError(
+            f"assignment covers each class {assignment.redundancy} times, the code needs s + m = {r}"
+        )
     slots = m * r
     by_class: dict[int, dict[int, int]] = {}
     for (n, mask), unit in assignment.shares.units.items():

@@ -99,6 +99,26 @@ def test_simulate_straggler_beyond_a_step_names_the_step(tmp_path, capsys):
     assert "error: steps[1]: redundancy r = s + m = 3 exceeds N = 2" in err
 
 
+def test_simulate_coding_error_names_the_step(tmp_path, capsys):
+    # the solver accepts p = 2; encoding the plan needs 2 worker points and
+    # 1 anchor point, distinct in the field
+    scenario = {
+        "schemaVersion": 1,
+        "mode": "exact",
+        "K": 4,
+        "vmCatalog": {"a": {"datasets": [0, 1]}, "b": {"datasets": [0, 1]}},
+        "steps": [{"available": ["a", "b"], "speeds": {"a": "1", "b": "2"}}],
+        "straggler": {"s": 1, "m": 1, "fieldModulus": 2},
+    }
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = _run(
+        capsys, ["simulate", "--scenario", str(path), "--out", str(tmp_path / "x.csv")]
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: steps[0]: field modulus 2 too small for 2 workers + 1 anchors\n"
+
+
 def test_profile_and_solve_roundtrip(tmp_path, capsys):
     code, out, _ = _run(
         capsys, ["profile", "--K", "40", "--M", "20", "--N", "4", "--seed", "5", "--exact"]
@@ -142,6 +162,11 @@ def test_profile_refuses_what_solve_would_refuse(capsys):
     code, out, err = _run(capsys, ["profile", "--K", "0", "--M", "0", "--N", "2"])
     assert (code, out) == (2, "")
     assert "K must be >= 1" in err
+
+
+def test_profile_refuses_a_negative_seed(capsys):
+    code, out, err = _run(capsys, ["profile", "--K", "10", "--M", "4", "--N", "3", "--seed", "-1"])
+    assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
 
 
 def test_solve_alpha_one_past_the_class_map_limit(capsys):

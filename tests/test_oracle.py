@@ -321,28 +321,37 @@ def test_flow_assign_past_the_enumeration_cap(monkeypatch):
             lp_oracle(inst, prof)
 
 
+def _ratio(inst, prof, r, workers):
+    """locked(S) / speed(S) for the worker set S = ``workers``, summed on Fractions."""
+    locked = sum(
+        (a * max(0, r - (mask & ~workers).bit_count()) for mask, a in prof.classes.items()), F(0)
+    )
+    return locked / sum(s for i, s in enumerate(inst.speeds) if workers >> i & 1)
+
+
+def _prefix_bound_of(inst, prof, r):
+    """The best slowest-k prefix bound; the speeds ascend."""
+    return max(_ratio(inst, prof, r, (1 << k) - 1) for k in range(1, inst.N + 1))
+
+
 def _reference_flow(inst, prof, r):
     """flow_assign's outputs from the reference max-flow in flow_reference.
 
-    A Newton loop of its own starts at the best slowest-k prefix bound, and
-    locked(S) / speed(S) is summed here directly.
+    A Newton loop of its own starts at the best slowest-k prefix bound and
+    steps on the workers the source still reaches, the minimal cut, where
+    flow_assign steps on the maximal one; locked(S) / speed(S) is summed
+    here directly.
     """
-    def ratio(workers):
-        locked = sum(
-            (a * max(0, r - (mask & ~workers).bit_count()) for mask, a in prof.classes.items()), F(0)
-        )
-        return locked / sum(s for i, s in enumerate(inst.speeds) if workers >> i & 1)
-
     classes = oracle._active_classes(inst, prof, r)
     first_worker = 1 + len(classes)
-    value = max(ratio((1 << k) - 1) for k in range(1, inst.N + 1))
+    value = _prefix_bound_of(inst, prof, r)
     while True:
         net, demand, scale, share_edges = _build_flow(classes, inst.speeds, r, value)
         sink = len(net.adj) - 1
         if net.max_flow(0, sink) == demand:
             break
         level = net.reached_from(0)
-        raised = ratio(sum(1 << i for i in range(inst.N) if level[first_worker + i] >= 0))
+        raised = _ratio(inst, prof, r, sum(1 << i for i in range(inst.N) if level[first_worker + i] >= 0))
         assert raised > value
         value = raised
     shares = [
@@ -373,6 +382,61 @@ def test_flow_assign_equals_the_reference_flow(case):
         assert _flow_outputs(inst, coverable, r) == _reference_flow(inst, coverable, r)
 
 
+def _bottleneck_profile(K, M, N, seed, speeds, r):
+    inst = ProblemInstance(K=K, M=M, speeds=[F(s) for s in speeds.split(",")])
+    storage = generate_decentralized(K, M, N, seed=seed)
+    prof = exact_profile(storage.subset([i + 1 for i in inst.source_order]))
+    return inst, filtered_for_redundancy(prof, r)
+
+
+# the minimal and maximal cuts of the first short flow differ: the reference
+# steps on the source side straight to T*, flow_assign on the sink side takes
+# one step more (1/55 -> 3/155 -> 1/50 and 1/28 -> 3/76 -> 1/24)
+_TWO_CUTS = [
+    ((30, 4, 6, 1190, "10/3,11/3,14/3,2,10/3,7/3", 2), F(1, 50)),
+    ((12, 3, 8, 1204, "4,7/3,4,9,17/2,7,10,4", 3), F(1, 24)),
+]
+
+
+@pytest.mark.parametrize("args, c_star", _TWO_CUTS)
+def test_either_minimum_cut_reaches_the_reference_optimum(args, c_star):
+    inst, prof = _bottleneck_profile(*args)
+    r = args[-1]
+    outputs = _flow_outputs(inst, prof, r)
+    assert outputs == _reference_flow(inst, prof, r)
+    assert outputs[2] == c_star == lp_oracle(inst, prof, r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_placements())
+def test_the_bottleneck_set_steps_newton_and_attains_c_star(case):
+    # every flow's bottleneck set S, summed directly: a short flow's S locks
+    # more than T * speed(S), and the last flow's S attains c* with |S| = n*
+    inst, prof, _ = case  # every redundancy is tried below
+    walk = oracle._Transport.bottleneck
+    seen = []
+
+    def spy(self):
+        seen.append((self.saturated, walk(self)))
+        return seen[-1][1]
+
+    for r in range(1, inst.N + 1):
+        coverable = filtered_for_redundancy(prof, r)
+        seen.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle._Transport, "bottleneck", spy)
+            _, res = flow_assign(inst, coverable, r)
+        values = [_prefix_bound_of(inst, coverable, r)]
+        for saturated, workers in seen[:-1]:
+            assert not saturated
+            values.append(_ratio(inst, coverable, r, workers))
+            assert values[-1] > values[-2]
+        saturated, workers = seen[-1]
+        assert saturated and values[-1] == res.c_star
+        assert _ratio(inst, coverable, r, workers) == res.c_star
+        assert workers.bit_count() == res.n_star
+
+
 @pytest.mark.parametrize(
     "case, r, flows",
     [
@@ -384,17 +448,25 @@ def test_flow_assign_equals_the_reference_flow(case):
         (_fast_worker_profile, 1, ["short", "greedy"]),
         # a flow read back from the network after a Newton step
         (_newton_then_network_profile, 1, ["short", "network"]),
+        # two Newton steps: the first short flow's bottleneck set does not attain T*
+        (lambda: _bottleneck_profile(*_TWO_CUTS[0][0]), 2, ["short", "short", "greedy"]),
     ],
 )
 def test_each_flow_branch_matches_the_reference(monkeypatch, case, r, flows):
-    taken = []
-    transport = oracle._Transport.__init__
+    taken, built = [], []
+    transport, network = oracle._Transport.__init__, oracle._Transport._residual_network
 
     def spy(self, *args):
+        before = len(built)
         transport(self, *args)
-        taken.append("greedy" if self.net is None else "network" if self.saturated else "short")
+        taken.append("greedy" if len(built) == before else "network" if self.saturated else "short")
+
+    def spy_network(self, *args):
+        built.append(self)
+        return network(self, *args)
 
     monkeypatch.setattr(oracle._Transport, "__init__", spy)
+    monkeypatch.setattr(oracle._Transport, "_residual_network", spy_network)
     inst, prof = case()
     assert _flow_outputs(inst, prof, r) == _reference_flow(inst, prof, r)
     assert taken == flows

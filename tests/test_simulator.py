@@ -143,6 +143,8 @@ def test_load_scenario_refuses_a_non_object(obj):
         (lambda o: o.update(mode="exact"), "K"),
         (lambda o: o.update(K=5), "steps[0]: fraction 1/2 times K=5 is not an integer"),
         (lambda o: o.update(K=5, mode="exact"), "steps[0]: fraction 1/2 times K=5 is not an integer"),
+        # a negative seed used to load and fail only when a step drew the storage, in numpy's words
+        (lambda o: o["vmCatalog"]["b"].update(seed=-3), "vmCatalog.b: seed must be >= 0, got -3"),
     ],
 )
 def test_load_scenario_names_the_offending_path(mutate, path_fragment):
@@ -264,6 +266,7 @@ def _timeline(available=("a", "b"), speeds=None, stragglers=(), K=None):
             ),
             "seed must be an integer, got 1.5",
         ),
+        (lambda: CatalogEntry(fraction=F(1, 2), seed=-1), "seed must be >= 0, got -1"),
         (
             lambda: CatalogEntry(fraction=F(1, 2), datasets=(0, 1.0)),
             r"datasets: expected a tuple of integers, got \(0, 1\.0\)",

@@ -257,3 +257,41 @@ def test_each_scenario_rule_and_step_result_has_one_owner():
     assert json_keys == {"model.TimeResult.to_json_obj"}
     fields = {f.name for f in dataclasses.fields(dusec.StepReport)}
     assert "time" in fields and not fields & {"c_star", "n_star", "per_vm_time"}
+
+
+def test_one_walk_gives_the_newton_set_and_n_star():
+    # the flow classes keep no state past __init__ (Dinic keeps no labels once
+    # it returns), and flow_assign reads the Newton step's set and n* from
+    # one _Transport method: the workers with no residual path to the sink
+    (tree,) = [tree for path, tree in _modules() if path.stem == "oracle"]
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    for name in ("_Residual", "_Transport"):
+        stored = [
+            f"{name}.{item.name}.{n.attr}"
+            for item in classes[name].body
+            if isinstance(item, ast.FunctionDef) and item.name != "__init__"
+            for n in ast.walk(item)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+        ]
+        assert stored == [], name
+    methods = {item.name for item in classes["_Transport"].body if isinstance(item, ast.FunctionDef)}
+    flow_assign = dict(_functions())["oracle.flow_assign"]
+    calls = [
+        node
+        for node in ast.walk(flow_assign)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call)
+        and getattr(node.value.func, "attr", None) in methods
+    ]
+    (call,) = calls
+    assert len([n for n in ast.walk(flow_assign) if getattr(n, "attr", None) in methods]) == 1
+    (target,) = call.targets
+    readers = {
+        ast.unparse(node)
+        for node in ast.walk(flow_assign)
+        if isinstance(node, ast.Call) and target.id in _names(node) and node is not call.value
+    }
+    assert readers >= {
+        f"_locked_ratio(instance, classes, redundancy, {target.id})",
+        f"{target.id}.bit_count()",
+    }

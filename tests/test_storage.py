@@ -1,4 +1,5 @@
 import hashlib
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -26,6 +27,29 @@ def test_subset_is_deterministic_and_well_formed():
     assert not np.array_equal(
         generate_worker_subset(100, 37, 0), generate_worker_subset(100, 37, 1)
     )
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        ("3", "seed must be an integer, got '3'"),
+        (True, "seed must be an integer, got True"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (None, "seed must be an integer, got None"),
+        (-1, "seed must be >= 0, got -1"),
+    ],
+)
+def test_generators_refuse_a_seed_that_is_not_a_non_negative_integer(seed, message):
+    # a string or boolean seed used to be drawn from and written into storage
+    # that its own from_json_obj refuses; the others failed inside numpy
+    for generate in (
+        lambda: generate_decentralized(10, 4, 3, seed=seed),
+        lambda: generate_worker_subset(10, 4, seed),
+    ):
+        with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+            generate()
+    # 0 is the smallest seed, and what the generators write their own reader takes
+    assert ExplicitStorage.from_json_obj(generate_decentralized(10, 4, 3, seed=0).to_json_obj()).seed == 0
 
 
 def test_fleet_growth_keeps_existing_storage():

@@ -373,6 +373,20 @@ def test_part_schedule_refuses_over_coverage():
         part_schedule(asg, StragglerConfig(s=1, m=1))
 
 
+def test_part_schedule_refuses_a_plan_for_another_redundancy():
+    # an r = 1 plan under s = 1, m = 1 (r = 2): each worker's half of class
+    # {1, 2} is a quota of one slot, so the schedule {(3, 1): (1, 2)} looks
+    # whole, and one survivor would "decode" an aggregate from half a class
+    asg = LoadAssignment(n_workers=2, redundancy=1, shares={(1, 3): F(1, 2), (2, 3): F(1, 2)})
+    cfg = StragglerConfig(s=1, m=1)
+    for run in (lambda: part_schedule(asg, cfg), lambda: encode(asg, cfg, {3: (5,)})):
+        with pytest.raises(StructureError, match=r"covers each class 1 times, the code needs s \+ m = 2"):
+            run()
+    # the same shares at r = 2 are a valid plan
+    asg = LoadAssignment(n_workers=2, redundancy=2, shares=asg.shares)
+    assert part_schedule(asg, cfg) == {(3, 1): (1, 2)}
+
+
 def test_part_schedule_refuses_a_negative_quota():
     # class {2, 3, 4} with shares 1/2, -1/2, -1/2: worker 2's quota would round to -1 slot
     asg = LoadAssignment(
