@@ -29,6 +29,7 @@ from .model import (
     LoadAssignment,
     ProblemInstance,
     StructureError,
+    check_schema_version,
     frac_json,
     frac_str,
 )
@@ -215,8 +216,9 @@ def _cmd_profile(args) -> int:
 def _load_storage_file(path: str) -> ExplicitStorage:
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    if isinstance(obj, dict) and "storage" in obj:
-        obj = obj["storage"]
+    if isinstance(obj, dict):  # what profile writes, or a bare storage object
+        check_schema_version(obj)
+        obj = obj.get("storage", obj)
     return ExplicitStorage.from_json_obj(obj)
 
 

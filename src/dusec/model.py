@@ -60,6 +60,13 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def check_schema_version(obj: Mapping, error: type[ValueError] = StructureError) -> None:
+    """Refuse a JSON document whose ``schemaVersion``, if it has one, is not :data:`SCHEMA_VERSION`."""
+    version = obj.get("schemaVersion", SCHEMA_VERSION)
+    if not is_int(version) or version != SCHEMA_VERSION:
+        raise error(f"schemaVersion: unsupported version {version!r}")
+
+
 def over_one_denominator(values) -> tuple[tuple[int, ...], int]:
     """Integer numerators of the Fractions ``values`` over their least common denominator."""
     denom = lcm(*{v.denominator for v in values})
@@ -80,8 +87,7 @@ class UnitMap(Mapping):
     __slots__ = ("units", "denom", "_fractions")
 
     def __init__(self, units: Mapping, denom: int):
-        if not is_int(denom) or denom < 1:
-            raise StructureError(f"denominator must be a positive integer, got {denom!r}")
+        check_count("denominator", denom)
         self.units = MappingProxyType(units)
         self.denom = denom
         self._fractions: Mapping | None = None
@@ -189,21 +195,21 @@ def check_pair(instance: ProblemInstance, profile: ClassProfile) -> None:
         )
 
 
-def check_count(name: str, value) -> None:
-    """Refuse a count (K, N, redundancy) that is not an integer (booleans included) or is < 1."""
+def check_count(name: str, value, low: int = 1, error: type[ValueError] = StructureError) -> None:
+    """The one integer rule of counts, seeds, ``vm_index`` and coding parameters: raise
+    ``error`` (each layer passes its own) unless ``value`` is an int, not a bool, >= ``low``."""
     if not is_int(value):
-        raise StructureError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise StructureError(f"{name} must be >= 1, got {value}")
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
 
 
 def check_counts(K, M) -> None:
     """Refuse a dataset count K or a per-worker count M that is not an
     integer (booleans included), K < 1, or M outside [0, K]."""
     check_count("K", K)
-    if not is_int(M):
-        raise StructureError(f"M must be an integer, got {M!r}")
-    if not 0 <= M <= K:
+    check_count("M", M, low=0)
+    if M > K:
         raise StructureError(f"M must lie in [0, K]; got M={M}, K={K}")
 
 

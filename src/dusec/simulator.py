@@ -7,9 +7,9 @@ step is solved independently: workers are sorted by speed (ties by vm
 id), the step's storage-class profile is built, and ``solve_snapshot``,
 which also serves ``dusec solve``, picks the solver and runs it.
 
-Every scenario rule lives in the types (:class:`ElasticTimeline`,
-:class:`Scenario`); ``load_scenario`` checks only the JSON shapes, so a
-scenario built in code meets the same rules as one read from a file.
+Every scenario rule, the integer rule ``check_count`` included, lives in
+the types; ``load_scenario`` checks the JSON shapes and hands the raw values
+on, so a scenario built in code meets the same rules as one read from a file.
 
 Baselines rebuild classical centralized placements (cyclic, repetition,
 all-subsets) on the same fleet each step.  A placement is known by its
@@ -38,6 +38,8 @@ from .model import (
     UnitMap,
     as_decimal,
     as_fraction,
+    check_count,
+    check_schema_version,
     frac_json,
     is_int,
 )
@@ -70,12 +72,6 @@ class ConfigurationError(ValueError):
     """Baseline parameters incompatible with the fleet (divisibility etc.)."""
 
 
-def _check_K(K) -> None:
-    """Refuse a dataset count that is set but not a positive integer."""
-    if K is not None and (not is_int(K) or K < 1):
-        raise ScenarioError(f"K: must be a positive integer, got {K!r}")
-
-
 def _fraction_at(obj, path: str) -> Fraction:
     try:
         return as_fraction(obj)
@@ -99,10 +95,8 @@ class CatalogEntry:
         object.__setattr__(self, "fraction", _fraction_at(self.fraction, "fraction"))
         if not 0 <= self.fraction <= 1:
             raise ScenarioError(f"storage fraction {self.fraction} outside [0, 1]")
-        if self.seed is not None and not is_int(self.seed):
-            raise ScenarioError(f"seed must be an integer, got {self.seed!r}")
-        if self.seed is not None and self.seed < 0:
-            raise ScenarioError(f"seed must be >= 0, got {self.seed}")
+        if self.seed is not None:
+            check_count("seed", self.seed, low=0, error=ScenarioError)
         if self.datasets is not None and not (
             isinstance(self.datasets, tuple) and all(map(is_int, self.datasets))
         ):
@@ -138,7 +132,8 @@ class ElasticTimeline:
     K: int | None = None
 
     def __post_init__(self):
-        _check_K(self.K)
+        if self.K is not None:
+            check_count("K", self.K, error=ScenarioError)
         for vm_id, entry in self.vm_catalog.items():
             if self.K is None or entry.datasets is None:
                 continue
@@ -219,8 +214,7 @@ class Scenario:
             path = f"baselines[{i}]"
             if not (isinstance(pair, tuple) and len(pair) == 2 and pair[0] in BASELINE_KINDS):
                 raise ScenarioError(f"{path}: expected {{kind: one of {BASELINE_KINDS}, replication}}")
-            if not is_int(pair[1]) or pair[1] < 1:
-                raise ScenarioError(f"{path}.replication: must be a positive integer")
+            check_count(f"{path}.replication", pair[1], error=ScenarioError)
         if self.timeline.K is None:
             if self.mode is ProfileMode.EXACT:
                 raise ScenarioError("K: required in exact mode")
@@ -241,29 +235,23 @@ class Scenario:
                 )
 
 
-def _int_at(obj, path: str) -> int:
-    if not is_int(obj):
-        raise ScenarioError(f"{path}: must be an integer, got {obj!r}")
-    return obj
-
-
 def load_scenario(obj: dict) -> Scenario:
     """Parse a scenario object (see README for the format).
 
-    This checks the JSON shapes and types; :class:`ElasticTimeline` and
-    :class:`Scenario` check the rest, the baselines and straggler budget too.
+    This checks the JSON shapes and hands the raw values to the types, which
+    check the integers, the baselines and the straggler budget; a catalog
+    entry's or the straggler block's refusal is prefixed with its JSON path.
     """
     if not isinstance(obj, dict):
         raise ScenarioError("scenario: expected a JSON object")
-    version = obj.get("schemaVersion", SCHEMA_VERSION)
-    if not is_int(version) or version != SCHEMA_VERSION:
-        raise ScenarioError(f"schemaVersion: unsupported version {version!r}")
+    check_schema_version(obj, error=ScenarioError)
     mode_raw = obj.get("mode")
     if mode_raw not in ("exact", "asymptotic"):
         raise ScenarioError(f"mode: must be 'exact' or 'asymptotic', got {mode_raw!r}")
     mode = ProfileMode(mode_raw)
     K = obj.get("K")
-    _check_K(K)  # the datasets entries divide by it
+    if K is not None:  # the datasets entries divide by it
+        check_count("K", K, error=ScenarioError)
 
     catalog_raw = obj.get("vmCatalog")
     if not isinstance(catalog_raw, dict) or not catalog_raw:
@@ -288,7 +276,6 @@ def load_scenario(obj: dict) -> Scenario:
         elif seed is None:
             raise ScenarioError(f"{path}: needs 'seed' or 'datasets'")
         else:
-            _int_at(seed, f"{path}.seed")
             fraction = _fraction_at(entry.get("storageFraction"), f"{path}.storageFraction")
         try:
             catalog[vm_id] = CatalogEntry(fraction=fraction, seed=seed, datasets=datasets)
@@ -303,13 +290,14 @@ def load_scenario(obj: dict) -> Scenario:
     if straggler_raw is not None:
         if not isinstance(straggler_raw, dict):
             raise ScenarioError("straggler: expected an object")
-        straggler = StragglerConfig(
-            s=_int_at(straggler_raw.get("s", 0), "straggler.s"),
-            m=_int_at(straggler_raw.get("m", 1), "straggler.m"),
-            field_modulus=_int_at(
-                straggler_raw.get("fieldModulus", DEFAULT_FIELD_MODULUS), "straggler.fieldModulus"
-            ),
-        )
+        try:
+            straggler = StragglerConfig(
+                s=straggler_raw.get("s", 0),
+                m=straggler_raw.get("m", 1),
+                field_modulus=straggler_raw.get("fieldModulus", DEFAULT_FIELD_MODULUS),
+            )
+        except CodingConfigError as exc:
+            raise ScenarioError(f"straggler: {exc}") from exc
 
     steps: list[TimelineStep] = []
     for i, step_raw in enumerate(steps_raw):
@@ -502,8 +490,9 @@ def baseline_assign(
     N, K, r = instance.N, instance.K, replication
     if kind not in BASELINE_KINDS:
         raise ConfigurationError(f"unknown baseline kind {kind!r}")
-    if not (is_int(r) and 1 <= r <= N):
-        raise ConfigurationError(f"replication {r!r} is not an integer in [1, {N}]")
+    check_count("replication", r, error=ConfigurationError)
+    if r > N:
+        raise ConfigurationError(f"replication {r} exceeds N = {N}")
     if kind == "repetition" and N % r:
         raise ConfigurationError(f"repetition needs r | N; got N={N}, r={r}")
     n_blocks = N if kind == "cyclic" else N // r if kind == "repetition" else comb(N, r)

@@ -14,17 +14,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ClassProfile, StructureError, UnitMap, check_count, check_counts, is_int
+from .model import ClassProfile, StructureError, UnitMap, check_count, check_counts
 
 MASK_MAX_WORKERS = 62  # largest N of a measured placement's class masks (int64 arrays)
 
 
 def _worker_rng(seed: int, stream_key: int) -> np.random.Generator:
     """Worker ``stream_key``'s stream; the seed is refused unless it is an int >= 0."""
-    if not is_int(seed):
-        raise StructureError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise StructureError(f"seed must be >= 0, got {seed}")
+    check_count("seed", seed, low=0)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, stream_key])))
 
 
@@ -62,6 +59,8 @@ class ExplicitStorage:
 
     def __post_init__(self):
         check_counts(self.K, self.M)
+        if self.seed is not None:
+            check_count("seed", self.seed, low=0)
         if not self.per_worker:
             raise StructureError("storage needs at least one worker")
         for i, arr in enumerate(self.per_worker):
@@ -119,10 +118,7 @@ class ExplicitStorage:
             K, M, N, per_vm = obj["K"], obj["M"], obj["N"], obj["perVm"]
         except (KeyError, TypeError) as exc:
             raise StructureError(f"storage object missing/invalid field: {exc}") from exc
-        seed = obj.get("seed")
-        for name, value in (("K", K), ("M", M), ("N", N), ("seed", seed)):
-            if not is_int(value) and not (name == "seed" and value is None):
-                raise StructureError(f"storage field {name} must be an integer, got {value!r}")
+        check_count("N", N)  # K, M and the seed are the constructor's to check
         if not isinstance(per_vm, list):
             raise StructureError("perVm must be a list of per-worker lists")
         if len(per_vm) != N:
@@ -141,7 +137,7 @@ class ExplicitStorage:
             arr = np.sort(arr.astype(np.int64, copy=False))
             arr.setflags(write=False)
             arrays.append(arr)
-        return cls(K=K, M=M, per_worker=tuple(arrays), seed=seed)
+        return cls(K=K, M=M, per_worker=tuple(arrays), seed=obj.get("seed"))
 
 
 def generate_decentralized(K: int, M: int, N: int, seed: int = 0) -> ExplicitStorage:

@@ -46,8 +46,8 @@ from .model import (
     StructureError,
     TimeResult,
     UnitMap,
+    check_count,
     check_pair,
-    is_int,
 )
 from .oracle import flow_assign
 
@@ -103,13 +103,9 @@ class StragglerConfig:
     field_modulus: int = DEFAULT_FIELD_MODULUS
 
     def __post_init__(self):
-        for name in ("s", "m", "field_modulus"):
-            if not is_int(getattr(self, name)):
-                raise CodingConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.s < 0:
-            raise CodingConfigError(f"s must be >= 0, got {self.s}")
-        if self.m < 1:
-            raise CodingConfigError(f"m must be >= 1, got {self.m}")
+        check_count("s", self.s, low=0, error=CodingConfigError)
+        check_count("m", self.m, error=CodingConfigError)
+        check_count("field_modulus", self.field_modulus, low=2, error=CodingConfigError)
         if self.field_modulus >= 1 << 64:
             raise CodingConfigError(
                 f"field modulus {self.field_modulus} is not below 2^64, "
@@ -139,8 +135,7 @@ class CodedTransmission:
     encoding_row: Mapping[tuple[int, int], int]
 
     def __post_init__(self):
-        if self.vm_index < 1:
-            raise StructureError(f"vm_index must be >= 1, got {self.vm_index}")
+        check_count("vm_index", self.vm_index)
         object.__setattr__(self, "encoding_row", MappingProxyType(dict(self.encoding_row)))
 
 

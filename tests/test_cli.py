@@ -147,6 +147,28 @@ def test_profile_and_solve_roundtrip(tmp_path, capsys):
     assert solved["oracle"]["value"] == solved["cStar"]
 
 
+def test_solve_profile_file_reads_only_schema_version_1(tmp_path, capsys):
+    # the file's schemaVersion used to be ignored, and a negative seed loaded
+    storage = generate_decentralized(10, 4, 3, seed=2).to_json_obj()
+    path = tmp_path / "storage.json"
+    solve = ["solve", "--speeds", "1,2,3", "--profile-file", str(path)]
+    outputs = []
+    for obj in ({"schemaVersion": 1, "storage": storage}, {"storage": storage}, storage):
+        path.write_text(json.dumps(obj))
+        code, out, _ = _run(capsys, solve)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    for obj, message in (
+        ({"schemaVersion": 2, "storage": storage}, "schemaVersion: unsupported version 2"),
+        ({"schemaVersion": True, "storage": storage}, "schemaVersion: unsupported version True"),
+        ({**storage, "schemaVersion": "1"}, "schemaVersion: unsupported version '1'"),
+        ({"schemaVersion": 1, "storage": {**storage, "seed": -1}}, "seed must be >= 0, got -1"),
+    ):
+        path.write_text(json.dumps(obj))
+        assert _run(capsys, solve) == (2, "", f"error: {message}\n")
+
+
 def test_profile_exact_past_twenty_workers(capsys):
     code, out, _ = _run(capsys, ["profile", "--K", "64", "--M", "32", "--N", "21", "--exact"])
     assert code == 0

@@ -32,6 +32,9 @@ def test_mask_roundtrip():
     for n in range(1, 7):
         for mask in iter_class_masks(n):
             assert mask_of(workers_of(mask)) == mask
+    for workers in ([0], [2, 0], [-1]):
+        with pytest.raises(StructureError, match=r"worker index -?\d out of range \(workers are 1-based\)"):
+            mask_of(workers)
 
 
 def test_iter_class_masks_covers_all_nonempty():
@@ -144,6 +147,12 @@ def test_profile_cardinality_only():
     prof = profile_from_alpha(F(2), 4)
     for mask in iter_class_masks(4):
         assert prof.a(mask) == F(1, 16)
+    # the empty set and sets past worker N are no class, on either profile mode
+    measured = ClassProfile(n_workers=4, class_sizes={1: F(1)})
+    for profile in (prof, measured):
+        for mask in (0, 16, -1):
+            with pytest.raises(StructureError, match=f"^class mask {mask} out of range for N=4$"):
+                profile.a(mask)
 
 
 def test_degenerate_full_storage_profile():

@@ -145,6 +145,14 @@ def test_load_scenario_refuses_a_non_object(obj):
         (lambda o: o.update(K=5, mode="exact"), "steps[0]: fraction 1/2 times K=5 is not an integer"),
         # a negative seed used to load and fail only when a step drew the storage, in numpy's words
         (lambda o: o["vmCatalog"]["b"].update(seed=-3), "vmCatalog.b: seed must be >= 0, got -3"),
+        # StragglerConfig's own refusals used to escape as a CodingConfigError with no path
+        (lambda o: o.update(straggler={"s": -1}), "straggler: s must be >= 0, got -1"),
+        (lambda o: o.update(straggler={"m": 0}), "straggler: m must be >= 1, got 0"),
+        (lambda o: o.update(straggler={"fieldModulus": 9}), "straggler: field modulus 9 is not prime"),
+        (
+            lambda o: o.update(straggler={"fieldModulus": 1 << 64}),
+            f"straggler: field modulus {1 << 64} is not below 2^64",
+        ),
     ],
 )
 def test_load_scenario_names_the_offending_path(mutate, path_fragment):
@@ -197,9 +205,13 @@ def _timeline(available=("a", "b"), speeds=None, stragglers=(), K=None):
         *(
             (
                 lambda r=r: Scenario(_timeline(K=4), ProfileMode.ASYMPTOTIC, None, (("cyclic", r),)),
-                r"baselines\[0\]\.replication: must be a positive integer",
+                rf"^baselines\[0\]\.replication {message}$",
             )
-            for r in (True, 2.0, 0)
+            for r, message in (
+                (True, "must be an integer, got True"),
+                (2.0, r"must be an integer, got 2\.0"),
+                (0, "must be >= 1, got 0"),
+            )
         ),
         (
             lambda: Scenario(_timeline(K=4), ProfileMode.ASYMPTOTIC, None, (("ring", 2),)),
@@ -246,13 +258,13 @@ def _timeline(available=("a", "b"), speeds=None, stragglers=(), K=None):
             ),
             r"vmCatalog\.v\.datasets: 2 ids, but fraction 1/4 times K=4 is 1",
         ),
-        (lambda: _timeline(K=0), "K: must be a positive integer, got 0"),
+        (lambda: _timeline(K=0), "^K must be >= 1, got 0$"),
         (
             lambda: gradient_demo(_demo_timeline({"v": _entry((0,), K=4)}, K=0), GradientDemoSpec()),
-            "K: must be a positive integer, got 0",
+            "^K must be >= 1, got 0$",
         ),
-        (lambda: _timeline(K=4.0), "K: must be a positive integer, got 4.0"),
-        (lambda: _timeline(K=True), "K: must be a positive integer, got True"),
+        (lambda: _timeline(K=4.0), r"^K must be an integer, got 4\.0$"),
+        (lambda: _timeline(K=True), "^K must be an integer, got True$"),
         (
             lambda: run_timeline(
                 Scenario(
@@ -267,6 +279,12 @@ def _timeline(available=("a", "b"), speeds=None, stragglers=(), K=None):
             "seed must be an integer, got 1.5",
         ),
         (lambda: CatalogEntry(fraction=F(1, 2), seed=-1), "seed must be >= 0, got -1"),
+        # the loader checks this before it builds an entry; an entry built in code meets it here
+        (lambda: CatalogEntry(fraction=F(1, 2)), "catalog entry needs exactly one of seed/datasets"),
+        (
+            lambda: CatalogEntry(fraction=F(1, 2), seed=1, datasets=(0, 1)),
+            "catalog entry needs exactly one of seed/datasets",
+        ),
         (
             lambda: CatalogEntry(fraction=F(1, 2), datasets=(0, 1.0)),
             r"datasets: expected a tuple of integers, got \(0, 1\.0\)",
@@ -399,16 +417,16 @@ def test_catalog_integers_are_strict():
             load_scenario(obj)
         obj = _base_scenario()
         obj["vmCatalog"]["b"]["seed"] = bad
-        with pytest.raises(ScenarioError, match=r"vmCatalog\.b\.seed: must be an integer"):
+        with pytest.raises(ScenarioError, match=r"^vmCatalog\.b: seed must be an integer"):
             load_scenario(obj)
-        for field in ("s", "m", "fieldModulus"):
+        for field, name in (("s", "s"), ("m", "m"), ("fieldModulus", "field_modulus")):
             obj = _base_scenario()
             obj["straggler"] = {"s": 0, "m": 1, field: bad}
-            with pytest.raises(ScenarioError, match=rf"straggler\.{field}: must be an integer"):
+            with pytest.raises(ScenarioError, match=rf"^straggler: {name} must be an integer"):
                 load_scenario(obj)
         obj = _base_scenario()
         obj.update(K=bad, baselines=[{"kind": "cyclic", "replication": True}])
-        with pytest.raises(ScenarioError, match="K: must be a positive integer"):
+        with pytest.raises(ScenarioError, match="^K must be an integer"):
             load_scenario(obj)
         obj["K"] = 4
         with pytest.raises(ScenarioError, match=r"baselines\[0\]\.replication"):
@@ -628,11 +646,13 @@ def test_baseline_divisibility_errors():
     inst = ProblemInstance(K=16, M=8, speeds=(F(1), F(2), F(5), F(5)))
     with pytest.raises(ConfigurationError, match="unknown baseline kind 'ring'"):
         baseline_assign("ring", 2, inst)
-    with pytest.raises(ConfigurationError, match=r"replication True is not an integer in \[1, 4\]"):
+    with pytest.raises(ConfigurationError, match="^replication must be an integer, got True$"):
         baseline_assign("cyclic", True, inst)  # not run as r = 1
-    with pytest.raises(ConfigurationError, match=r"replication 2\.0 is not an integer in \[1, 4\]"):
+    with pytest.raises(ConfigurationError, match=r"^replication must be an integer, got 2\.0$"):
         baseline_assign("cyclic", 2.0, inst)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="^replication must be >= 1, got 0$"):
+        baseline_assign("cyclic", 0, inst)
+    with pytest.raises(ConfigurationError, match="^replication 5 exceeds N = 4$"):
         baseline_assign("cyclic", 5, inst)  # r > N
     with pytest.raises(ConfigurationError):
         baseline_assign("repetition", 3, inst)  # 3 does not divide N=4

@@ -239,8 +239,18 @@ def test_each_scenario_rule_and_step_result_has_one_owner():
             if isinstance(n, ast.Constant) and isinstance(n.value, str) and text in n.value
         }
 
-    for text in ("expected {kind: one of", "replication: must be a positive integer", "stragglers exceed"):
+    for text in ("expected {kind: one of", "stragglers exceed"):
         assert owners(text) == {"simulator.Scenario.__post_init__"}, text
+    # the type holds a baseline's replication to the integer rule, and
+    # baseline_assign a replication passed to it; the loader hands it on
+    assert {
+        name
+        for name, node in functions.items()
+        for n in ast.walk(node)
+        if isinstance(n, ast.Call)
+        and getattr(n.func, "id", None) == "check_count"
+        and "replication" in ast.unparse(n.args[0])
+    } == {"simulator.Scenario.__post_init__", "simulator.baseline_assign"}
     # baseline_assign keeps its own refusal of a kind it cannot build
     assert {name for name, node in functions.items() if "BASELINE_KINDS" in _names(node)} == {
         "simulator.Scenario.__post_init__",
@@ -294,4 +304,59 @@ def test_one_walk_gives_the_newton_set_and_n_star():
     assert readers >= {
         f"_locked_ratio(instance, classes, redundancy, {target.id})",
         f"{target.id}.bit_count()",
+    }
+
+
+def _strings(node):
+    """Each string literal inside ``node``; an f-string is one text, its fields as written."""
+    inner = {id(v) for n in ast.walk(node) if isinstance(n, ast.JoinedStr) for v in n.values}
+    return [
+        ast.unparse(n) if isinstance(n, ast.JoinedStr) else n.value
+        for n in ast.walk(node)
+        if id(n) not in inner
+        and (isinstance(n, ast.JoinedStr) or isinstance(n, ast.Constant) and isinstance(n.value, str))
+    ]
+
+
+_INTEGER_REFUSALS = ("must be an integer", "must be >= ", "must be a positive integer", "is not an integer")
+# bounds on rationals, not integer rules: alpha >= 1, and a storage fraction times K that is whole
+_RATIONAL_BOUNDS = ("alpha must be >= 1", "times K={self.K} is not an integer")
+
+
+def test_one_integer_rule():
+    # every count, seed and coding parameter meets model.check_count, the one
+    # place that words an integer refusal; each layer passes its own error type
+    def refusals(node):
+        return [
+            text
+            for text in _strings(node)
+            if any(w in text for w in _INTEGER_REFUSALS) and not any(b in text for b in _RATIONAL_BOUNDS)
+        ]
+
+    functions = dict(_functions())
+    assert {name for name, node in functions.items() if refusals(node)} == {"model.check_count"}
+    assert sum(len(refusals(tree)) for _, tree in _modules()) == len(refusals(functions["model.check_count"]))
+    # outside model, is_int only tests the elements of a datasets array, mapped
+    # over them; a scalar goes to check_count (or, a schemaVersion, to
+    # check_schema_version)
+    for path, tree in _modules():
+        if path.stem == "model":
+            continue
+        mapped = {
+            id(n.args[0])
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "map" and n.args
+        }
+        scalar = [
+            f"{path.name}:{n.lineno}"
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load)
+            and (n.id if isinstance(n, ast.Name) else n.attr) == "is_int"
+            and id(n) not in mapped
+        ]
+        assert scalar == [], scalar
+    assert {name for name, node in functions.items() if "check_schema_version" in _names(node)} == {
+        "simulator.load_scenario",
+        "cli._load_storage_file",
     }

@@ -91,9 +91,14 @@ def test_storage_validation():
         ExplicitStorage(K=10, M=3, per_worker=())
     with pytest.raises(StructureError, match="N must be >= 1"):
         generate_decentralized(10, 3, 0)
-    for M in (-1, 11):
-        with pytest.raises(StructureError, match=rf"M must lie in \[0, K\]; got M={M}, K=10"):
-            generate_decentralized(10, M, 2)
+    with pytest.raises(StructureError, match="^M must be >= 0, got -1$"):
+        generate_decentralized(10, -1, 2)
+    with pytest.raises(StructureError, match=r"^M must lie in \[0, K\]; got M=11, K=10$"):
+        generate_decentralized(10, 11, 2)
+    # a placement's seed is None or what the generators take: an int >= 0
+    for seed, message in (("x", "seed must be an integer, got 'x'"), (-1, "seed must be >= 0, got -1")):
+        with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+            ExplicitStorage(K=4, M=2, per_worker=(np.array([0, 3]),), seed=seed)
     # counts must be integers: booleans and floats are refused too
     for build, message in (
         (lambda: ExplicitStorage(K=4.5, M=0, per_worker=(np.empty(0, dtype=np.int64),)), "K"),
@@ -202,13 +207,17 @@ def test_json_parse_refuses_non_integer_scalars():
     assert ExplicitStorage.from_json_obj({**good, "seed": None}).seed is None
     for field in ("K", "M", "N", "seed"):
         for bad in (4.9, "2", True, False):
-            with pytest.raises(StructureError, match=f"storage field {field} must be an integer"):
+            with pytest.raises(StructureError, match=f"^{field} must be an integer, got {bad!r}$"):
                 ExplicitStorage.from_json_obj({**good, field: bad})
+    # no generator writes a negative seed, and the reader used to keep one
+    with pytest.raises(StructureError, match="^seed must be >= 0, got -1$"):
+        ExplicitStorage.from_json_obj({**good, "seed": -1})
     with pytest.raises(StructureError, match="perVm must be a list"):
         ExplicitStorage.from_json_obj({**good, "perVm": 5})
-    for N in (0, 2):
-        with pytest.raises(StructureError, match=f"perVm has 1 workers, N says {N}"):
-            ExplicitStorage.from_json_obj({**good, "N": N})
+    with pytest.raises(StructureError, match="^N must be >= 1, got 0$"):
+        ExplicitStorage.from_json_obj({**good, "N": 0})
+    with pytest.raises(StructureError, match="perVm has 1 workers, N says 2"):
+        ExplicitStorage.from_json_obj({**good, "N": 2})
 
 
 def test_json_parse_sorts_a_large_placement():

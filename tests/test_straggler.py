@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -70,6 +71,8 @@ def test_config_validation():
     ):
         with pytest.raises(CodingConfigError, match=rf"^{field} must be an integer"):
             StragglerConfig(**kwargs)
+    with pytest.raises(CodingConfigError, match="^field_modulus must be >= 2, got 1$"):
+        StragglerConfig(s=0, m=1, field_modulus=1)
 
 
 def test_field_modulus_is_below_2_64_where_the_witnesses_decide():
@@ -242,6 +245,10 @@ def test_decode_input_validation():
         decode([ts[0], short], cfg, 3)
     with pytest.raises(StructureError, match="vm_index must be >= 1, got 0"):
         CodedTransmission(vm_index=0, coded_vector=(1,), encoding_row={})
+    # True used to decode as worker 1
+    for index in (True, 1.5, "2"):
+        with pytest.raises(StructureError, match=f"^vm_index must be an integer, got {re.escape(repr(index))}$"):
+            CodedTransmission(vm_index=index, coded_vector=(1,), encoding_row={})
 
 
 
