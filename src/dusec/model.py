@@ -55,6 +55,14 @@ def as_fraction(value) -> Fraction:
         raise StructureError(f"zero denominator in {value!r}") from exc
 
 
+def as_alpha(value) -> Fraction:
+    """The normalized storage ratio alpha = K/(K-M) as an exact Fraction, refused below 1."""
+    alpha = as_fraction(value)
+    if alpha < 1:
+        raise StructureError(f"alpha must be >= 1, got {alpha}")
+    return alpha
+
+
 def is_int(value) -> bool:
     """Whether a parsed JSON value is an integer: an int, and not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -264,9 +272,7 @@ class ProblemInstance:
     @classmethod
     def from_alpha(cls, alpha, speeds) -> "ProblemInstance":
         """Instance with the smallest integral (K, M) realizing a rational alpha."""
-        a = as_fraction(alpha)
-        if a < 1:
-            raise StructureError(f"alpha must be >= 1, got {a}")
+        a = as_alpha(alpha)
         if a == 1:
             return cls(K=1, M=0, speeds=tuple(speeds))
         return cls(K=a.numerator, M=a.numerator - a.denominator, speeds=tuple(speeds))
@@ -338,9 +344,7 @@ class ClassProfile:
         if self.alpha is not None:
             if self.class_sizes is not None:
                 raise StructureError("a measured profile takes class_sizes without alpha")
-            object.__setattr__(self, "alpha", as_fraction(self.alpha))
-            if self.alpha < 1:
-                raise StructureError(f"alpha must be >= 1, got {self.alpha}")
+            object.__setattr__(self, "alpha", as_alpha(self.alpha))
         if self.class_sizes is None:
             return
         sizes = self.class_sizes

@@ -8,6 +8,7 @@ the workers already present.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -17,6 +18,11 @@ import numpy as np
 from .model import ClassProfile, StructureError, UnitMap, check_count, check_counts
 
 MASK_MAX_WORKERS = 62  # largest N of a measured placement's class masks (int64 arrays)
+
+
+def _increasing(arr: np.ndarray) -> bool:
+    """Whether ``arr`` is strictly increasing: sorted, with no duplicates."""
+    return bool((arr[1:] > arr[:-1]).all())
 
 
 def _worker_rng(seed: int, stream_key: int) -> np.random.Generator:
@@ -71,8 +77,7 @@ class ExplicitStorage:
                 raise StructureError(f"worker {i + 1} stores {len(arr)} datasets, expected {self.M}")
             if len(arr) and (arr.min() < 0 or arr.max() >= self.K):
                 raise StructureError(f"worker {i + 1} stores a dataset outside [0, {self.K})")
-            # a strictly increasing array (the usual, sorted case) has no duplicates
-            if not (arr[1:] > arr[:-1]).all() and len(np.unique(arr)) != len(arr):
+            if not _increasing(arr) and len(np.unique(arr)) != len(arr):
                 raise StructureError(f"worker {i + 1} stores a duplicate dataset")
 
     @property
@@ -114,6 +119,14 @@ class ExplicitStorage:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ExplicitStorage":
+        """Storage from the object :meth:`to_json_obj` writes.
+
+        Each ``perVm`` row lists one worker's datasets as JSON integers in
+        [0, K) with no duplicates.  Rows may come in any order: they are
+        sorted on read.  A float (even ``3.0``), a string, a boolean,
+        ``null``, a nested list or an integer past 2^63 - 1 is refused
+        with :class:`StructureError`, never truncated to an integer.
+        """
         try:
             K, M, N, per_vm = obj["K"], obj["M"], obj["N"], obj["perVm"]
         except (KeyError, TypeError) as exc:
@@ -125,16 +138,16 @@ class ExplicitStorage:
             raise StructureError(f"perVm has {len(per_vm)} workers, N says {N}")
         arrays = []
         for i, lst in enumerate(per_vm):
-            if not isinstance(lst, list):
+            # array('q') refuses a float, string, None, list or int past int64, but reads
+            # True as 1; a valid row holds 0 and 1 at most once each, so few entries are looked at
+            try:
+                arr = np.frombuffer(array("q", lst), dtype=np.int64) if isinstance(lst, list) else None
+            except (TypeError, OverflowError):
+                arr = None
+            if arr is None or any(type(lst[j]) is bool for j in np.flatnonzero(arr <= 1)):
                 raise StructureError(f"perVm[{i}] must be a list of integers")
-            arr = np.asarray(lst) if lst else np.empty(0, dtype=np.int64)  # [] gives floats
-            # numpy folds true/false into an int array when ints sit beside them;
-            # a valid list holds 0 and 1 at most once each, so few entries are looked at
-            if arr.ndim != 1 or arr.dtype.kind != "i" or any(
-                type(lst[j]) is bool for j in np.flatnonzero(arr <= 1)
-            ):
-                raise StructureError(f"perVm[{i}] must be a list of integers")
-            arr = np.sort(arr.astype(np.int64, copy=False))
+            if not _increasing(arr):  # to_json_obj writes sorted rows
+                arr = np.sort(arr)
             arr.setflags(write=False)
             arrays.append(arr)
         return cls(K=K, M=M, per_worker=tuple(arrays), seed=obj.get("seed"))

@@ -360,3 +360,16 @@ def test_one_integer_rule():
         "simulator.load_scenario",
         "cli._load_storage_file",
     }
+
+
+def test_one_alpha_bound():
+    # alpha >= 1 is a bound on a rational, kept out of the integer rule above;
+    # model.as_alpha words it, and both ways to give a formula alpha call it
+    functions = dict(_functions())
+    worded = [name for name, node in functions.items() for text in _strings(node) if "alpha must be >= 1" in text]
+    assert worded == ["model.as_alpha"]
+    assert sum("alpha must be >= 1" in text for _, tree in _modules() for text in _strings(tree)) == 1
+    assert {name for name, node in functions.items() if "as_alpha" in _names(node)} == {
+        "model.ProblemInstance.from_alpha",
+        "model.ClassProfile.__post_init__",
+    }

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dusec.model import ProblemInstance, StructureError, iter_class_masks
 from dusec.storage import (
@@ -189,9 +191,10 @@ def test_json_roundtrip():
 
 
 def test_json_parse_refuses_non_integer_entries():
-    for bad in (3.7, "3", True):
+    # neither truncated (3.7, 3.0) nor parsed ("3") nor wrapped past int64
+    for bad in (3.7, 3.0, "3", True, None, [0], 2**63, -(2**63) - 1):
         obj = {"K": 10, "M": 3, "N": 2, "perVm": [[0, 1, 2], [5, bad, 7]]}
-        with pytest.raises(StructureError, match=r"perVm\[1\]"):
+        with pytest.raises(StructureError, match=r"^perVm\[1\] must be a list of integers$"):
             ExplicitStorage.from_json_obj(obj)
     with pytest.raises(StructureError, match=r"perVm\[0\]"):
         ExplicitStorage.from_json_obj({"K": 10, "M": 3, "N": 1, "perVm": ["123"]})
@@ -223,11 +226,40 @@ def test_json_parse_refuses_non_integer_scalars():
 def test_json_parse_sorts_a_large_placement():
     storage = generate_decentralized(16000, 8000, 8, seed=4)
     obj = storage.to_json_obj()
-    obj["perVm"] = [row[::-1] for row in obj["perVm"]]  # the file need not be sorted
+    # the file need not be sorted; sorted rows are read without a sort
+    obj["perVm"] = [row[::-1] if i % 2 else row for i, row in enumerate(obj["perVm"])]
     back = ExplicitStorage.from_json_obj(obj)
     for a, b in zip(back.per_worker, storage.per_worker):
         assert a.dtype == np.int64 and not a.flags.writeable
         assert np.array_equal(a, b)
+
+
+@st.composite
+def _stored_rows(draw):
+    """A small placement's rows, each shuffled as a file may hold it."""
+    K = draw(st.integers(1, 12))
+    M = draw(st.integers(0, K))
+    storage = generate_decentralized(K, M, draw(st.integers(1, 4)), seed=draw(st.integers(0, 2**32)))
+    rows = [draw(st.permutations(row)) for row in storage.to_json_obj()["perVm"]]
+    return storage, rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_stored_rows(), data=st.data())
+def test_json_parse_reads_shuffled_rows_and_refuses_any_non_integer(case, data):
+    storage, rows = case
+    obj = {**storage.to_json_obj(), "perVm": rows}
+    back = ExplicitStorage.from_json_obj(obj)
+    assert (back.K, back.M, back.seed, _digest(back)) == (storage.K, storage.M, storage.seed, _digest(storage))
+    full = [i for i, row in enumerate(rows) if row]
+    if not full:
+        return
+    i = data.draw(st.sampled_from(full))
+    j = data.draw(st.integers(0, len(rows[i]) - 1))
+    bad = data.draw(st.sampled_from([float(rows[i][j]), str(rows[i][j]), bool(rows[i][j] % 2), None, 2**63]))
+    rows[i] = rows[i][:j] + [bad] + rows[i][j + 1 :]
+    with pytest.raises(StructureError, match=rf"^perVm\[{i}\] must be a list of integers$"):
+        ExplicitStorage.from_json_obj(obj)
 
 
 def _digest(storage):
