@@ -75,9 +75,14 @@ def check_schema_version(obj: Mapping, error: type[ValueError] = StructureError)
         raise error(f"schemaVersion: unsupported version {version!r}")
 
 
+def common_denominator(denominators: Iterable[int]) -> int:
+    """The least common multiple of positive integer denominators (1 for none)."""
+    return lcm(*denominators)
+
+
 def over_one_denominator(values) -> tuple[tuple[int, ...], int]:
     """Integer numerators of the Fractions ``values`` over their least common denominator."""
-    denom = lcm(*{v.denominator for v in values})
+    denom = common_denominator({v.denominator for v in values})
     return tuple(v.numerator * (denom // v.denominator) for v in values), denom
 
 
@@ -262,12 +267,17 @@ class ProblemInstance:
             return None
         return Fraction(self.K, self.K - self.M)
 
+    @cached_property
+    def prefix_speed_units(self) -> tuple[tuple[int, ...], int]:
+        """S[n] = s_1 + ... + s_n for n = 0..N (S[0] = 0), as integers over
+        the denominator of :attr:`speed_units`."""
+        units, denom = self.speed_units
+        return tuple(accumulate(units, initial=0)), denom
+
     def prefix_speed_sums(self) -> tuple[Fraction, ...]:
-        """S[n] = s_1 + ... + s_n for n = 0..N (S[0] = 0)."""
-        sums = [Fraction(0)]
-        for s in self.speeds:
-            sums.append(sums[-1] + s)
-        return tuple(sums)
+        """S[n] = s_1 + ... + s_n for n = 0..N (S[0] = 0), as Fractions."""
+        sums, denom = self.prefix_speed_units
+        return tuple(Fraction(total, denom) for total in sums)
 
     @classmethod
     def from_alpha(cls, alpha, speeds) -> "ProblemInstance":
@@ -327,6 +337,11 @@ class ClassProfile:
     stays usable where 2^N tables are impossible.  Read classes through
     :attr:`classes`, a :class:`UnitMap` on both modes: integers over one
     denominator in ``units`` and ``denom``, exact Fractions as a map.
+    L(n), the size of the classes inside workers 1..n, is likewise
+    :attr:`cumulative_units` on integers and :attr:`cumulative` in
+    Fractions.  A formula profile holds one integer form, a(k) and L(k)
+    over p^N for alpha = p/q, and derives its sizes, ``beta``, classes
+    and L(n) from it.
 
     ``class_sizes`` may be given as a map to Fractions (or ints and
     strings) or as a :class:`UnitMap`, such as dataset counts over their
@@ -356,21 +371,36 @@ class ClassProfile:
     def mode(self) -> ProfileMode:
         return ProfileMode.ASYMPTOTIC if self.class_sizes is None else ProfileMode.EXACT
 
+    @cached_property
+    def _formula_units(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """Formula profiles: a(V) for |V| = 0..N and L(n) for n = 0..N, as
+        integers over one denominator.  With alpha = p/q, a(k) is
+        q^(N-k) (p-q)^k and L(k) is q^(N-k) (p^k - q^k), both over p^N."""
+        n = self.n_workers
+        if self.alpha is None:  # full storage: only the all-workers class exists
+            only_full = tuple(int(k == n) for k in range(n + 1))
+            return only_full, only_full, 1
+        p, q = self.alpha.numerator, self.alpha.denominator
+        return (
+            tuple(q ** (n - k) * (p - q) ** k for k in range(n + 1)),
+            tuple(q ** (n - k) * (p**k - q**k) for k in range(n + 1)),
+            p**n,
+        )
+
     @property
     def beta(self) -> Fraction | None:
         """Formula profiles: the share stored nowhere, alpha^-N (0 at full storage)."""
         if self.class_sizes is not None:
             return None
-        return Fraction(0) if self.alpha is None else (1 / self.alpha) ** self.n_workers
+        return self.sizes_by_card[0]  # type: ignore[index]
 
     @cached_property
     def sizes_by_card(self) -> tuple[Fraction, ...] | None:
         """Formula profiles: a(V) for |V| = 0..N; None on measured profiles."""
         if self.class_sizes is not None:
             return None
-        if self.alpha is None:
-            return tuple(Fraction(k == self.n_workers) for k in range(self.n_workers + 1))
-        return tuple(self.beta * (self.alpha - 1) ** k for k in range(self.n_workers + 1))
+        by_card, _, denom = self._formula_units
+        return tuple(Fraction(unit, denom) for unit in by_card)
 
     def a(self, mask: int) -> Fraction:
         """Normalized size of class ``mask`` (fraction of all datasets)."""
@@ -385,8 +415,8 @@ class ClassProfile:
         """The nonzero classes: a read-only mask -> size map, ascending by mask.
 
         A measured profile's is ``class_sizes``.  A formula profile gives
-        each mask the numerator of its cardinality's size, over the one
-        denominator of :attr:`sizes_by_card`; at alpha = 1 it is empty,
+        each mask the integer size of its cardinality over their one
+        denominator, p^N for alpha = p/q; at alpha = 1 it is empty,
         without a walk over the masks.
         """
         if self.class_sizes is not None:
@@ -395,7 +425,7 @@ class ClassProfile:
             return UnitMap({}, 1)
         if self.n_workers > CLASS_MAP_MAX_WORKERS:
             raise StructureError(f"refusing to materialize 2^{self.n_workers} classes")
-        by_card, denom = over_one_denominator(self.sizes_by_card)
+        by_card, _, denom = self._formula_units
         return UnitMap({
             mask: unit
             for mask in iter_class_masks(self.n_workers)
@@ -403,23 +433,31 @@ class ClassProfile:
         }, denom)
 
     @cached_property
+    def cumulative_units(self) -> tuple[tuple[int, ...], int]:
+        """L[n] = sum of a(V) over nonempty V contained in workers 1..n, for
+        n = 0..N, as integers over one denominator.
+
+        A formula profile reads them from its closed form; a measured one
+        adds its class sizes up by their fastest member.
+        """
+        if self.class_sizes is None:
+            _, cumulative, denom = self._formula_units
+            return cumulative, denom
+        sizes = self.class_sizes
+        by_top = [0] * (self.n_workers + 1)
+        for mask, unit in sizes.units.items():
+            by_top[mask.bit_length()] += unit
+        return tuple(accumulate(by_top)), sizes.denom
+
+    @cached_property
     def cumulative(self) -> tuple[Fraction, ...]:
-        """L[n] = sum of a(V) over nonempty V contained in workers 1..n.
+        """L[n] as Fractions, for n = 0..N.
 
         L[N] is the covered fraction of the dataset; 1 - L[N] is the share
         stored nowhere (beta on formula profiles).
         """
-        n = self.n_workers
-        if self.class_sizes is None:
-            if self.alpha is None:
-                # full-storage profile: only the all-workers class exists
-                return tuple([Fraction(0)] * n + [Fraction(1)])
-            return tuple(self.beta * (self.alpha**k - 1) for k in range(n + 1))
-        sizes = self.classes
-        by_top = [0] * (n + 1)
-        for mask, unit in sizes.units.items():
-            by_top[mask.bit_length()] += unit
-        return tuple(Fraction(total, sizes.denom) for total in accumulate(by_top))
+        units, denom = self.cumulative_units
+        return tuple(Fraction(total, denom) for total in units)
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,14 @@ attained by the largest maximizing prefix n*.  The constructive route
 walks workers slowest to fastest, tentatively gives worker n every class
 it completes (the frontier L(n) - L(n-1)), and repairs any inversion by
 pooling contiguous equal-time groups and shifting delta load from the
-faster group onto the slower one.  Both routes are exact: the closed form
-runs on ``Fraction``, and the sweep on integer numerators over one
-denominator, reduced by their gcd after every merge.  The sweep hands its
-shares over on those integers and returns its loads and times as exact
-``Fraction``.  An LP-based oracle lives separately in ``oracle``.
+faster group onto the slower one.  Both routes are exact and run on
+integers: the one staircase reads L(n) and the prefix speed sums as
+integers over one denominator each and compares times by
+cross-multiplication, and the sweep keeps its shares as integer numerators
+over one denominator, reduced by their gcd after every merge.  ``Fraction``
+is built only for what a caller reads: the times, the trace's events, and
+the assignment's shares when they are read.  An LP-based oracle lives
+separately in ``oracle``.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from .model import (
     TimeResult,
     UnitMap,
     check_pair,
+    common_denominator,
     iter_submasks,
-    over_one_denominator,
 )
 
 
@@ -63,41 +66,48 @@ class CutsetBound:
 
 
 def _staircase(
-    L: tuple[Fraction, ...],
-    S: tuple[Fraction, ...],
-    n: int,
+    L: tuple[int, ...],
+    l_den: int,
+    S: tuple[int, ...],
+    s_den: int,
     events: list | None = None,
-) -> list[list]:
-    """Equal-time groups [start, end, time] with strictly decreasing times.
+) -> list[tuple[int, int, Fraction]]:
+    """Equal-time groups (start, end, time) with strictly decreasing times.
 
+    L(n) is ``L[n] / l_den`` and the prefix speed sum S(n) is
+    ``S[n] / s_den``, integers over one denominator each, for n = 0..N.
     Worker i tentatively finishes its frontier at (L(i) - L(i-1)) / s_i;
     whenever that ties or exceeds the group below, the two groups merge.
-    ``events``, when given, collects ("tentative", i, t) and
-    ("merge", RearrangeDelta) in the order they happen; each delta is the
-    load the merge moves from the faster group onto the slower one.
+    A group keeps its load and speed differences as integers, and two
+    times compare by cross-multiplication; ``Fraction`` is built only for
+    the returned times and events.  ``events``, when given, collects
+    ("tentative", i, t) and ("merge", RearrangeDelta) in the order they
+    happen; each delta is the load the merge moves from the faster group
+    onto the slower one.
     """
-    groups: list[list] = []
-    for i in range(1, n + 1):
-        t = (L[i] - L[i - 1]) / (S[i] - S[i - 1])
+    groups: list[list[int]] = []  # [start, end, L difference, S difference]
+    for i in range(1, len(S)):
+        load, speed = L[i] - L[i - 1], S[i] - S[i - 1]
         if events is not None:
-            events.append(("tentative", i, t))
-        groups.append([i, i, t])
-        while len(groups) >= 2 and groups[-1][2] >= groups[-2][2]:
+            events.append(("tentative", i, Fraction(load * s_den, speed * l_den)))
+        groups.append([i, i, load, speed])
+        while len(groups) >= 2 and groups[-1][2] * groups[-2][3] >= groups[-2][2] * groups[-1][3]:
             top = groups.pop()
             prev = groups.pop()
             start, end = prev[0], top[1]
-            merged_time = (L[end] - L[start - 1]) / (S[end] - S[start - 1])
+            load, speed = prev[2] + top[2], prev[3] + top[3]
             if events is not None:
+                # (merged time - receiver time) * receiver speed, with s_den cancelled
                 events.append(("merge", RearrangeDelta(
-                    delta=(merged_time - prev[2]) * (S[prev[1]] - S[start - 1]),
+                    delta=Fraction(load * prev[3] - prev[2] * speed, speed * l_den),
                     receiver_start=prev[0],
                     receiver_end=prev[1],
                     donor_start=top[0],
                     donor_end=top[1],
-                    group_time=merged_time,
+                    group_time=Fraction(load * s_den, speed * l_den),
                 )))
-            groups.append([start, end, merged_time])
-    return groups
+            groups.append([start, end, load, speed])
+    return [(start, end, Fraction(load * s_den, speed * l_den)) for start, end, load, speed in groups]
 
 
 def _check_formula_pair(instance: ProblemInstance, profile: ClassProfile) -> None:
@@ -119,7 +129,7 @@ def optimal_time(instance: ProblemInstance, profile: ClassProfile) -> TimeResult
     profiles only.
     """
     _check_formula_pair(instance, profile)
-    groups = _staircase(profile.cumulative, instance.prefix_speed_sums(), instance.N)
+    groups = _staircase(*profile.cumulative_units, *instance.prefix_speed_units)
     times: list[Fraction] = []
     for start, end, t in groups:
         times.extend([t] * (end - start + 1))
@@ -160,9 +170,10 @@ def _rearranged_shares(
     donor part).  Current loads are summed per part and per worker.  The
     delta is split across donor/receiver worker pairs in proportion to the
     load each holds, and across the carriers of a pair of parts in
-    proportion to class size, through one exact factor per pair of parts.
-    The table is scaled by those factors' common denominator, so the
-    moves run on integers, then divided by its gcd with ``den``, which keeps
+    proportion to class size, through one factor per pair of parts, held
+    as a reduced integer numerator and denominator.  The table is scaled
+    by the least common multiple of those denominators, so the moves run
+    on integers, then divided by its gcd with ``den``, which keeps
     the numerators from growing merge after merge.  Per-class totals are
     conserved exactly.  Only ``assign_loads`` calls this, on formula
     profiles with alpha > 1: every class is nonzero and every group holds
@@ -194,18 +205,23 @@ def _rearranged_shares(
         held[n] = held.get(n, 0) + v
     recv_part_total = {part: sum(held.values()) for part, held in recv_held.items()}
     donor_part_total = {part: sum(held.values()) for part, held in donor_held.items()}
-    scale = rd.delta * den / (sum(recv_part_total.values()) * sum(donor_part_total.values()))
-    factors = {
-        (v_part, q_part): scale / sum(size for _, size in carriers[(v_part, q_part)])
-        for v_part in recv_held
-        for q_part in donor_held
-    }
-    wholes, grow = over_one_denominator(factors.values())  # factor * grow, an int each
+    # factor = delta * den / (receivers' load * donors' load * carriers' size),
+    # one reduced integer pair per pair of parts
+    scale = rd.delta.numerator * den
+    scale_den = rd.delta.denominator * sum(recv_part_total.values()) * sum(donor_part_total.values())
+    factors = {}
+    for v_part in recv_held:
+        for q_part in donor_held:
+            factor_den = scale_den * sum(size for _, size in carriers[(v_part, q_part)])
+            common = gcd(scale, factor_den)
+            factors[(v_part, q_part)] = (scale // common, factor_den // common)
+    grow = common_denominator({factor_den for _, factor_den in factors.values()})
     if grow > 1:
         for key in units:
             units[key] *= grow
         den *= grow
-    for (v_part, q_part), whole in zip(factors, wholes):
+    for (v_part, q_part), (factor, factor_den) in factors.items():
+        whole = factor * (grow // factor_den)  # factor * grow, an int
         recv_workers, donor_workers = recv_held[v_part], donor_held[q_part]
         for w, size in carriers[(v_part, q_part)]:
             gain = whole * size * donor_part_total[q_part]
@@ -242,22 +258,26 @@ def assign_loads(
     storage (alpha None) the merges would move load onto workers holding
     none, so the one class is split in proportion to speed directly.
 
-    The sweep runs on integer numerators over one denominator, reduced by
-    their gcd after every merge.  The assignment keeps those integers and
-    builds its ``Fraction`` shares only when they are read; the times are
-    its per-worker loads over the speeds.
+    The staircase runs on the profile's integer L(n) and the instance's
+    integer prefix speed sums, and the sweep on integer numerators over one
+    denominator, reduced by their gcd after every merge; from the profile
+    to the share table no ``Fraction`` enters the arithmetic.  The
+    assignment keeps those integers and builds its ``Fraction`` shares
+    only when they are read; the times are its per-worker loads over the
+    speeds.
 
     ``trace``, when given, collects ("tentative", n, t) and
     ("merge", RearrangeDelta) events for inspection.
     """
     _check_formula_pair(instance, profile)
     events: list = []
-    groups = _staircase(profile.cumulative, instance.prefix_speed_sums(), instance.N, events)
+    groups = _staircase(*profile.cumulative_units, *instance.prefix_speed_units, events)
     if profile.alpha is None:
         # one class, split in proportion to speed: speed numerators over their sum
         speed_units, _ = instance.speed_units
         full = (1 << instance.N) - 1
-        shares = UnitMap({(n, full): u for n, u in enumerate(speed_units, 1)}, sum(speed_units))
+        total = instance.prefix_speed_units[0][-1]
+        shares = UnitMap({(n, full): u for n, u in enumerate(speed_units, 1)}, total)
     else:
         # Tentative split: every class sits whole on its fastest member.
         sizes = profile.classes

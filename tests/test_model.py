@@ -206,6 +206,32 @@ def test_formula_class_map_is_one_numerator_per_cardinality():
     assert isinstance(full, UnitMap) and (dict(full.units), full.denom) == ({0b11111: 1}, 1)
 
 
+def test_formula_profile_integer_form_matches_the_law():
+    # sizes, beta and L(n) come from integers over p^N (alpha = p/q); read
+    # back, they are beta*(alpha-1)^k and beta*(alpha^k - 1) taken in Fractions
+    for alpha in (F(1), None, F(11, 10), F(3, 2), F(2), F(7, 3), F(13, 4), F(101, 100)):
+        for n in range(1, 61):
+            prof = profile_from_alpha(alpha, n)
+            if alpha is None:
+                only_full = tuple(F(k == n) for k in range(n + 1))
+                assert (prof.sizes_by_card, prof.beta, prof.cumulative) == (only_full, 0, only_full)
+                if n <= 10:
+                    assert (dict(prof.classes.units), prof.classes.denom) == ({(1 << n) - 1: 1}, 1)
+                continue
+            beta = (1 / alpha) ** n
+            assert prof.beta == beta
+            assert prof.sizes_by_card == tuple(beta * (alpha - 1) ** k for k in range(n + 1))
+            assert prof.cumulative == tuple(beta * (alpha**k - 1) for k in range(n + 1))
+            if n <= 10:
+                p, q = alpha.numerator, alpha.denominator
+                classes = prof.classes
+                assert classes.denom == prof.cumulative_units[1] == p**n
+                for mask, unit in classes.units.items():
+                    k = mask.bit_count()
+                    assert unit == q ** (n - k) * (p - q) ** k, (alpha, n, mask)
+                assert len(classes.units) == (0 if alpha == 1 else (1 << n) - 1)
+
+
 def test_exact_profile_checks_its_class_table():
     for bad in ({0: F(1, 2)}, {4: F(1, 2)}, {1: F(-1, 2)}, {1: 0.5}):
         with pytest.raises(StructureError):

@@ -17,6 +17,8 @@ from dusec.model import (
     validate,
 )
 from dusec.optimizer import (
+    RearrangeDelta,
+    _rearranged_shares,
     assign_loads,
     cutset_bounds,
     optimal_time,
@@ -133,6 +135,26 @@ def test_full_storage_splits_in_proportion_to_speed():
         # tentative times 0, ..., 0, 1/s_N: each new worker merges into the one group
         assert [e[0] for e in trace] == ["tentative"] + ["tentative", "merge"] * (n - 1)
         assert [e[1].donor_end for e in trace if e[0] == "merge"] == list(range(2, n + 1))
+
+
+def test_merge_refuses_a_delta_past_what_the_donor_holds():
+    # alpha 2, N 2: every class is 1/4.  Tentatively worker 1 holds class 1,
+    # worker 2 classes 2 and 3 (1/2 in all); class 3 alone carries a move
+    # from worker 2 onto worker 1, so a delta up to 1/4 fits, anything more
+    # overdraws worker 2 on class 3
+    sizes = profile_from_alpha(F(2), 2).classes
+    tentative = {(mask.bit_length(), mask): unit for mask, unit in sizes.units.items()}
+
+    def move(delta):
+        rd = RearrangeDelta(delta, 1, 1, 2, 2, group_time=F(0))
+        units = dict(tentative)
+        den = _rearranged_shares(units, sizes.denom, rd, sizes.units)
+        return {key: F(unit, den) for key, unit in units.items()}
+
+    assert move(F(1, 4)) == {(1, 1): F(1, 4), (2, 2): F(1, 4), (2, 3): F(0), (1, 3): F(1, 4)}
+    for delta in (F(1, 3), F(1)):
+        with pytest.raises(AssertionError, match=r"overdraws worker 2 on class 3$"):
+            move(delta)
 
 
 def test_optimizer_does_not_import_the_oracle():

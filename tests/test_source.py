@@ -143,6 +143,12 @@ def test_the_exact_pipeline_stays_on_integers():
         assert "Fraction" not in _names(functions[name]), name
     for name in ("straggler.part_schedule", "oracle._active_classes"):
         assert not _names(functions[name]) & {"over_one_denominator", "lcm"}, name
+    # the formula sweep compares times and scales its merges on integers as well:
+    # the staircase builds Fractions only for what it returns, the merge none
+    assert "Fraction" not in _names(functions["optimizer._rearranged_shares"])
+    for name in ("optimizer._staircase", "optimizer._rearranged_shares"):
+        divisions = [n for n in ast.walk(functions[name]) if isinstance(getattr(n, "op", None), ast.Div)]
+        assert divisions == [], name
 
 
 def test_each_shared_value_has_one_owner():
@@ -177,11 +183,27 @@ def test_each_shared_value_has_one_owner():
         and "speeds" in ast.unparse(n.args[0])
     }
     assert speed_conversions == {"model.ProblemInstance.speed_units", "oracle._bottleneck"}
-    # one lcm for every set of Fractions, and the flow's scale of two denominators
+    # one lcm for every set of denominators (over_one_denominator's and the
+    # sweep's merge factors), and the flow's scale of two denominators
     assert {name for name, node in functions.items() if "lcm" in _names(node)} == {
-        "model.over_one_denominator",
+        "model.common_denominator",
         "oracle._Transport.__init__",
     }
+    assert "common_denominator" in _names(functions["model.over_one_denominator"])
+    # each integer prefix sum is built in one place: S(n) on the instance, L(n)
+    # on the profile (a formula profile's from its closed form); the Fraction
+    # forms and the staircase's callers read those, and add nothing up
+    assert {name for name, node in functions.items() if "accumulate" in _names(node)} == {
+        "model.ProblemInstance.prefix_speed_units",
+        "model.ClassProfile.cumulative_units",
+    }
+    for attr, fractions in (
+        ("prefix_speed_units", "model.ProblemInstance.prefix_speed_sums"),
+        ("cumulative_units", "model.ClassProfile.cumulative"),
+    ):
+        readers = {name for name, node in functions.items() if attr in _names(node)}
+        assert readers == {fractions, "optimizer.optimal_time", "optimizer.assign_loads"}, attr
+        assert not any(isinstance(getattr(n, "op", None), ast.Add) for n in ast.walk(functions[fractions]))
     lcm_imports = {
         path.stem
         for path, tree in _modules()
