@@ -18,7 +18,11 @@ that subset's speed.  Two routes compute it:
   optimal, the flow is the assignment and n* = |S|; otherwise
   locked(S) > T * speed(S), and T <- locked(S) / speed(S) is the next,
   strictly larger, guess (Dinkelbach 1967; Radzik 1992).  There are finitely many
-  cuts, so the search ends; it enumerates no subsets.  Each flow starts
+  cuts, so the search ends; it enumerates no subsets.  The search is one
+  function with two readers, each paying only for what it reads:
+  ``flow_assign`` builds the share table and the time result, and
+  ``flow_time`` the time result alone (a worker's load is its sink
+  capacity less its room, so no share is summed).  Each flow starts
   with Dinic's first phase, which on this network is a greedy pass over
   the class masks and builds no network.  Only when that pass falls
   short is the network built, in flat integer arrays carrying the greedy
@@ -43,7 +47,8 @@ the lcm of the sizes' denominator and T's times the speeds'.  The zeta
 transform converts the speeds on its own, so a wrong ``speed_units``
 fails its tightness sum.  Ratios are compared by cross-multiplying, and
 each returned value is one Fraction; the assignment keeps the flow's
-integers and their scale, and its times are its loads over the speeds.
+integers and their scale, and the times are the flow's loads over the
+speeds.
 The routes share the class map, ``model``'s checks, ``_active_classes``
 and ``_locked_ratio``: ``--oracle`` catches a wrong flow or search, not a
 wrong class map.  The only flow code is ``_Transport`` and ``_Residual``.
@@ -455,36 +460,68 @@ class _Transport:
         return ((1 << len(self.room)) - 1) ^ reached
 
 
+def _newton_search(
+    instance: ProblemInstance, classes: UnitMap, redundancy: int
+) -> tuple[Fraction, _Transport]:
+    """T* and the saturated flow at T*, by a Newton search over max-flows.
+
+    T starts at the best slowest-k prefix bound.  While the flow at T falls
+    short of the demand, its bottleneck set S, the workers with no residual
+    path to the sink, has locked(S) > T * speed(S), and T moves up to
+    locked(S) / speed(S), summed directly.  The first flow that saturates
+    is at T*; its bottleneck set is not walked here.
+    """
+    value = _prefix_bound(instance, classes, redundancy)
+    while True:
+        flow = _Transport(instance, classes, redundancy, value)
+        if flow.saturated:
+            return value, flow
+        raised = _locked_ratio(instance, classes, redundancy, flow.bottleneck())
+        if raised <= value:  # the bottleneck set of a short flow locks more than T * speed(S)
+            raise AssertionError(f"Newton step from T = {value} did not raise T")
+        value = raised
+
+
+def _flow_time(instance: ProblemInstance, value: Fraction, flow: _Transport) -> TimeResult:
+    """The time result of the saturated flow at T* = ``value``.
+
+    By flow conservation a worker's load is its sink capacity less its
+    room, so its time is that over its speed, on the flow's integers.  The
+    flow's bottleneck set is the largest set attaining T*, so n* = |S|.
+    """
+    speed_units, speed_denom = instance.speed_units
+    times = tuple(
+        Fraction((cap - left) * speed_denom, flow.scale * unit)
+        for cap, left, unit in zip(flow.sink_caps, flow.room, speed_units)
+    )
+    return TimeResult(c_star=value, n_star=flow.bottleneck().bit_count(), per_worker_time=times)
+
+
+def flow_time(instance: ProblemInstance, profile: ClassProfile) -> TimeResult:
+    """:func:`flow_assign`'s time result at r = 1, without building its share table."""
+    value, flow = _newton_search(instance, _active_classes(instance, profile, 1), 1)
+    return _flow_time(instance, value, flow)
+
+
 def flow_assign(
     instance: ProblemInstance, profile: ClassProfile, redundancy: int = 1
 ) -> tuple[LoadAssignment, TimeResult]:
     """Optimal assignment by a Newton search over max-flows.
 
     Used for profiles without prefix structure (measured placements) and
-    for redundant coverage.  T starts at the best slowest-k prefix bound.
-    While the flow at T falls short of the demand, its bottleneck set S,
-    the workers with no residual path to the sink, has locked(S) > T *
-    speed(S), and T moves up to locked(S) / speed(S), summed directly.
-    The first flow that saturates is at T*, and it is the assignment; its
-    S is the largest set attaining T*, so n* = |S|.  Each flow is a
-    :class:`_Transport`; :func:`lp_oracle` runs no flow.
+    for redundant coverage.  The search (``_newton_search``) raises T from
+    the best slowest-k prefix bound to T*, one flow per step; the first
+    flow that saturates is the assignment, and its bottleneck set, the
+    largest set attaining T*, gives n*.  The search has two readers: this
+    function builds the share table from the flow, and :func:`flow_time`
+    reads only the time result.  Each flow is a :class:`_Transport`;
+    :func:`lp_oracle` runs no flow.
     """
     classes = _active_classes(instance, profile, redundancy)
-    value = _prefix_bound(instance, classes, redundancy)
-    while True:
-        flow = _Transport(instance, classes, redundancy, value)
-        bottleneck = flow.bottleneck()
-        if flow.saturated:
-            break
-        raised = _locked_ratio(instance, classes, redundancy, bottleneck)
-        if raised <= value:  # the bottleneck set of a short flow locks more than T * speed(S)
-            raise AssertionError(f"Newton step from T = {value} did not raise T")
-        value = raised
+    value, flow = _newton_search(instance, classes, redundancy)
     masks = flow.masks
     units = {(w + 1, masks[ci]): pushed for ci, w, pushed in flow.flows}
     assignment = LoadAssignment(
         n_workers=instance.N, redundancy=redundancy, shares=UnitMap(units, flow.scale)
     )
-    times = tuple(load / s for load, s in zip(assignment.per_worker_loads(), instance.speeds))
-    result = TimeResult(c_star=value, n_star=bottleneck.bit_count(), per_worker_time=times)
-    return assignment, result
+    return assignment, _flow_time(instance, value, flow)

@@ -14,8 +14,10 @@ on, so a scenario built in code meets the same rules as one read from a file.
 Baselines rebuild classical centralized placements (cyclic, repetition,
 all-subsets) on the same fleet each step.  A placement is known by its
 blocks' holders, so its class profile has one class per holder set; it is
-priced with ``flow_assign``, the Newton flow that solves exact steps, so
-the comparison is apples to apples.
+priced with ``flow_time``, the Newton flow search that solves exact
+steps, so the comparison is apples to apples.  A step reports times only,
+so no share table is built: exact steps run ``flow_time`` too, the search
+read for its time result.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .model import (
     is_int,
 )
 from .optimizer import assign_loads, optimal_time
-from .oracle import flow_assign
+from .oracle import flow_assign, flow_time
 from .storage import (
     ExplicitStorage,
     exact_profile,
@@ -391,17 +393,22 @@ def solve_snapshot(
 ) -> StragglerPlan:
     """The optimal plan for one fleet snapshot: ``redundant_assign`` with a
     straggler block, else ``flow_assign`` on a measured profile, else
-    ``assign_loads``, or with ``shares=False`` the closed form
-    ``optimal_time`` and no assignment.  Only straggler plans exclude classes.
+    ``assign_loads``.  With ``shares=False`` no share table is built and the
+    plan has no assignment: its time comes from ``flow_time`` on a measured
+    profile and from the closed form ``optimal_time`` on a formula profile.
+    Only straggler plans exclude classes.
     """
     if straggler is not None:
         return redundant_assign(instance, profile, straggler)
-    if profile.mode is ProfileMode.EXACT:
+    assignment = None
+    if profile.mode is ProfileMode.EXACT and shares:
         assignment, time = flow_assign(instance, profile, redundancy=1)
+    elif profile.mode is ProfileMode.EXACT:
+        time = flow_time(instance, profile)
     elif shares:
         assignment, time = assign_loads(instance, profile)
     else:
-        assignment, time = None, optimal_time(instance, profile)
+        time = optimal_time(instance, profile)
     return StragglerPlan(assignment=assignment, time=time, excluded_classes=())
 
 
@@ -475,7 +482,7 @@ def run_timeline(scenario: Scenario) -> tuple[StepReport, ...]:
 def baseline_assign(
     kind: str, replication: int, instance: ProblemInstance
 ) -> tuple[ClassProfile, Fraction]:
-    """Centralized placement with replication factor r, priced by ``flow_assign``.
+    """Centralized placement with replication factor r, priced by ``flow_time``.
 
     cyclic: K/N contiguous blocks, worker n stores blocks n..n+r-1 (mod N).
     repetition: workers in N/r groups, each group stores its own K/(N/r) block.
@@ -484,8 +491,9 @@ def baseline_assign(
     All three give every worker rK/N datasets.  The block count must divide
     K (ConfigurationError otherwise; checked before any block is listed).
     The placement is its class profile: each block adds 1/#blocks to the
-    class of the workers holding it.  The value is that profile's optimum,
-    from the same Newton flow that solves exact simulate steps.
+    class of the workers holding it.  The value is that profile's optimum
+    T*, from the same Newton flow search that solves exact simulate steps;
+    no share table is built for it.
     """
     N, K, r = instance.N, instance.K, replication
     if kind not in BASELINE_KINDS:
@@ -509,8 +517,7 @@ def baseline_assign(
     for mask in holders:  # cyclic at r = N puts every block in one class
         blocks[mask] = blocks.get(mask, 0) + 1
     profile = ClassProfile(n_workers=N, class_sizes=UnitMap(blocks, n_blocks))
-    _, time = flow_assign(instance, profile, redundancy=1)
-    return profile, time.c_star
+    return profile, flow_time(instance, profile).c_star
 
 
 @dataclass(frozen=True)

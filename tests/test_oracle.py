@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dusec import oracle
@@ -20,6 +20,7 @@ from dusec.oracle import (
     InfeasibleRedundancy,
     OracleScopeError,
     flow_assign,
+    flow_time,
     lp_oracle,
 )
 from dusec.storage import (
@@ -373,20 +374,32 @@ def _flow_outputs(inst, prof, r):
     return list(asg.shares.items()), res.per_worker_time, res.c_star, res.n_star
 
 
-@settings(max_examples=100, deadline=None)
-@given(case=_placements())
-def test_flow_assign_equals_the_reference_flow(case):
-    inst, prof, _ = case  # every redundancy is tried below
-    for r in range(1, inst.N + 1):
-        coverable = filtered_for_redundancy(prof, r)
-        assert _flow_outputs(inst, coverable, r) == _reference_flow(inst, coverable, r)
-
-
 def _bottleneck_profile(K, M, N, seed, speeds, r):
     inst = ProblemInstance(K=K, M=M, speeds=[F(s) for s in speeds.split(",")])
     storage = generate_decentralized(K, M, N, seed=seed)
     prof = exact_profile(storage.subset([i + 1 for i in inst.source_order]))
     return inst, filtered_for_redundancy(prof, r)
+
+
+# the CI placements whose flows take one Newton step (newton5: 7/60 -> 2/15)
+# and two (newton6: 9/400 -> 2/75 -> 3/100)
+_NEWTON5 = (30, 10, 5, 0, "1,2,1,3,2", 1)
+_NEWTON6 = (20, 3, 6, 7, "5,5,14,7,5,5", 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_placements())
+@example(case=(*_bottleneck_profile(*_NEWTON5), 1))
+@example(case=(*_bottleneck_profile(*_NEWTON6), 1))
+def test_flow_assign_equals_the_reference_flow(case):
+    inst, prof, _ = case  # every redundancy is tried below
+    for r in range(1, inst.N + 1):
+        coverable = filtered_for_redundancy(prof, r)
+        outputs = _flow_outputs(inst, coverable, r)
+        assert outputs == _reference_flow(inst, coverable, r)
+        if r == 1:  # the time-only route reads the same search, and builds no shares
+            res = flow_time(inst, coverable)
+            assert (res.per_worker_time, res.c_star, res.n_star) == outputs[1:]
 
 
 # the minimal and maximal cuts of the first short flow differ: the reference
@@ -470,3 +483,25 @@ def test_each_flow_branch_matches_the_reference(monkeypatch, case, r, flows):
     inst, prof = case()
     assert _flow_outputs(inst, prof, r) == _reference_flow(inst, prof, r)
     assert taken == flows
+
+
+@pytest.mark.parametrize("args, c_star, flows", [(_NEWTON5, F(2, 15), 2), (_NEWTON6, F(3, 100), 3)])
+def test_the_time_only_route_takes_the_newton_steps(monkeypatch, args, c_star, flows):
+    # one flow per Newton step plus the saturated one, each walked once: the
+    # short flows for the step, the saturated one for n*
+    inst, prof = _bottleneck_profile(*args)
+    transport, walk = oracle._Transport.__init__, oracle._Transport.bottleneck
+    built, walked = [], []
+
+    def spy(self, *rest):
+        transport(self, *rest)
+        built.append(self.saturated)
+
+    def spy_walk(self):
+        walked.append(self.saturated)
+        return walk(self)
+
+    monkeypatch.setattr(oracle._Transport, "__init__", spy)
+    monkeypatch.setattr(oracle._Transport, "bottleneck", spy_walk)
+    assert flow_time(inst, prof).c_star == c_star
+    assert built == walked == [False] * (flows - 1) + [True]

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import dusec.cli as cli
 from dusec.model import ProblemInstance, ProfileMode
 from dusec.optimizer import assign_loads
-from dusec.oracle import lp_oracle
+from dusec.oracle import flow_assign, lp_oracle
 from dusec.simulator import (
     BASELINE_KINDS,
     CatalogEntry,
@@ -32,7 +32,7 @@ from dusec.simulator import (
     reports_to_json_obj,
     run_timeline,
 )
-from dusec.storage import ExplicitStorage, exact_profile, profile_from_alpha
+from dusec.storage import ExplicitStorage, exact_profile, generate_worker_subset, profile_from_alpha
 from dusec.straggler import DEFAULT_FIELD_MODULUS, StragglerConfig
 
 
@@ -478,12 +478,29 @@ def test_storage_frozen_across_steps():
 
 
 def test_exact_mode_matches_direct_solve():
-    scenario = load_scenario(_bundled("elastic_10step.json"))
-    reports = run_timeline(replace(scenario, baselines=()))
-    assert len(reports) == 10
-    for rep in reports:
+    # every step rebuilt on its own (vms by speed, ties by id; each vm's
+    # storage drawn from its catalog seed; the measured profile): the report's
+    # times equal flow_assign's, and each baseline the c* flow_assign gives
+    # on baseline_assign's profile
+    obj = _bundled("elastic_10step.json")
+    reports = run_timeline(load_scenario(obj))
+    K, catalog = obj["K"], obj["vmCatalog"]
+    assert len(reports) == len(obj["steps"]) == 10
+    for rep, step in zip(reports, obj["steps"]):
+        speeds = {vm: F(s) for vm, s in step["speeds"].items()}
+        order = tuple(sorted(step["available"], key=lambda vm: (speeds[vm], vm)))
+        assert rep.vm_ids == order
+        M = int(F(catalog[order[0]]["storageFraction"]) * K)
+        inst = ProblemInstance(K=K, M=M, speeds=[speeds[vm] for vm in order])
+        per_worker = tuple(generate_worker_subset(K, M, catalog[vm]["seed"]) for vm in order)
+        prof = exact_profile(ExplicitStorage(K=K, M=M, per_worker=per_worker))
+        assert rep.time == flow_assign(inst, prof)[1]
         assert max(rep.time.per_worker_time) == rep.time.c_star
-        assert 0 < rep.coverage <= 1
+        assert 0 < rep.coverage == prof.cumulative[inst.N] <= 1
+        assert set(rep.baseline_times) == {"cyclic_r2", "man_r2"}
+        for kind in ("cyclic", "man"):
+            baseline_profile, _ = baseline_assign(kind, 2, inst)
+            assert rep.baseline_times[f"{kind}_r2"] == flow_assign(inst, baseline_profile)[1].c_star
 
 
 def _straggler_scenario(stragglers):

@@ -76,9 +76,10 @@ def test_only_the_cli_reaches_lp_oracle():
 
 
 def test_one_function_picks_the_solver():
-    # dusec solve and every simulate step leave the choice to solve_snapshot;
-    # baseline_assign prices its placements with flow_assign
-    solvers = {"assign_loads", "optimal_time", "flow_assign", "redundant_assign"}
+    # dusec solve and every simulate step leave the choice to solve_snapshot,
+    # whose time-only route on a measured profile is flow_time; baseline_assign
+    # prices its placements with that route alone
+    solvers = {"assign_loads", "optimal_time", "flow_assign", "flow_time", "redundant_assign"}
     calls = {}
     for path, tree in _modules():
         if path.stem not in ("cli", "simulator"):
@@ -93,7 +94,7 @@ def test_one_function_picks_the_solver():
                         calls.setdefault(caller, set()).add(name)
     assert calls == {
         "simulator.solve_snapshot": solvers,
-        "simulator.baseline_assign": {"flow_assign"},
+        "simulator.baseline_assign": {"flow_time"},
     }
 
 
@@ -117,8 +118,13 @@ def test_flow_assign_and_lp_oracle_share_no_flow_code():
 
     oracle_side, flow_side = reached("lp_oracle"), reached("flow_assign")
     assert {"_bottleneck", "_check_scope"} <= oracle_side
-    assert not {"_Transport", "_Residual"} & oracle_side
+    flow_only = {"_Transport", "_Residual", "_newton_search", "_flow_time", "flow_time"}
+    assert not flow_only & oracle_side
     assert {"_Transport", "_Residual"} <= flow_side
+    # the time-only reader runs the same search and flow
+    time_side = reached("flow_time")
+    assert {"_newton_search", "_flow_time", "_Transport", "_Residual"} <= time_side
+    assert not {"_bottleneck", "_check_scope", "lp_oracle"} & time_side
     assert oracle_side & flow_side == {"_active_classes", "InfeasibleRedundancy", "_locked_ratio"}
 
 
@@ -166,8 +172,24 @@ def test_each_shared_value_has_one_owner():
         "model.check_counts"
     }
     assert not any("class_units" in names(node) for node in functions.values())
-    for name in ("oracle.flow_assign", "optimizer.assign_loads", "cli._cmd_solve"):
+    for name in ("optimizer.assign_loads", "cli._cmd_solve"):
         assert "per_worker_loads" in names(functions[name]), name
+    # one helper builds a flow's per-worker times, from its sink capacities
+    # and rooms, and both flow routes call it; no flow reader sums shares
+    (oracle_tree,) = [tree for path, tree in _modules() if path.stem == "oracle"]
+    time_builders = {
+        name
+        for name, node in functions.items()
+        if name.startswith("oracle.")
+        and any(getattr(getattr(n, "func", None), "id", None) == "TimeResult" for n in ast.walk(node))
+    }
+    assert time_builders == {"oracle._flow_time"}
+    assert {"sink_caps", "room", "scale"} <= names(functions["oracle._flow_time"])
+    assert {name for name, node in functions.items() if "_flow_time" in _names(node)} == {
+        "oracle.flow_assign",
+        "oracle.flow_time",
+    }
+    assert "per_worker_loads" not in _names(oracle_tree)
     # the CLI reads loads from the assignment; it does not rebuild them from times
     assert not any(
         isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult) for n in ast.walk(functions["cli._cmd_solve"])
@@ -293,8 +315,9 @@ def test_each_scenario_rule_and_step_result_has_one_owner():
 
 def test_one_walk_gives_the_newton_set_and_n_star():
     # the flow classes keep no state past __init__ (Dinic keeps no labels once
-    # it returns), and flow_assign reads the Newton step's set and n* from
-    # one _Transport method: the workers with no residual path to the sink
+    # it returns); one function holds the Newton loop, stepping on the
+    # bottleneck walk of each short flow, and one reads n* from that walk of
+    # the saturated flow: the workers with no residual path to the sink
     (tree,) = [tree for path, tree in _modules() if path.stem == "oracle"]
     classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
     for name in ("_Residual", "_Transport"):
@@ -306,27 +329,46 @@ def test_one_walk_gives_the_newton_set_and_n_star():
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
         ]
         assert stored == [], name
-    methods = {item.name for item in classes["_Transport"].body if isinstance(item, ast.FunctionDef)}
-    flow_assign = dict(_functions())["oracle.flow_assign"]
-    calls = [
-        node
-        for node in ast.walk(flow_assign)
-        if isinstance(node, ast.Assign)
-        and isinstance(node.value, ast.Call)
-        and getattr(node.value.func, "attr", None) in methods
+    functions = dict(_functions())
+
+    def calls(node, name):
+        """The calls inside ``node`` of the function or method ``name``."""
+        return [
+            n
+            for n in ast.walk(node)
+            if isinstance(n, ast.Call)
+            and name in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+        ]
+
+    # one Newton loop: a single function runs the flows, in a loop, and steps T
+    # to the locked ratio of the short flow's bottleneck set
+    runners = {name for name, node in functions.items() if calls(node, "_Transport")}
+    assert runners == {"oracle._newton_search"}
+    search = functions["oracle._newton_search"]
+    (loop,) = [n for n in ast.walk(search) if isinstance(n, ast.While)]
+    assert calls(loop, "_Transport")
+    steps = {
+        name
+        for name, node in functions.items()
+        for call in calls(node, "_locked_ratio")
+        if calls(call.args[-1], "bottleneck")
+    }
+    assert steps == {"oracle._newton_search"}
+    (step,) = calls(search, "_locked_ratio")
+    assert ast.unparse(step) == "_locked_ratio(instance, classes, redundancy, flow.bottleneck())"
+    # a saturated flow leaves the search before any walk
+    (leave,) = [n for n in ast.walk(loop) if isinstance(n, ast.If) and "saturated" in _names(n.test)]
+    assert isinstance(leave.body[0], ast.Return) and not calls(leave, "bottleneck")
+    # n* is read from the walk in exactly one place, and the flow is walked only there and in the step
+    walks = {name: len(found) for name, node in functions.items() if (found := calls(node, "bottleneck"))}
+    assert walks == {"oracle._newton_search": 1, "oracle._flow_time": 1}
+    n_star = [
+        (name, ast.unparse(n))
+        for name, node in functions.items()
+        for n in ast.walk(node)
+        if isinstance(n, ast.keyword) and n.arg == "n_star" and calls(n.value, "bottleneck")
     ]
-    (call,) = calls
-    assert len([n for n in ast.walk(flow_assign) if getattr(n, "attr", None) in methods]) == 1
-    (target,) = call.targets
-    readers = {
-        ast.unparse(node)
-        for node in ast.walk(flow_assign)
-        if isinstance(node, ast.Call) and target.id in _names(node) and node is not call.value
-    }
-    assert readers >= {
-        f"_locked_ratio(instance, classes, redundancy, {target.id})",
-        f"{target.id}.bit_count()",
-    }
+    assert n_star == [("oracle._flow_time", "n_star=flow.bottleneck().bit_count()")]
 
 
 def _strings(node):
