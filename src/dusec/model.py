@@ -274,11 +274,6 @@ class ProblemInstance:
         units, denom = self.speed_units
         return tuple(accumulate(units, initial=0)), denom
 
-    def prefix_speed_sums(self) -> tuple[Fraction, ...]:
-        """S[n] = s_1 + ... + s_n for n = 0..N (S[0] = 0), as Fractions."""
-        sums, denom = self.prefix_speed_units
-        return tuple(Fraction(total, denom) for total in sums)
-
     @classmethod
     def from_alpha(cls, alpha, speeds) -> "ProblemInstance":
         """Instance with the smallest integral (K, M) realizing a rational alpha."""
@@ -438,16 +433,12 @@ class ClassProfile:
         n = 0..N, as integers over one denominator.
 
         A formula profile reads them from its closed form; a measured one
-        adds its class sizes up by their fastest member.
+        is :func:`locked_prefix_units` at r = 1.
         """
         if self.class_sizes is None:
             _, cumulative, denom = self._formula_units
             return cumulative, denom
-        sizes = self.class_sizes
-        by_top = [0] * (self.n_workers + 1)
-        for mask, unit in sizes.units.items():
-            by_top[mask.bit_length()] += unit
-        return tuple(accumulate(by_top)), sizes.denom
+        return locked_prefix_units(self.class_sizes, self.n_workers, 1)
 
     @cached_property
     def cumulative(self) -> tuple[Fraction, ...]:
@@ -458,6 +449,24 @@ class ClassProfile:
         """
         units, denom = self.cumulative_units
         return tuple(Fraction(total, denom) for total in units)
+
+
+def locked_prefix_units(classes: UnitMap, n_workers: int, redundancy: int) -> tuple[tuple[int, ...], int]:
+    """L_r[n], the load that covering every class ``redundancy`` times locks
+    onto workers 1..n, for n = 0..N, as integers over ``classes.denom``;
+    L_1 is L(n).  A class locks one more copy onto the prefix each time the
+    prefix takes in one of its r highest members (it needs at least r), so
+    r rounds add each class's size at its top bit, peeling that bit off
+    between rounds, and the gains are accumulated.
+    """
+    gain = [0] * (n_workers + 1)
+    rest = classes.units.items()
+    for peel in range(redundancy):
+        if peel:
+            rest = [(mask ^ (1 << (mask.bit_length() - 1)), unit) for mask, unit in rest]
+        for mask, unit in rest:
+            gain[mask.bit_length()] += unit
+    return tuple(accumulate(gain)), classes.denom
 
 
 @dataclass(frozen=True)

@@ -71,43 +71,43 @@ def _staircase(
     S: tuple[int, ...],
     s_den: int,
     events: list | None = None,
-) -> list[tuple[int, int, Fraction]]:
-    """Equal-time groups (start, end, time) with strictly decreasing times.
+) -> list[tuple[int, int, int, int]]:
+    """Equal-time groups (start, end, p, q) with strictly decreasing times p/q.
 
     L(n) is ``L[n] / l_den`` and the prefix speed sum S(n) is
     ``S[n] / s_den``, integers over one denominator each, for n = 0..N.
     Worker i tentatively finishes its frontier at (L(i) - L(i-1)) / s_i;
     whenever that ties or exceeds the group below, the two groups merge.
     A group keeps its load and speed differences as integers, and two
-    times compare by cross-multiplication; ``Fraction`` is built only for
-    the returned times and events.  ``events``, when given, collects
-    ("tentative", i, t) and ("merge", RearrangeDelta) in the order they
-    happen; each delta is the load the merge moves from the faster group
-    onto the slower one.
+    times compare by cross-multiplication.  A returned time is the integer
+    pair p/q, unreduced, so a caller builds ``Fraction`` only for the times
+    it reads.  ``events``, when given, collects ("tentative", i, t) and
+    ("merge", RearrangeDelta) in the order they happen, in Fractions; each
+    delta is the load the merge moves from the faster group onto the
+    slower one.
     """
-    groups: list[list[int]] = []  # [start, end, L difference, S difference]
+    groups: list[tuple[int, int, int, int]] = []  # (start, end, L difference, S difference)
     for i in range(1, len(S)):
-        load, speed = L[i] - L[i - 1], S[i] - S[i - 1]
+        start, load, speed = i, L[i] - L[i - 1], S[i] - S[i - 1]
         if events is not None:
             events.append(("tentative", i, Fraction(load * s_den, speed * l_den)))
-        groups.append([i, i, load, speed])
-        while len(groups) >= 2 and groups[-1][2] * groups[-2][3] >= groups[-2][2] * groups[-1][3]:
-            top = groups.pop()
+        # the group start..i merges with the one below while its time ties or exceeds that one's
+        while groups and load * groups[-1][3] >= groups[-1][2] * speed:
             prev = groups.pop()
-            start, end = prev[0], top[1]
-            load, speed = prev[2] + top[2], prev[3] + top[3]
+            merged_load, merged_speed = prev[2] + load, prev[3] + speed
             if events is not None:
                 # (merged time - receiver time) * receiver speed, with s_den cancelled
                 events.append(("merge", RearrangeDelta(
-                    delta=Fraction(load * prev[3] - prev[2] * speed, speed * l_den),
+                    delta=Fraction(merged_load * prev[3] - prev[2] * merged_speed, merged_speed * l_den),
                     receiver_start=prev[0],
                     receiver_end=prev[1],
-                    donor_start=top[0],
-                    donor_end=top[1],
-                    group_time=Fraction(load * s_den, speed * l_den),
+                    donor_start=start,
+                    donor_end=i,
+                    group_time=Fraction(merged_load * s_den, merged_speed * l_den),
                 )))
-            groups.append([start, end, load, speed])
-    return [(start, end, Fraction(load * s_den, speed * l_den)) for start, end, load, speed in groups]
+            start, load, speed = prev[0], merged_load, merged_speed
+        groups.append((start, i, load, speed))
+    return [(start, end, load * s_den, speed * l_den) for start, end, load, speed in groups]
 
 
 def _check_formula_pair(instance: ProblemInstance, profile: ClassProfile) -> None:
@@ -131,9 +131,9 @@ def optimal_time(instance: ProblemInstance, profile: ClassProfile) -> TimeResult
     _check_formula_pair(instance, profile)
     groups = _staircase(*profile.cumulative_units, *instance.prefix_speed_units)
     times: list[Fraction] = []
-    for start, end, t in groups:
-        times.extend([t] * (end - start + 1))
-    return TimeResult(c_star=groups[0][2], n_star=groups[0][1], per_worker_time=tuple(times))
+    for start, end, p, q in groups:
+        times.extend([Fraction(p, q)] * (end - start + 1))
+    return TimeResult(c_star=times[0], n_star=groups[0][1], per_worker_time=tuple(times))
 
 
 def cutset_bounds(instance: ProblemInstance, profile: ClassProfile) -> tuple[CutsetBound, ...]:
@@ -146,10 +146,11 @@ def cutset_bounds(instance: ProblemInstance, profile: ClassProfile) -> tuple[Cut
     tight.  Formula profiles only.
     """
     k = optimal_time(instance, profile).n_star
-    L, S = profile.cumulative, instance.prefix_speed_sums()
-    bounds = [CutsetBound("prefix", n, L[n] / S[n]) for n in range(1, instance.N + 1)]
+    L, (S, s_den) = profile.cumulative, instance.prefix_speed_units
+    bounds = [CutsetBound("prefix", n, L[n] * s_den / S[n]) for n in range(1, instance.N + 1)]
     bounds.extend(
-        CutsetBound("pooled-tail", n, (L[n] - L[k]) / (S[n] - S[k])) for n in range(k + 1, instance.N + 1)
+        CutsetBound("pooled-tail", n, (L[n] - L[k]) * s_den / (S[n] - S[k]))
+        for n in range(k + 1, instance.N + 1)
     )
     return tuple(bounds)
 
@@ -291,7 +292,6 @@ def assign_loads(
     if trace is not None:
         trace.extend(events)
     times = tuple(load / s for load, s in zip(assignment.per_worker_loads(), instance.speeds))
-    result = TimeResult(
-        c_star=groups[0][2], n_star=groups[0][1], per_worker_time=times
-    )
+    _, n_star, p, q = groups[0]
+    result = TimeResult(c_star=Fraction(p, q), n_star=n_star, per_worker_time=times)
     return assignment, result

@@ -12,7 +12,9 @@ that subset's speed.  Two routes compute it:
 
 * ``flow_assign`` runs a Newton (Dinkelbach) search on one flow network,
   source -> class (r * a(V)) -> member workers (a(V)) -> sink (T * s_n).
-  It starts T at the best slowest-k prefix bound and runs one max-flow.
+  It starts T from the closed form's staircase over the locked prefix
+  loads (``optimizer._staircase`` over ``model.locked_prefix_units``, the
+  largest locked(slowest k) / speed(slowest k)) and runs one max-flow.
   The workers with no residual path to the sink are the largest S
   minimizing T * speed(S) - locked(S).  If the flow saturates, T is
   optimal, the flow is the assignment and n* = |S|; otherwise
@@ -67,8 +69,10 @@ from .model import (
     UnitMap,
     check_count,
     check_pair,
+    locked_prefix_units,
     over_one_denominator,
 )
+from .optimizer import _staircase
 
 ORACLE_MAX_WORKERS = 12
 
@@ -153,31 +157,6 @@ def _bottleneck(instance: ProblemInstance, classes: UnitMap, redundancy: int) ->
             best_locked, best_spd = locked[s_mask], spd[s_mask]
             best_mask = s_mask
     return Fraction(best_locked * speed_denom, best_spd * classes.denom), best_mask
-
-
-def _prefix_bound(instance: ProblemInstance, classes: UnitMap, redundancy: int) -> Fraction:
-    """max over k of locked(slowest k) / speed(slowest k), a lower bound on T*.
-
-    Speeds ascend, so the slowest k workers are bits 0..k-1.  A class locks
-    one more copy onto that prefix each time the prefix takes in one of its
-    r highest members, so one pass over the classes gives every prefix's
-    locked load, on integer numerators.  k = N gives r * sum(a) / sum(s).
-    """
-    speed_units, speed_denom = instance.speed_units
-    gain = [0] * (instance.N + 1)
-    for mask, unit in classes.units.items():
-        for _ in range(redundancy):  # active classes have at least r members
-            top = mask.bit_length()
-            gain[top] += unit
-            mask ^= 1 << (top - 1)
-    best_locked, best_speed = 0, 1  # the best ratio so far, locked / speed
-    locked = speed = 0
-    for k, unit in enumerate(speed_units, start=1):
-        locked += gain[k]
-        speed += unit
-        if locked * best_speed > best_locked * speed:
-            best_locked, best_speed = locked, speed
-    return Fraction(best_locked * speed_denom, best_speed * classes.denom)
 
 
 def _locked_ratio(
@@ -465,13 +444,16 @@ def _newton_search(
 ) -> tuple[Fraction, _Transport]:
     """T* and the saturated flow at T*, by a Newton search over max-flows.
 
-    T starts at the best slowest-k prefix bound.  While the flow at T falls
-    short of the demand, its bottleneck set S, the workers with no residual
-    path to the sink, has locked(S) > T * speed(S), and T moves up to
-    locked(S) / speed(S), summed directly.  The first flow that saturates
-    is at T*; its bottleneck set is not walked here.
+    T starts from the closed form's staircase over the locked prefix loads:
+    its first group's time is the largest locked(slowest k) / speed(slowest
+    k), a lower bound on T*.  While the flow at T falls short of the
+    demand, its bottleneck set S, the workers with no residual path to the
+    sink, has locked(S) > T * speed(S), and T moves up to locked(S) /
+    speed(S), summed directly.  The first flow that saturates is at T*;
+    its bottleneck set is not walked here.
     """
-    value = _prefix_bound(instance, classes, redundancy)
+    locked = locked_prefix_units(classes, instance.N, redundancy)
+    value = Fraction(*_staircase(*locked, *instance.prefix_speed_units)[0][2:])
     while True:
         flow = _Transport(instance, classes, redundancy, value)
         if flow.saturated:
@@ -510,12 +492,12 @@ def flow_assign(
 
     Used for profiles without prefix structure (measured placements) and
     for redundant coverage.  The search (``_newton_search``) raises T from
-    the best slowest-k prefix bound to T*, one flow per step; the first
-    flow that saturates is the assignment, and its bottleneck set, the
-    largest set attaining T*, gives n*.  The search has two readers: this
-    function builds the share table from the flow, and :func:`flow_time`
-    reads only the time result.  Each flow is a :class:`_Transport`;
-    :func:`lp_oracle` runs no flow.
+    the closed form's staircase over the locked prefix loads to T*, one
+    flow per step; the first flow that saturates is the assignment, and
+    its bottleneck set, the largest set attaining T*, gives n*.  The
+    search has two readers: this function builds the share table from the
+    flow, and :func:`flow_time` reads only the time result.  Each flow is a
+    :class:`_Transport`; :func:`lp_oracle` runs no flow.
     """
     classes = _active_classes(instance, profile, redundancy)
     value, flow = _newton_search(instance, classes, redundancy)

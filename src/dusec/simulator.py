@@ -430,29 +430,27 @@ def _run_step(
     straggler = scenario.straggler
     order, instance, profile = _step_instance(scenario, step, storage_cache)
     task_value = None
-    try:  # the solver's and the coded round's refusals name the step
-        plan = solve_snapshot(instance, profile, straggler, shares=False)
-        if straggler is not None:
-            covered = {mask for _, mask in plan.assignment.shares}
-            messages = _demo_messages(sorted(covered), straggler)
-            task_value = ()
-            if messages:
-                transmissions = encode(plan.assignment, straggler, messages)  # one per vm, in order
-                survivors = [t for t, v in zip(transmissions, order) if v not in step.stragglers]
-                task_value = decode(survivors, straggler, instance.N)
-                expected = tuple(sum(part) % straggler.field_modulus for part in zip(*messages.values()))
-                if task_value != expected:
-                    raise AssertionError(
-                        f"steps[{step_index}]: decoded aggregate does not match the message sum"
-                    )
-    except CodingConfigError as exc:
-        raise CodingConfigError(f"steps[{step_index}]: {exc}") from exc
+    plan = solve_snapshot(instance, profile, straggler, shares=False)
+    if straggler is not None:
+        covered = {mask for _, mask in plan.assignment.shares}
+        messages = _demo_messages(sorted(covered), straggler)
+        task_value = ()
+        if messages:
+            transmissions = encode(plan.assignment, straggler, messages)  # one per vm, in order
+            survivors = [t for t, v in zip(transmissions, order) if v not in step.stragglers]
+            task_value = decode(survivors, straggler, instance.N)
+            expected = tuple(sum(part) % straggler.field_modulus for part in zip(*messages.values()))
+            if task_value != expected:
+                raise AssertionError(
+                    f"steps[{step_index}]: decoded aggregate does not match the message sum"
+                )
     baseline_times: dict[str, Fraction] = {}
     for kind, r in scenario.baselines:
         try:
             _, value = baseline_assign(kind, r, instance)
         except ConfigurationError as exc:
-            raise ConfigurationError(f"steps[{step_index}]: baseline {kind} r={r}: {exc}") from exc
+            exc.args = (f"baseline {kind} r={r}: {exc}",)
+            raise
         baseline_times[f"{kind}_r{r}"] = value
     return StepReport(
         step_index=step_index,
@@ -473,10 +471,14 @@ def run_timeline(scenario: Scenario) -> tuple[StepReport, ...]:
     """
     exact = scenario.mode is ProfileMode.EXACT
     storage_cache = _catalog_storage(scenario.timeline) if exact else {}
-    return tuple(
-        _run_step(scenario, step, i, storage_cache)
-        for i, step in enumerate(scenario.timeline.steps)
-    )
+    reports = []
+    for i, step in enumerate(scenario.timeline.steps):
+        try:
+            reports.append(_run_step(scenario, step, i, storage_cache))
+        except ValueError as exc:  # a refusal names its step, and keeps its type and attributes
+            exc.args = (f"steps[{i}]: {exc}",)
+            raise
+    return tuple(reports)
 
 
 def baseline_assign(

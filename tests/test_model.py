@@ -105,7 +105,7 @@ def test_alpha_beta():
     inst = ProblemInstance(K=16, M=8, speeds=(F(1), F(2), F(5), F(5)))
     assert inst.alpha == F(2)
     assert profile_from_alpha(inst.alpha, inst.N).beta == F(1, 16)
-    assert inst.prefix_speed_sums() == (F(0), F(1), F(3), F(8), F(13))
+    assert inst.prefix_speed_units == ((0, 1, 3, 8, 13), 1)
     full = ProblemInstance(K=4, M=4, speeds=(F(1), F(1)))
     assert full.alpha is None
     assert profile_from_alpha(full.alpha, full.N).beta == 0
@@ -242,6 +242,7 @@ def test_exact_profile_checks_its_class_table():
     assert prof.mode is ProfileMode.EXACT
     assert prof.a(2) == 0 and prof.a(3) == F(1, 4)
     assert prof.cumulative == (F(0), F(3, 4), F(1))
+    assert prof.beta is None and prof.sizes_by_card is None  # formula-profile reads
 
 
 def test_profile_from_counts_checks_on_integers():
@@ -262,6 +263,7 @@ def test_profile_from_counts_checks_on_integers():
     assert dict(prof.class_sizes.units) == {1: 3, 3: 1} and prof.class_sizes.denom == 8
     assert list(prof.classes) == [1, 3] and 2 not in prof.classes
     assert dict(prof.classes) == {1: F(3, 8), 3: F(1, 8)}
+    assert list(prof.classes.values()) == [F(3, 8), F(1, 8)]
     assert prof == ClassProfile(n_workers=2, class_sizes={1: F(3, 8), 3: F(1, 8)})
     assert prof.cumulative == (F(0), F(3, 8), F(1, 2))
     assert ClassProfile(n_workers=2, class_sizes=UnitMap({}, 5)).classes.denom == 1

@@ -12,6 +12,7 @@ from dusec.model import (
     ProblemInstance,
     StructureError,
     iter_class_masks,
+    locked_prefix_units,
     validate,
     workers_of,
 )
@@ -322,12 +323,14 @@ def test_flow_assign_past_the_enumeration_cap(monkeypatch):
             lp_oracle(inst, prof)
 
 
+def _locked(prof, r, workers):
+    """locked(S) for the worker set S = ``workers``, summed on Fractions."""
+    return sum((a * max(0, r - (mask & ~workers).bit_count()) for mask, a in prof.classes.items()), F(0))
+
+
 def _ratio(inst, prof, r, workers):
     """locked(S) / speed(S) for the worker set S = ``workers``, summed on Fractions."""
-    locked = sum(
-        (a * max(0, r - (mask & ~workers).bit_count()) for mask, a in prof.classes.items()), F(0)
-    )
-    return locked / sum(s for i, s in enumerate(inst.speeds) if workers >> i & 1)
+    return _locked(prof, r, workers) / sum(s for i, s in enumerate(inst.speeds) if workers >> i & 1)
 
 
 def _prefix_bound_of(inst, prof, r):
@@ -424,20 +427,35 @@ def test_either_minimum_cut_reaches_the_reference_optimum(args, c_star):
 @given(case=_placements())
 def test_the_bottleneck_set_steps_newton_and_attains_c_star(case):
     # every flow's bottleneck set S, summed directly: a short flow's S locks
-    # more than T * speed(S), and the last flow's S attains c* with |S| = n*
+    # more than T * speed(S), and the last flow's S attains c* with |S| = n*;
+    # the first flow runs at the best slowest-k prefix bound, each later one
+    # at the ratio of the set before it
     inst, prof, _ = case  # every redundancy is tried below
-    walk = oracle._Transport.bottleneck
-    seen = []
+    walk, build = oracle._Transport.bottleneck, oracle._Transport.__init__
+    seen, times = [], []
 
     def spy(self):
         seen.append((self.saturated, walk(self)))
         return seen[-1][1]
 
+    def spy_build(self, instance, classes, redundancy, T):
+        times.append(T)
+        build(self, instance, classes, redundancy, T)
+
+    formula = profile_from_alpha(inst.alpha, inst.N)
+    assert locked_prefix_units(formula.classes, inst.N, 1) == formula.cumulative_units
     for r in range(1, inst.N + 1):
         coverable = filtered_for_redundancy(prof, r)
+        # the one owner of the locked prefix loads, against the direct sum on each prefix
+        units, denom = locked_prefix_units(coverable.classes, inst.N, r)
+        assert [F(u, denom) for u in units] == [_locked(coverable, r, (1 << k) - 1) for k in range(inst.N + 1)]
+        if r == 1:
+            assert (units, denom) == coverable.cumulative_units
         seen.clear()
+        times.clear()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle._Transport, "bottleneck", spy)
+            patch.setattr(oracle._Transport, "__init__", spy_build)
             _, res = flow_assign(inst, coverable, r)
         values = [_prefix_bound_of(inst, coverable, r)]
         for saturated, workers in seen[:-1]:
@@ -446,6 +464,7 @@ def test_the_bottleneck_set_steps_newton_and_attains_c_star(case):
             assert values[-1] > values[-2]
         saturated, workers = seen[-1]
         assert saturated and values[-1] == res.c_star
+        assert times == values
         assert _ratio(inst, coverable, r, workers) == res.c_star
         assert workers.bit_count() == res.n_star
 

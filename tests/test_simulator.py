@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dusec.cli as cli
-from dusec.model import ProblemInstance, ProfileMode
+from dusec.model import ProblemInstance, ProfileMode, StructureError
 from dusec.optimizer import assign_loads
 from dusec.oracle import flow_assign, lp_oracle
 from dusec.simulator import (
@@ -702,6 +702,25 @@ def test_baseline_error_names_the_step():
     scenario = load_scenario(obj)
     with pytest.raises(ConfigurationError, match=r"steps\[0\]"):
         run_timeline(scenario)
+
+
+def test_any_refusal_in_a_step_names_the_step():
+    # the formula class map refuses 23 workers; the straggler block's coded
+    # round needs that map, and the refusal keeps its type and names the step
+    ids = [f"w{i}" for i in range(23)]
+    obj = {
+        "schemaVersion": 1,
+        "mode": "asymptotic",
+        "vmCatalog": {v: {"seed": i, "storageFraction": "1/2"} for i, v in enumerate(ids)},
+        "steps": [
+            {"available": ids[:3], "speeds": {v: "1" for v in ids[:3]}},
+            {"available": ids, "speeds": {v: str(1 + i % 5) for i, v in enumerate(ids)}},
+        ],
+        "straggler": {"s": 0, "m": 2},
+    }
+    with pytest.raises(StructureError) as exc:
+        run_timeline(load_scenario(obj))
+    assert str(exc.value).startswith("steps[1]: refusing to materialize 2^23 classes")
 
 
 def test_csv_layout():

@@ -212,20 +212,25 @@ def test_each_shared_value_has_one_owner():
         "oracle._Transport.__init__",
     }
     assert "common_denominator" in _names(functions["model.over_one_denominator"])
-    # each integer prefix sum is built in one place: S(n) on the instance, L(n)
-    # on the profile (a formula profile's from its closed form); the Fraction
-    # forms and the staircase's callers read those, and add nothing up
+    # each integer prefix sum is built in one place: S(n) on the instance, and
+    # the load each slowest-n prefix locks in locked_prefix_units, whose r = 1
+    # call is a measured profile's L(n) (a formula profile's comes from its
+    # closed form); the Fraction form and the staircase's callers read those,
+    # and add nothing up
     assert {name for name, node in functions.items() if "accumulate" in _names(node)} == {
         "model.ProblemInstance.prefix_speed_units",
-        "model.ClassProfile.cumulative_units",
+        "model.locked_prefix_units",
     }
-    for attr, fractions in (
-        ("prefix_speed_units", "model.ProblemInstance.prefix_speed_sums"),
-        ("cumulative_units", "model.ClassProfile.cumulative"),
+    assert _calls(functions["model.ClassProfile.cumulative_units"], "locked_prefix_units") == [False]
+    staircase_callers = {"optimizer.optimal_time", "optimizer.assign_loads"}
+    for attr, readers in (
+        ("prefix_speed_units", staircase_callers | {"oracle._newton_search", "optimizer.cutset_bounds"}),
+        ("cumulative_units", staircase_callers | {"model.ClassProfile.cumulative"}),
     ):
-        readers = {name for name, node in functions.items() if attr in _names(node)}
-        assert readers == {fractions, "optimizer.optimal_time", "optimizer.assign_loads"}, attr
-        assert not any(isinstance(getattr(n, "op", None), ast.Add) for n in ast.walk(functions[fractions]))
+        assert {name for name, node in functions.items() if attr in _names(node)} == readers, attr
+    assert not any(
+        isinstance(getattr(n, "op", None), ast.Add) for n in ast.walk(functions["model.ClassProfile.cumulative"])
+    )
     lcm_imports = {
         path.stem
         for path, tree in _modules()
@@ -356,6 +361,15 @@ def test_one_walk_gives_the_newton_set_and_n_star():
     assert steps == {"oracle._newton_search"}
     (step,) = calls(search, "_locked_ratio")
     assert ast.unparse(step) == "_locked_ratio(instance, classes, redundancy, flow.bottleneck())"
+    # T starts from the closed form's staircase, imported from optimizer and
+    # called once before the loop; oracle keeps no prefix maximum of its own
+    assert "oracle._prefix_bound" not in functions and "oracle._staircase" not in functions
+    assert any(
+        isinstance(n, ast.ImportFrom) and n.module == "optimizer" and [a.name for a in n.names] == ["_staircase"]
+        for n in tree.body
+    )
+    (start,) = calls(search, "_staircase")
+    assert start.lineno < loop.lineno
     # a saturated flow leaves the search before any walk
     (leave,) = [n for n in ast.walk(loop) if isinstance(n, ast.If) and "saturated" in _names(n.test)]
     assert isinstance(leave.body[0], ast.Return) and not calls(leave, "bottleneck")
