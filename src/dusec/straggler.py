@@ -17,7 +17,10 @@ the part's anchor and 0 at every other anchor and every worker not
 computing the part; a survivor's decoding weight at an anchor is the value
 there of the polynomial that is 1 at that survivor and 0 at the others.
 ``encode`` evaluates all its polynomials in one call, and so does
-``decode``; each call takes one modular inverse for all its denominators.
+``decode``: the roots are one 2-D array, a row per polynomial, and the
+values one (polynomials x points) array, with one modular inverse for all
+the denominators.  ``part_schedule`` works out every class's quotas
+together on arrays grouped by class.
 The coded vectors and the aggregate are one field product each,
 ``_field_combine``, exact on float64 matrix products for primes below 2^31.
 ``encode`` holds messages to one shape rule, ``_part_length``: one length
@@ -33,6 +36,7 @@ from __future__ import annotations
 import operator
 from array import array
 from dataclasses import dataclass
+from itertools import product
 from math import prod
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -199,6 +203,15 @@ def part_schedule(
     denominator does not matter.  A plan built for another redundancy than
     s + m, a negative share, or a share given to a worker outside its
     class, raises StructureError.
+
+    All classes are worked out together on grouped arrays: the shares
+    sorted by (class, worker), the class totals and maxima by ``reduceat``,
+    the remainders ranked by (-remainder, worker) inside each class, and
+    each class's holders repeated by their quotas into one row of m*(s+m)
+    tokens, of which part j takes every m-th from the j-th.  The arrays are
+    int64 when every mask and m*(s+m) times the sum of the units' absolute
+    values are below 2^63, which bounds every product and sum the quotas
+    form; otherwise they hold exact Python integers.
     """
     m = config.m
     r = config.redundancy
@@ -207,42 +220,52 @@ def part_schedule(
             f"assignment covers each class {assignment.redundancy} times, the code needs s + m = {r}"
         )
     slots = m * r
-    by_class: dict[int, dict[int, int]] = {}
-    for (n, mask), unit in assignment.shares.units.items():
-        if unit < 0:
+    units = assignment.shares.units
+    bound = max((1 << assignment.n_workers) - 1, slots * sum(map(abs, units.values())))
+    dtype = np.int64 if bound < 1 << 63 else object
+    workers, masks = np.array(list(units), dtype=dtype).reshape(len(units), 2).T
+    shares = np.array(list(units.values()), dtype=dtype)
+    negative = shares < 0
+    bad = np.flatnonzero(negative | ((masks >> (workers - 1)) & 1 == 0))
+    if bad.size:
+        i = bad[0]
+        n, mask = int(workers[i]), int(masks[i])
+        if negative[i]:
             share = assignment.shares[n, mask]
             raise StructureError(f"class {mask} gives worker {n} a negative share {share}")
-        if not mask >> (n - 1) & 1:
-            raise StructureError(f"class {mask} gives a share to worker {n}, who does not store it")
-        by_class.setdefault(mask, {})[n] = unit
-    schedule: dict[tuple[int, int], tuple[int, ...]] = {}
-    for mask in sorted(by_class):
-        nums = by_class[mask]
-        # a member without a share would get floor 0 and remainder 0; the
-        # remainders sum to deficit * total, each below total, so more than
-        # deficit of them are positive and the deficit never reaches it
-        holders = sorted(nums)
-        total = sum(nums.values())
-        floors: dict[int, int] = {}
-        remainders: list[tuple[int, int]] = []
-        for n in holders:
-            floors[n], rem = divmod(slots * nums[n], total)
-            remainders.append((-rem, n))
-        deficit = slots - sum(floors.values())
-        if r * max(nums.values()) > total:
-            raise StructureError(f"class {mask} coverage is not exactly {r} times its size")
-        remainders.sort()
-        for _, n in remainders[:deficit]:
-            floors[n] += 1
-        tokens: list[int] = []
-        for n in holders:
-            tokens.extend([n] * floors[n])
-        for j in range(1, m + 1):
-            part_workers = tuple(tokens[j - 1 :: m])  # tokens ascend, so each part's workers do
-            if len(set(part_workers)) != r:
-                raise StructureError(f"class {mask} part {j} landed on a duplicate worker")
-            schedule[(mask, j)] = part_workers
-    return schedule
+        raise StructureError(f"class {mask} gives a share to worker {n}, who does not store it")
+    order = np.lexsort((workers, masks))
+    workers, masks, shares = workers[order], masks[order], shares[order]
+    first = np.ones(len(masks), dtype=bool)
+    first[1:] = masks[1:] != masks[:-1]
+    starts = np.flatnonzero(first)
+    group = np.cumsum(first) - 1
+    totals = np.add.reduceat(shares, starts)
+    scaled = slots * shares
+    floors = scaled // totals[group]
+    remainders = scaled - floors * totals[group]
+    # a member without a share would get floor 0 and remainder 0; the
+    # remainders sum to deficit * total, each below total, so more than
+    # deficit of them are positive and the deficit never reaches it
+    deficits = slots - np.add.reduceat(floors, starts)
+    ranked = np.lexsort((workers, -remainders, group))
+    rank = np.empty(len(ranked), dtype=np.intp)
+    rank[ranked] = np.arange(len(ranked)) - starts[group[ranked]]
+    quotas = (floors + (rank < deficits[group])).astype(np.intp)
+    # parts[c, j - 1] is every m-th token of class c from the j-th; tokens
+    # ascend, so each part's workers do, and a repeat sits next to itself
+    parts = np.repeat(workers, quotas).reshape(len(starts), r, m).transpose(0, 2, 1)
+    over = r * np.maximum.reduceat(shares, starts) > totals
+    repeated = (parts[:, :, 1:] == parts[:, :, :-1]).any(axis=2)
+    wrong = np.flatnonzero(over | repeated.any(axis=1))
+    if wrong.size:
+        c = wrong[0]
+        if over[c]:
+            raise StructureError(f"class {masks[starts[c]]} coverage is not exactly {r} times its size")
+        j = np.flatnonzero(repeated[c])[0] + 1
+        raise StructureError(f"class {masks[starts[c]]} part {j} landed on a duplicate worker")
+    part_keys = product(masks[starts].tolist(), range(1, m + 1))
+    return dict(zip(part_keys, map(tuple, parts.reshape(len(starts) * m, r).tolist())))
 
 
 def _points(n_workers: int, config: StragglerConfig) -> tuple[list[int], list[int]]:
@@ -333,28 +356,42 @@ def _field_combine(coefs: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
 
 
 def _basis_values(
-    points: Sequence[int], polys: Sequence[tuple[int, Sequence[int]]], p: int
-) -> list[tuple[int, ...]]:
-    """Values at ``points`` of each polynomial of ``polys``, mod p.
+    points: Sequence[int], one_at: Sequence[int], roots: np.ndarray, p: int
+) -> np.ndarray:
+    """Values at ``points`` of a batch of polynomials, mod p, one row each.
 
-    A polynomial is given as (one_at, roots): it is 1 at ``one_at`` and 0
-    at every root, prod(x - z) / prod(one_at - z) over the roots.  The
-    denominators are nonzero because all points are distinct mod the prime
-    p, and they share one modular inverse (Montgomery's batched inversion):
-    invert the product of all of them, then peel each one off.
+    Polynomial i is 1 at ``one_at[i]`` and 0 at every entry of row i of
+    the 2-D ``roots``: prod(x - z) / prod(one_at[i] - z) over that row.
+    Every row has one length, possibly 0 (the constant 1).  Returns a
+    (polynomials x points) array of :func:`_field_dtype`.
+
+    The numerators and the denominators are one product over root columns,
+    taken mod p after each factor: below 2^62 on int64 for p < 2^31, and
+    on Python integers for larger primes.  The denominators are nonzero
+    because all points are distinct mod the prime p, and they share one
+    modular inverse (Montgomery's batched inversion): invert the product of
+    all of them, then peel each one off.
     """
-    denoms = [prod([one_at - z for z in roots]) % p for one_at, roots in polys]
+    dtype = _field_dtype(p)
+    roots = np.asarray(roots, dtype=dtype)
+    # the last column of ``at`` is each polynomial's one_at, where the
+    # product over its roots is its denominator
+    at = np.empty((len(roots), len(points) + 1), dtype=dtype)
+    at[:, :-1] = points
+    at[:, -1] = one_at
+    values = np.ones_like(at)
+    for column in roots.T:
+        values = values * ((at - column[:, None]) % p) % p
+    denoms = values[:, -1].tolist()
     running = [1]
     for d in denoms:
         running.append(running[-1] * d % p)
     inv = pow(running[-1], p - 2, p)
-    values: list[tuple[int, ...]] = [()] * len(polys)
-    for i in range(len(polys) - 1, -1, -1):
-        inv_denom = inv * running[i] % p
+    inverses = [0] * len(denoms)
+    for i in range(len(denoms) - 1, -1, -1):
+        inverses[i] = inv * running[i] % p
         inv = inv * denoms[i] % p
-        roots = polys[i][1]
-        values[i] = tuple([inv_denom * prod([x - z for z in roots]) % p for x in points])
-    return values
+    return values[:, :-1] * np.array(inverses, dtype=dtype)[:, None] % p
 
 
 def _part_length(messages: Mapping[int, Sequence[int]], m: int) -> int:
@@ -391,9 +428,13 @@ def encode(
     A coefficient depends only on the part's computing workers and its
     index j, so each distinct (workers, j) is one polynomial, and all of
     them are evaluated at every worker point in one :func:`_basis_values`
-    call.  The vectors are one field product, coefficient matrix times
-    message parts mod p, taken over chunks of ``_CLASS_CHUNK`` classes so
-    that the message rows are never all held at once.
+    call.  Its roots come from a membership matrix of those keys: row by
+    row, the N - (s+m) worker points off the row and the m - 1 anchors
+    other than y_j.  The coefficient matrix is the basis matrix's row for
+    each scheduled part, transposed.  The vectors are one field product,
+    coefficient matrix times message parts mod p, taken over chunks of
+    ``_CLASS_CHUNK`` classes so that the message rows are never all held
+    at once.
     """
     p = config.field_modulus
     m = config.m
@@ -410,21 +451,28 @@ def encode(
     schedule = sorted(part_schedule(assignment, config).items())
     dtype = _field_dtype(p)
 
-    keys = list(dict.fromkeys((part_workers, j) for (_, j), part_workers in schedule))
-    # 1 at anchor y_j, 0 at every other anchor and every worker not computing part j
-    polys = [
-        (
-            ys[j - 1],
-            [x for n, x in enumerate(xs, 1) if n not in part_workers]
-            + [y for k, y in enumerate(ys, 1) if k != j],
-        )
-        for part_workers, j in keys
+    # one polynomial per distinct (workers, j): 1 at anchor y_j, 0 at every
+    # other anchor and every worker not computing part j
+    key_index: dict[tuple[tuple[int, ...], int], int] = {}
+    entry_keys = [
+        key_index.setdefault((part_workers, j), len(key_index)) for (_, j), part_workers in schedule
     ]
-    column_of = dict(zip(keys, _basis_values(xs, polys, p)))
+    count = len(key_index)
+    member = np.zeros((count, n_workers), dtype=bool)
+    holders = np.array([part_workers for part_workers, _ in key_index])
+    np.put_along_axis(member, holders - 1, True, axis=1)
+    js = np.array([j for _, j in key_index])
+    others = ~np.eye(m, dtype=bool)[js - 1]
+    x_points, y_points = np.array(xs, dtype=dtype), np.array(ys, dtype=dtype)
+    roots = np.concatenate(
+        (
+            np.broadcast_to(x_points, member.shape)[~member].reshape(count, n_workers - holders.shape[1]),
+            np.broadcast_to(y_points, others.shape)[others].reshape(count, m - 1),
+        ),
+        axis=1,
+    )
     # column i*m + j - 1 of the matrix is part j of the i-th scheduled class
-    coef_matrix = np.array(
-        [column_of[part_workers, j] for (_, j), part_workers in schedule], dtype=dtype
-    ).reshape(len(schedule), n_workers).T
+    coef_matrix = _basis_values(xs, y_points[js - 1], roots, p)[entry_keys].T
     # a column is 0 at each worker not computing its part, a root, and
     # nonzero at the others, the points being distinct mod p: a worker's
     # encoding row is the nonzeros of its matrix row, in schedule order
@@ -453,8 +501,10 @@ def decode(
 ) -> tuple[int, ...]:
     """Aggregate message (sum over covered classes) from any >= N-s responses.
 
-    Interpolates each anchor point from the received evaluations, with one
-    modular inverse for all the survivors' weights; the fleet size
+    Interpolates each anchor point from the received evaluations: the
+    weights are one :func:`_basis_values` call, whose k survivors' root
+    rows are the survivor points off the diagonal of a k x k array, with
+    one modular inverse for all of them; the fleet size
     ``n_total`` fixes the response threshold, which a surviving subset
     alone cannot reveal.
     """
@@ -476,9 +526,12 @@ def decode(
         raise StructureError(f"coded vector lengths differ: {sorted(lengths)}")
     xs_all, ys = _points(n_total, config)
     survivors = sorted(seen)
-    xs = [xs_all[n - 1] for n in survivors]
-    weights = _basis_values(ys, [(x, xs[:i] + xs[i + 1 :]) for i, x in enumerate(xs)], p)
     dtype = _field_dtype(p)
+    xs = np.array([xs_all[n - 1] for n in survivors], dtype=dtype)
+    k = len(xs)
+    # survivor i's polynomial is 1 at x_i and 0 at every other survivor
+    others = np.broadcast_to(xs, (k, k))[~np.eye(k, dtype=bool)].reshape(k, k - 1)
+    weights = _basis_values(ys, xs, others, p)
     vectors = _residues([seen[n].coded_vector for n in survivors], p, dtype)
-    out = _field_combine(np.array(weights, dtype=dtype).T, vectors, p)
+    out = _field_combine(weights.T, vectors, p)
     return tuple(out.ravel().tolist())

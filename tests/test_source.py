@@ -274,6 +274,20 @@ def test_one_lagrange_basis_and_one_batched_inversion():
     assert len(_calls(tree, "pow")) == sum(len(_calls(functions[name], "pow")) for name in owners)
 
 
+def test_the_coding_layer_runs_on_arrays():
+    # part_schedule works out every class's quotas together on grouped
+    # arrays, with no Python loop; _basis_values loops over root columns
+    # and over denominators, never one inside the other, so neither walks
+    # classes x holders or polynomials x points element by element
+    functions = dict(_functions())
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    assert not [n for n in ast.walk(functions["straggler.part_schedule"]) if isinstance(n, loops)]
+    outer = [n for n in ast.walk(functions["straggler._basis_values"]) if isinstance(n, loops)]
+    assert outer
+    for loop in outer:
+        assert not [n for n in ast.walk(loop) if n is not loop and isinstance(n, loops)]
+
+
 def test_each_scenario_rule_and_step_result_has_one_owner():
     # a Scenario built in code meets the baseline and straggler-budget rules
     # that a scenario file meets: the type states them, the loader and the

@@ -30,6 +30,7 @@ from dusec.straggler import (
     CodingConfigError,
     InsufficientResponses,
     StragglerConfig,
+    _basis_values,
     _field_combine,
     _residues,
     decode,
@@ -37,7 +38,7 @@ from dusec.straggler import (
     part_schedule,
     redundant_assign,
 )
-from coding_reference import reference_vector
+from coding_reference import reference_basis, reference_schedule, reference_vector
 
 
 def test_config_validation():
@@ -362,6 +363,61 @@ def test_coded_vectors_equal_the_element_wise_reference(case):
     for k in range(n - s, n + 1):
         for survivors in combinations(transmissions, k):
             assert decode(list(survivors), cfg, n) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_coded_rounds())
+def test_part_schedule_on_python_integers_matches_int64(case):
+    # every unit times 2^70 over the denominator times 2^70 is the same plan,
+    # but its quota products pass 2^63, so its schedule is worked out on
+    # Python integers; the plain plan's on int64; both equal the schedule
+    # taken one class and one holder at a time
+    storage, speeds, s, m, p, _, _ = case
+    inst = ProblemInstance(K=storage.K, M=storage.M, speeds=speeds)
+    prof = exact_profile(storage.subset([i + 1 for i in inst.source_order]))
+    cfg = StragglerConfig(s=s, m=m, field_modulus=p)
+    plain = redundant_assign(inst, prof, cfg).assignment
+    units = {key: unit << 70 for key, unit in plain.shares.units.items()}
+    wide = LoadAssignment(
+        n_workers=plain.n_workers, redundancy=plain.redundancy, shares=UnitMap(units, plain.shares.denom << 70)
+    )
+    assert wide == plain
+    schedule = part_schedule(plain, cfg)
+    assert list(schedule.items()) == list(reference_schedule(plain, m, s + m).items())
+    assert part_schedule(wide, cfg) == schedule
+    assert all(type(n) is int for (mask, j), workers in schedule.items() for n in (mask, j, *workers))
+
+
+@st.composite
+def _basis_cases(draw):
+    """A prime, evaluation points and polynomials with one root count,
+    all drawn from one pool of distinct residues; a polynomial's one_at is
+    never one of its roots, while a point may be."""
+    p = draw(st.sampled_from([P31, P61]))
+    pool = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=10, unique=True))
+    points = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool), unique=True))
+    width = draw(st.integers(0, len(pool) - 1))
+    one_at, roots = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        drawn = draw(st.permutations(pool))
+        one_at.append(drawn[0])
+        roots.append(drawn[1 : width + 1])
+    return p, points, one_at, roots
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_basis_cases())
+# rows with no roots, the constant 1: encode at r = N with m = 1, and
+# decode from one survivor
+@example(case=(P31, [1, 2, 3], [P31 - 1], [[]]))
+@example(case=(P61, [P61 - 1], [1], [[]]))
+@example(case=(P61, [1, 2, P61 - 1], [P61 - 1, P61 - 2], [[1, 2], [2, P61 - 1]]))
+def test_basis_values_equal_the_per_polynomial_reference(case):
+    p, points, one_at, roots = case
+    values = _basis_values(points, one_at, roots, p)
+    assert values.dtype == (np.int64 if p < 1 << 31 else object)
+    assert values.shape == (len(one_at), len(points))
+    assert values.tolist() == reference_basis(points, one_at, roots, p)
 
 
 def test_part_schedule_refuses_a_share_outside_its_class():
