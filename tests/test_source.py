@@ -288,6 +288,27 @@ def test_the_coding_layer_runs_on_arrays():
         assert not [n for n in ast.walk(loop) if n is not loop and isinstance(n, loops)]
 
 
+def test_one_reader_of_integer_lists():
+    # encode's messages, decode's coded vectors and a storage file's perVm
+    # rows enter through model.int64_rows, the one function that fills an
+    # array; model's only other call of array picks the unsigned typecode
+    functions = dict(_functions())
+
+    def fills(node):  # calls of the standard library's array, not numpy's
+        calls = [n for n in ast.walk(node) if isinstance(n, ast.Call)]
+        return [n for n in calls if ast.unparse(n.func) in ("array", "array.array")]
+
+    assert {name for name, node in functions.items() if fills(node)} == {"model.int64_rows"}
+    (model,) = [tree for path, tree in _modules() if path.stem == "model"]
+    choices = [ast.unparse(n) for n in model.body if isinstance(n, ast.Assign) and fills(n)]
+    assert choices == ["_UNSIGNED = 'L' if array('L').itemsize == 8 else 'Q'"]
+    every = sum(len(fills(tree)) for _, tree in _modules())
+    assert every == len(fills(functions["model.int64_rows"])) + 1
+    for name in ("storage.ExplicitStorage.from_json_obj", "straggler._residues"):
+        assert _calls(functions[name], "int64_rows"), name
+    assert "_residues" in _names(functions["straggler.decode"])
+
+
 def test_each_scenario_rule_and_step_result_has_one_owner():
     # a Scenario built in code meets the baseline and straggler-budget rules
     # that a scenario file meets: the type states them, the loader and the

@@ -191,11 +191,15 @@ def test_json_roundtrip():
 
 
 def test_json_parse_refuses_non_integer_entries():
-    # neither truncated (3.7, 3.0) nor parsed ("3") nor wrapped past int64
-    for bad in (3.7, 3.0, "3", True, None, [0], 2**63, -(2**63) - 1):
+    # neither truncated (3.7, 3.0) nor parsed ("3") nor wrapped past int64;
+    # 2^63 + 5 and 2^64 - 1 fit the unsigned read, and still are not int64
+    for bad in (3.7, 3.0, "3", True, None, [0], 2**63, -(2**63) - 1, 2**63 + 5, 2**64 - 1):
         obj = {"K": 10, "M": 3, "N": 2, "perVm": [[0, 1, 2], [5, bad, 7]]}
         with pytest.raises(StructureError, match=r"^perVm\[1\] must be a list of integers$"):
             ExplicitStorage.from_json_obj(obj)
+    # a negative is an integer: the signed read takes it, and the range check refuses it
+    with pytest.raises(StructureError, match=r"^worker 2 stores a dataset outside \[0, 10\)$"):
+        ExplicitStorage.from_json_obj({"K": 10, "M": 3, "N": 2, "perVm": [[0, 1, 2], [5, -1, 7]]})
     with pytest.raises(StructureError, match=r"perVm\[0\]"):
         ExplicitStorage.from_json_obj({"K": 10, "M": 3, "N": 1, "perVm": ["123"]})
     empty = ExplicitStorage.from_json_obj({"K": 4, "M": 0, "N": 2, "perVm": [[], []]})

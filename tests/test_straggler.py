@@ -1,3 +1,4 @@
+import operator
 import random
 import re
 from fractions import Fraction as F
@@ -14,6 +15,7 @@ from dusec.model import (
     ProblemInstance,
     StructureError,
     UnitMap,
+    int64_rows,
     workers_of,
 )
 from dusec.optimizer import assign_loads
@@ -467,6 +469,16 @@ def test_part_schedule_refuses_a_negative_quota():
         part_schedule(asg, StragglerConfig(s=0, m=1))
 
 
+class _Index:
+    """An integer that Python knows only through ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
 def test_list_messages_convert_as_numpy_would():
     # list rows go through one int64 buffer; what it refuses falls back to
     # numpy's inference, which accepts or refuses exactly as before
@@ -489,19 +501,59 @@ def test_list_messages_convert_as_numpy_would():
     assert _residues([[], []], p, dtype).shape == (2, 0)
     assert _residues([], p, dtype).shape == (0,)
     # a type with __index__ is an integer on both paths
-    class Index:
-        def __init__(self, value):
-            self.value = value
-
-        def __index__(self):
-            return self.value
-
-    for rows in ([[Index(3), 2], [1, Index(-1)]], [(Index(3), 2), (1, Index(-1))]):
+    for rows in ([[_Index(3), 2], [1, _Index(-1)]], [(_Index(3), 2), (1, _Index(-1))]):
         assert _residues(rows, p, dtype).tolist() == [[3, 2], [1, p - 1]]
         assert _residues(rows, (1 << 61) - 1, object).tolist() == [[3, 2], [1, (1 << 61) - 2]]
     # ragged rows are refused, even when their total would fill the shape
     with pytest.raises(ValueError, match="inhomogeneous"):
         _residues([[1, 2], [3], [4, 5, 6]], p, dtype)
+
+
+# both ends of int64 and of uint64, and the field's own edge
+_BOUNDARIES = (-(1 << 63) - 1, -1, 0, P31 - 1, P31, (1 << 63) - 1, 1 << 63, (1 << 64) - 1, 1 << 64)
+
+
+@st.composite
+def _integer_rows(draw):
+    """Equal-length list and tuple rows mixing the boundaries, other ints,
+    booleans, numpy integers and an ``__index__`` type."""
+    width = draw(st.integers(0, 6))
+    element = st.one_of(
+        st.sampled_from(_BOUNDARIES),
+        st.integers(-(1 << 65), 1 << 65),
+        st.booleans(),
+        _INT64.map(np.int64),
+        st.sampled_from(_BOUNDARIES).map(_Index),
+    )
+    return [
+        draw(st.sampled_from([list, tuple]))(draw(st.lists(element, min_size=width, max_size=width)))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_integer_rows(), bad=st.sampled_from([3.0, 0.5, "3"]), data=st.data())
+@example(rows=[[-1, 1 << 63]], bad=3.0, data=None)
+@example(rows=[(P31, -1), (1 << 63, 0)], bad="3", data=None)
+def test_residues_equal_the_element_wise_reference(rows, bad, data):
+    # the one integer-list reader takes exactly the rows that fit int64, each
+    # sign through its own typecode, and _residues reduces whatever it reads
+    values = [[operator.index(c) for c in row] for row in rows]
+    read = int64_rows(rows)
+    if all(-(1 << 63) <= v < 1 << 63 for row in values for v in row):
+        assert read is not None and read.dtype == np.int64 and read.tolist() == values
+    else:
+        assert read is None
+    got = _residues(rows, P31, np.int64)
+    assert got.dtype == np.int64 and got.tolist() == [[v % P31 for v in row] for row in values]
+    if data is not None and rows[0]:
+        i = data.draw(st.integers(0, len(rows) - 1))
+        j = data.draw(st.integers(0, len(rows[0]) - 1))
+        spoiled = [list(row) for row in rows]
+        spoiled[i][j] = bad
+        spoiled = [type(row)(new) for row, new in zip(rows, spoiled)]
+        with pytest.raises(CodingConfigError, match="integers"):
+            _residues(spoiled, P31, np.int64)
 
 
 def test_encode_takes_list_messages_like_tuples():
