@@ -31,18 +31,29 @@ def _worker_rng(seed: int, stream_key: int) -> np.random.Generator:
 
 
 def _sample_subset(K: int, M: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform M-subset of {0..K-1} via a partial Fisher-Yates pass.
+    """Uniform M-subset of {0..K-1}: the front of a partial Fisher-Yates pass.
 
     One batched uniform draw per element; the float-to-index map has bias
     below 2^-53 per swap, far under any tolerance used on these samples.
+    No swap runs, since only the set in positions 0..M-1 is returned.  Swap
+    i fixes position i for good, so a tail position p >= M ends in the front
+    when some swap drew it, and keeps the value that the last such swap i
+    carried out of position i.  That value is the index reached by following
+    the last swaps into position i back to one that no swap moved into.
     """
     offsets = np.arange(M, dtype=np.int64)
     # swap i takes j = i + floor(u_i * (K - i)); the stream is pinned by a test
-    swaps = (offsets + (rng.random(M) * (K - offsets)).astype(np.int64)).tolist()
-    pool = list(range(K))
-    for i, j in enumerate(swaps):
-        pool[i], pool[j] = pool[j], pool[i]
-    out = np.sort(np.asarray(pool[:M], dtype=np.int64))
+    swaps = offsets + (rng.random(M) * (K - offsets)).astype(np.int64)
+    last = np.full(K, -1, dtype=np.int64)  # the last swap that drew each position
+    # a swap that draws its own position moves nothing; no chain below goes through it
+    np.maximum.at(last, swaps, offsets)
+    root = np.where(last[:M] < 0, offsets, last[:M])
+    while not np.array_equal(step := root[root], root):  # pointer doubling: O(M log M)
+        root = step
+    keep = last >= 0  # in the tail: the positions that some swap drew
+    keep[:M] = True
+    keep[root[last[M:][keep[M:]]]] = False  # the values the last swaps into them carried out
+    out = np.flatnonzero(keep).astype(np.int64, copy=False)
     out.setflags(write=False)
     return out
 
@@ -99,7 +110,10 @@ class ExplicitStorage:
         return np.bincount(self.class_index, minlength=1 << self.n_workers)
 
     def subset(self, worker_numbers: Sequence[int]) -> "ExplicitStorage":
-        """Storage restricted to the given workers, in the given order."""
+        """Storage restricted to the given workers (numbered 1..N), in the given order."""
+        for n in worker_numbers:
+            if not 1 <= n <= self.n_workers:
+                raise StructureError(f"no worker {n}: storage has workers 1..{self.n_workers}")
         return ExplicitStorage(
             K=self.K,
             M=self.M,

@@ -296,16 +296,19 @@ def _residues(rows: Sequence[Sequence[int]], p: int, dtype) -> np.ndarray:
     string or other element raises :class:`CodingConfigError`; nothing is
     truncated to an integer.
 
-    int64 residues are read by :func:`~dusec.model.int64_rows`, at about
-    14 ns per element on its unsigned read against 30 ns on a signed one,
-    and taken mod p only when an element lies outside [0, p) (a min and a
-    max cost 0.3 ns per element, an int64 mod 4 ns).  What it does not
-    read takes numpy's inference below, which also gives the refusal.
+    Rows that fit int64 are read by :func:`~dusec.model.int64_rows`, at
+    about 14 ns per element on its unsigned read against 30 ns on a signed
+    one, taken mod p only when an element lies outside [0, p) (a min and a
+    max cost 0.3 ns per element, an int64 mod 4 ns), and turned into Python
+    integers for the object dtype.  What it does not read takes numpy's
+    inference below, which also gives the refusal.
     """
-    if dtype is not object and rows and (arr := int64_rows(rows)) is not None:
-        if arr.size and (arr.min() < 0 or arr.max() >= p):
+    if rows and (arr := int64_rows(rows)) is not None:
+        if arr.size and (arr.min() < 0 or int(arr.max()) >= p):
+            if p >> 63:  # an int64 mod needs p in int64
+                arr = arr.astype(object)
             arr %= p
-        return arr
+        return arr.astype(dtype, copy=False)
     arr = np.array(rows)
     if arr.dtype.kind == "i" and dtype is not object:
         return arr.astype(np.int64, copy=False) % p

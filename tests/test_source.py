@@ -309,6 +309,17 @@ def test_one_reader_of_integer_lists():
     assert "_residues" in _names(functions["straggler.decode"])
 
 
+def test_the_catalog_draw_runs_on_arrays():
+    # _sample_subset works out the front of its partial Fisher-Yates pass as
+    # a set on arrays; the swap loop over a list(range(K)) pool is the tests'
+    # reference, in tests/storage_reference.py
+    node = dict(_functions())["storage._sample_subset"]
+    loops = (ast.For, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    assert not [n for n in ast.walk(node) if isinstance(n, loops)]
+    called = {ast.unparse(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)}
+    assert not called & {"list", "range"}
+
+
 def test_each_scenario_rule_and_step_result_has_one_owner():
     # a Scenario built in code meets the baseline and straggler-budget rules
     # that a scenario file meets: the type states them, the loader and the

@@ -4,12 +4,15 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from storage_reference import all_last, chain, reference_subset
 
 from dusec.model import ProblemInstance, StructureError, iter_class_masks
 from dusec.storage import (
     ExplicitStorage,
+    _sample_subset,
+    _worker_rng,
     exact_profile,
     generate_decentralized,
     generate_worker_subset,
@@ -177,6 +180,17 @@ def test_subset_reorders_workers():
     assert picked.n_workers == 2
 
 
+def test_subset_refuses_a_worker_number_outside_the_storage():
+    # 0 and -1 used to pick a worker from the end, and N + 1 raised a bare IndexError
+    storage = generate_decentralized(10, 5, 3, seed=1)
+    for n in (0, -1, 4):
+        with pytest.raises(StructureError, match=rf"^no worker {n}: storage has workers 1\.\.3$"):
+            storage.subset([1, n])
+    twice = storage.subset([2, 2])  # a repeated number keeps both copies
+    assert np.array_equal(twice.per_worker[0], storage.per_worker[1])
+    assert np.array_equal(twice.per_worker[1], storage.per_worker[1])
+
+
 def test_json_roundtrip():
     storage = generate_decentralized(25, 10, 3, seed=9)
     obj = storage.to_json_obj()
@@ -285,3 +299,35 @@ def test_sampler_draws_are_pinned():
         assert _digest(generate_decentralized(K, M, N, seed=seed)) == digest, (K, M, N, seed)
     empty = generate_decentralized(5, 0, 2, seed=1)
     assert all(arr.dtype == np.int64 and len(arr) == 0 for arr in empty.per_worker)
+
+
+def _same_draw(got, want):
+    assert got.dtype == np.int64 and not got.flags.writeable
+    assert np.array_equal(got, want)
+
+
+@st.composite
+def _catalog_sizes(draw):
+    K = draw(st.integers(1, 2000))
+    return K, draw(st.integers(0, K))
+
+
+@settings(max_examples=300, deadline=None)
+@given(size=_catalog_sizes(), seed=st.integers(0, 2**64 - 1), key=st.integers(0, 2**32))
+@example(size=(50, 0), seed=0, key=0)
+@example(size=(50, 50), seed=3, key=1)
+@example(size=(1, 1), seed=7, key=2)
+@example(size=(1, 0), seed=7, key=2)
+def test_sample_subset_equals_the_swap_loop(size, seed, key):
+    # the front of the pass, worked out as a set, is exactly what the swaps leave there
+    K, M = size
+    _same_draw(_sample_subset(K, M, _worker_rng(seed, key)), reference_subset(K, M, _worker_rng(seed, key)))
+
+
+@pytest.mark.parametrize("K, M", [(2, 1), (10, 9), (100, 50), (2000, 1999), (16000, 8000)])
+def test_sample_subset_follows_deep_chains_and_repeated_swaps(K, M):
+    # a chain of M swaps, each drawing the next position, carries value 0 to
+    # position M; every swap on position K - 1 carries the front one step each
+    for draws in (chain, all_last):
+        _same_draw(_sample_subset(K, M, draws(K, M)), reference_subset(K, M, draws(K, M)))
+    assert _sample_subset(K, M, chain(K, M)).tolist() == list(range(1, M + 1))

@@ -300,6 +300,7 @@ def test_part_schedule_rounds_remainders_to_the_lowest_worker():
 
 
 P31, P61 = (1 << 31) - 1, (1 << 61) - 1
+P64 = (1 << 64) - 59  # the largest prime below 2^64
 
 
 _WIDE = st.one_of(
@@ -546,14 +547,22 @@ def test_residues_equal_the_element_wise_reference(rows, bad, data):
         assert read is None
     got = _residues(rows, P31, np.int64)
     assert got.dtype == np.int64 and got.tolist() == [[v % P31 for v in row] for row in values]
+    # past 2^31 the residues are Python integers, whichever way the rows were read;
+    # 2^61 - 1 takes an int64 mod, the largest prime below 2^64 a Python one
+    for p in (P61, P64):
+        big = _residues(rows, p, object)
+        assert big.dtype == object and big.shape == (len(rows), len(rows[0]))
+        assert all(type(v) is int for v in big.flat)
+        assert big.tolist() == [[v % p for v in row] for row in values]
     if data is not None and rows[0]:
         i = data.draw(st.integers(0, len(rows) - 1))
         j = data.draw(st.integers(0, len(rows[0]) - 1))
         spoiled = [list(row) for row in rows]
         spoiled[i][j] = bad
         spoiled = [type(row)(new) for row, new in zip(rows, spoiled)]
-        with pytest.raises(CodingConfigError, match="integers"):
-            _residues(spoiled, P31, np.int64)
+        for p, dtype in ((P31, np.int64), (P61, object), (P64, object)):
+            with pytest.raises(CodingConfigError, match="integers"):
+                _residues(spoiled, p, dtype)
 
 
 def test_encode_takes_list_messages_like_tuples():
