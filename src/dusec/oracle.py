@@ -24,13 +24,12 @@ that subset's speed.  Two routes compute it:
   function with two readers, each paying only for what it reads:
   ``flow_assign`` builds the share table and the time result, and
   ``flow_time`` the time result alone (a worker's load is its sink
-  capacity less its room, so no share is summed).  Each flow starts
-  with Dinic's first phase, which on this network is a greedy pass over
-  the class masks and builds no network.  Only when that pass falls
-  short is the network built, in flat integer arrays carrying the greedy
-  flow, for Dinic's later phases; it then hands its final flow back to
-  the pass's table.  The shares and S are read from that table one way,
-  whichever phase finished the flow.
+  capacity less its room, so no share is summed).  A flow is one table
+  of (class, member) flows and per-worker room, and no network is built:
+  Dinic's first phase, on this network a greedy pass over the class
+  masks, fills the table, and only when that pass falls short do
+  Dinic's later phases run on the same table.  The shares and S are read
+  from it one way, whichever phase finished the flow.
 * ``lp_oracle`` takes the maximum over every S from one ranked zeta
   transform in O(r * N * 2^N) (Bjorklund, Husfeldt, Kaski, Koivisto,
   "Fourier meets Mobius", STOC 2007), so it stops at
@@ -53,7 +52,7 @@ integers and their scale, and the times are the flow's loads over the
 speeds.
 The routes share the class map, ``model``'s checks, ``_active_classes``
 and ``_locked_ratio``: ``--oracle`` catches a wrong flow or search, not a
-wrong class map.  The only flow code is ``_Transport`` and ``_Residual``.
+wrong class map.  The only flow code is ``_Transport``.
 """
 
 from __future__ import annotations
@@ -192,103 +191,22 @@ def lp_oracle(
     return value
 
 
-class _Residual:
-    """Dinic max-flow on a residual network in flat integer arrays.
-
-    Edge ``idx`` runs to node ``to[idx]`` with residual capacity
-    ``cap[idx]``, and ``idx ^ 1`` is its reverse; node u's edges are
-    ``adj[first[u]:first[u + 1]]``.  Search order follows that edge order,
-    so a network laid out edge by edge as a plain Dinic would add its
-    edges takes the same augmenting paths as that Dinic.
-    """
-
-    def __init__(self, to: list[int], cap: list[int], adj: list[int], first: list[int]):
-        self.to, self.cap, self.adj, self.first = to, cap, adj, first
-
-    def levels(self, s: int) -> list[int]:
-        """BFS level of every node over residual edges from ``s`` (-1: unreached)."""
-        to, cap, adj, first = self.to, self.cap, self.adj, self.first
-        level = [-1] * (len(first) - 1)
-        level[s] = 0
-        queue = [s]
-        for u in queue:
-            next_level = level[u] + 1
-            for idx in adj[first[u]:first[u + 1]]:
-                v = to[idx]
-                if cap[idx] > 0 and level[v] < 0:
-                    level[v] = next_level
-                    queue.append(v)
-        return level
-
-    def _blocking_flow(self, s: int, t: int, level: list[int]) -> int:
-        """Push along the first s-t path of the level graph until none is left.
-
-        ``it[u]`` is the position of the next edge to try at u in ``adj``;
-        it moves past an edge only when that edge leads to a dead end.
-        After a push the search resumes at the tail of the first edge the
-        push saturated: the path up to there is what a search from ``s``
-        would walk again.
-        """
-        to, cap, adj, first = self.to, self.cap, self.adj, self.first
-        it = first[:-1]
-        total = 0
-        path: list[int] = []
-        u = s
-        while True:
-            if u == t:
-                pushed = min([cap[idx] for idx in path])
-                total += pushed
-                for idx in path:
-                    cap[idx] -= pushed
-                    cap[idx ^ 1] += pushed
-                del path[[cap[idx] for idx in path].index(0):]
-                u = to[path[-1]] if path else s
-                continue
-            want = level[u] + 1
-            i, end = it[u], first[u + 1]
-            while i < end:
-                idx = adj[i]
-                if cap[idx] > 0 and level[to[idx]] == want:
-                    break
-                i += 1
-            it[u] = i
-            if i < end:
-                path.append(adj[i])
-                u = to[adj[i]]
-            elif path:  # dead end: step back and skip the edge that led here
-                u = to[path.pop() ^ 1]
-                it[u] += 1
-            else:
-                return total
-
-    def max_flow(self, s: int, t: int) -> int:
-        """Flow from s to t on top of what the network already carries."""
-        total = 0
-        while True:
-            level = self.levels(s)
-            if level[t] < 0:
-                return total
-            total += self._blocking_flow(s, t, level)
-
-
 class _Transport:
     """Max flow at time T on source -> class (r*a) -> member (a) -> sink (T*s).
 
     Capacities are integers on one scale L, the lcm of the class sizes'
     denominator and T.denominator * D, where worker n's speed is u_n / D:
     each sink cap T * u_n / D is then whole.  A flow f stands for f / L.
-    Dinic's first phase on this network is a greedy pass: its level graph
-    holds only source -> class -> worker -> sink paths, and its search takes
-    the classes in order and each class's members by ascending bit, leaving
-    an edge only once it or the worker behind it is saturated.  So the pass
-    is run directly on the class masks, pushing min(demand left, class size,
-    sink room left) on each (class, member) edge.  Only when it falls short
-    is the network built, in :class:`_Residual`'s flat arrays, carrying the
-    greedy flow; Dinic then goes on from its second phase and writes its
-    final flow back.  Either way ``flows`` holds (class index, worker bit,
-    flow) of every nonzero share, class by class, and ``room`` each worker's
-    slack to the sink: the shares and the bottleneck set are read from
-    that table alone.
+    The flow lives in one table from its first push to its last read:
+    ``flows`` maps (class index, worker index) to the flow on that (class,
+    member) edge, nonzero only, class by class and each class's members by
+    ascending bit, and ``room`` holds each worker's slack to the sink.  The
+    residual network is read off the table: a class sends r*a less its
+    flows, a member takes a less its flow, a worker hands back a class's
+    flow, and the sink takes a worker's room.  Dinic's first phase is a
+    greedy pass (:meth:`_greedy`); only when it falls short do the later
+    phases (:meth:`_later_phases`) run, on the same table.  The shares and
+    the bottleneck set are read from it alone.
     """
 
     def __init__(self, instance: ProblemInstance, classes: UnitMap, redundancy: int, T: Fraction):
@@ -301,27 +219,23 @@ class _Transport:
         to_sink = T.numerator * (self.scale // cap_denom)  # T / D on scale L
         self.sink_caps = [to_sink * unit for unit in speed_units]
         self.room = list(self.sink_caps)
-        self.flows: list[tuple[int, int, int]] = []
+        self.flows: dict[tuple[int, int], int] = {}
         short = self._greedy(redundancy)
         if short:
-            net = self._residual_network(redundancy)
-            short -= net.max_flow(0, len(net.first) - 2)
-            # hand the flow back to the table, class by class as the greedy
-            # pass lists it; a reverse residual is the flow pushed
-            to, cap, adj, first = net.to, net.cap, net.adj, net.first
-            first_worker = 1 + len(self.masks)
-            self.flows = [
-                (ci, to[idx] - first_worker, cap[idx ^ 1])
-                for ci in range(len(self.masks))
-                for idx in adj[first[1 + ci] + 1:first[2 + ci]]
-                if cap[idx ^ 1]
-            ]
-            # each worker's sink edge is the last of its edges
-            self.room = [cap[adj[first[first_worker + w + 1] - 1]] for w in range(len(self.room))]
+            short = self._later_phases(redundancy)
+            # the later phases add new edges at the end: put them in class order
+            self.flows = dict(sorted(self.flows.items()))
         self.saturated = short == 0
 
     def _greedy(self, redundancy: int) -> int:
-        """Dinic's first phase; returns the demand it leaves unrouted."""
+        """Dinic's first phase; returns the demand it leaves unrouted.
+
+        Its level graph holds only source -> class -> worker -> sink paths,
+        and its search takes the classes in order and each class's members
+        by ascending bit, leaving an edge only once it or the worker behind
+        it is saturated.  So the pass pushes min(demand left, class size,
+        sink room left) on each (class, member) edge in that order.
+        """
         room, flows = self.room, self.flows
         alive = sum(1 << w for w, left in enumerate(room) if left)
         short = 0
@@ -333,7 +247,7 @@ class _Transport:
                 members ^= low
                 w = low.bit_length() - 1
                 pushed = min(left, size, room[w])
-                flows.append((ci, w, pushed))
+                flows[ci, w] = pushed
                 left -= pushed
                 room[w] -= pushed
                 if not room[w]:
@@ -341,66 +255,135 @@ class _Transport:
             short += left
         return short
 
-    def _residual_network(self, redundancy: int) -> _Residual:
-        """The transport network, carrying the greedy flow.
+    def _later_phases(self, redundancy: int) -> int:
+        """Dinic's phases after the first, on the table; returns the demand left unrouted.
 
-        Node 0 is the source, then one node per class in order, one per
-        worker, and the sink.  Each node's edges come in the order they
-        would be added one by one: the source's to each class; each
-        class's reverse edge to the source, then its members by ascending
-        bit; each worker's reverse edges from its classes, then its edge
-        to the sink.
+        A phase's BFS levels the classes with demand left at 1, and stops
+        at the first layer of workers with room: the sink's level is the
+        next, and nodes past it push nothing.  Classes sit at odd levels
+        and workers at even ones, so a path runs class, worker, ...,
+        worker.  An edge with no residual capacity at the phase's start
+        gains some only by a push on its reverse, which points one level
+        down, so the search takes the same edges as Dinic on the whole
+        network, in the same order: the source's to the classes in order,
+        a class's to its members with slack by ascending bit (``arc``, the
+        members not yet passed over), and a worker's to the classes it
+        carries flow of, in class order (``carriers``, the last one first),
+        then its edge to the sink.  A pointer moves past an edge once the
+        edge is saturated or leads to a dead end; after a push the search
+        resumes at the tail of the first edge the push saturated.
         """
-        n_classes, n = len(self.masks), len(self.room)
-        first_worker = 1 + n_classes
-        to: list[int] = []
-        cap: list[int] = []
-        source_adj: list[int] = []
-        class_adj: list[int] = []
-        first = [0, n_classes]
-        worker_adj: list[list[int]] = [[] for _ in range(n)]
-        flows = iter(self.flows)
-        pending = next(flows, None)
-        for ci, (mask, size) in enumerate(zip(self.masks, self.sizes)):
-            node = 1 + ci
-            out = len(to)
-            source_adj.append(out)
-            class_adj.append(out + 1)
-            to += (node, 0)
-            cap += (0, 0)  # set once the class's flow is summed
-            sent = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                w = low.bit_length() - 1
-                flow = 0
-                if pending is not None and pending[0] == ci and pending[1] == w:
-                    flow = pending[2]
-                    pending = next(flows, None)
-                idx = len(to)
-                class_adj.append(idx)
-                worker_adj[w].append(idx + 1)
-                to += (first_worker + w, node)
-                cap += (size - flow, flow)
-                sent += flow
-            cap[out], cap[out + 1] = redundancy * size - sent, sent
-            first.append(len(class_adj) + n_classes)
-        sink = first_worker + n
-        sink_adj = []
-        for w, (full, left) in enumerate(zip(self.sink_caps, self.room)):
-            idx = len(to)
-            worker_adj[w].append(idx)
-            sink_adj.append(idx + 1)
-            to += (sink, first_worker + w)
-            cap += (left, full - left)
-        adj = source_adj + class_adj
-        for edges in worker_adj:
-            adj += edges
-            first.append(len(adj))
-        adj += sink_adj
-        first.append(len(adj))
-        return _Residual(to, cap, adj, first)
+        masks, sizes, room, flows = self.masks, self.sizes, self.room, self.flows
+        n, n_classes = len(room), len(masks)
+        left = [redundancy * size for size in sizes]
+        for (ci, _), flow in flows.items():
+            left[ci] -= flow
+        short = sum(left)
+        held, whole = self._carrying()
+        while short:
+            # the source's classes, the last one first, as ``carriers`` below
+            tops = [ci for ci in range(n_classes - 1, -1, -1) if left[ci]]
+            fresh = [not need for need in left]  # classes the BFS has not levelled
+            arc = [0] * n_classes
+            carriers: list[list[int]] = [[] for _ in range(n)]
+            with_room = sum(1 << w for w, slack in enumerate(room) if slack)
+            reached, layer = 0, tops
+            while True:
+                new = 0
+                for ci in layer:
+                    new |= masks[ci] & ~whole[ci]
+                new &= ~reached
+                if not new:
+                    return short
+                for ci in layer:
+                    arc[ci] = masks[ci] & ~whole[ci] & new
+                reached |= new
+                if new & with_room:
+                    break
+                layer = []
+                for ci in range(n_classes - 1, -1, -1):
+                    carried = held[ci] & new
+                    if carried and fresh[ci]:
+                        fresh[ci] = False
+                        layer.append(ci)
+                        while carried:
+                            low = carried & -carried
+                            carried ^= low
+                            carriers[low.bit_length() - 1].append(ci)
+                if not layer:
+                    return short
+            path: list[int] = []  # class, worker, class, ..., from the source on
+            while tops:
+                if not path:
+                    path.append(tops[-1])
+                u = path[-1]
+                if len(path) & 1:  # a class: its next member with slack
+                    if arc[u]:
+                        path.append((arc[u] & -arc[u]).bit_length() - 1)
+                        continue
+                elif room[u]:  # a worker on the sink's side with room
+                    pushed = min(left[path[0]], room[u])
+                    for i in range(1, len(path)):
+                        a, b = path[i - 1], path[i]
+                        slack = sizes[a] - flows.get((a, b), 0) if i & 1 else flows[b, a]
+                        pushed = min(pushed, slack)
+                    # some edge saturates; walked from the sink back, ``cut``
+                    # ends at the first, where the search resumes
+                    cut = len(path)
+                    room[u] -= pushed
+                    short -= pushed
+                    for i in range(len(path) - 1, 0, -1):
+                        a, b = path[i - 1], path[i]
+                        if i & 1:  # class a sends member b more
+                            bit = 1 << b
+                            flow = flows.get((a, b), 0) + pushed
+                            flows[a, b] = flow
+                            held[a] |= bit
+                            if flow == sizes[a]:
+                                whole[a] |= bit
+                                arc[a] ^= bit
+                                cut = i
+                        else:  # worker a hands class b back some of its flow
+                            bit = 1 << a
+                            flow = flows[b, a] - pushed
+                            whole[b] &= ~bit
+                            if flow:
+                                flows[b, a] = flow
+                            else:
+                                del flows[b, a]
+                                held[b] ^= bit
+                                carriers[a].pop()
+                                cut = i
+                    left[path[0]] -= pushed
+                    if not left[path[0]]:
+                        tops.pop()
+                        cut = 0
+                    del path[cut:]
+                    continue
+                elif carriers[u]:
+                    path.append(carriers[u][-1])
+                    continue
+                # a dead end: step back and pass over the edge that led here
+                path.pop()
+                if not path:
+                    tops.pop()
+                elif len(path) & 1:
+                    arc[path[-1]] ^= 1 << u
+                else:
+                    carriers[path[-1]].pop()
+        return short
+
+    def _carrying(self) -> tuple[list[int], list[int]]:
+        """Per class, the members carrying its flow, and those carrying all of the class's size."""
+        sizes = self.sizes
+        held = [0] * len(sizes)
+        whole = [0] * len(sizes)
+        for (ci, w), flow in self.flows.items():
+            bit = 1 << w
+            held[ci] |= bit
+            if flow == sizes[ci]:
+                whole[ci] |= bit
+        return held, whole
 
     def bottleneck(self) -> int:
         """Mask of the workers with no residual path to the sink.
@@ -414,14 +397,7 @@ class _Transport:
         locked(S), and is the same for every maximum flow (Picard and
         Queyranne 1980).
         """
-        held = [0] * len(self.masks)
-        whole = [0] * len(self.masks)
-        sizes = self.sizes
-        for ci, w, flow in self.flows:
-            bit = 1 << w
-            held[ci] |= bit
-            if flow == sizes[ci]:
-                whole[ci] |= bit
+        held, whole = self._carrying()
         reached = sum(1 << w for w, left in enumerate(self.room) if left)
         pending = [(mask ^ full, hold) for mask, full, hold in zip(self.masks, whole, held)]
         while pending:
@@ -502,7 +478,7 @@ def flow_assign(
     classes = _active_classes(instance, profile, redundancy)
     value, flow = _newton_search(instance, classes, redundancy)
     masks = flow.masks
-    units = {(w + 1, masks[ci]): pushed for ci, w, pushed in flow.flows}
+    units = {(w + 1, masks[ci]): pushed for (ci, w), pushed in flow.flows.items()}
     assignment = LoadAssignment(
         n_workers=instance.N, redundancy=redundancy, shares=UnitMap(units, flow.scale)
     )

@@ -532,6 +532,12 @@ class GradientDemoSpec:
     iterations: int = 60
     seed: int = 0
 
+    def __post_init__(self):
+        check_count("n_features", self.n_features, error=ScenarioError)
+        check_count("n_samples", self.n_samples, error=ScenarioError)
+        check_count("iterations", self.iterations, low=0, error=ScenarioError)
+        check_count("seed", self.seed, low=0, error=ScenarioError)
+
 
 def gradient_demo(timeline: ElasticTimeline, spec: GradientDemoSpec) -> np.ndarray:
     """Gradient descent where each iteration sees only the covered shards.

@@ -506,6 +506,7 @@ def decode(
     alone cannot reveal.  The coded vectors, tuples, take the unsigned
     read of :func:`_residues` (14 ns per element, 30 ns signed).
     """
+    check_count("n_total", n_total)
     p = config.field_modulus
     seen: dict[int, CodedTransmission] = {}
     for t in received:

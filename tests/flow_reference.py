@@ -1,11 +1,13 @@
 """The tests' reference max-flow: a plain Dinic on the transport network.
 
 ``flow_assign`` runs its flows through ``oracle._Transport``, a greedy
-first phase and a flat residual network.  The tests check every flow it
-returns against this separate, straightforward code: :class:`_MaxFlow`
-on the network :func:`_build_flow` builds, with the same node and edge
-order, so both take the same augmenting paths.  ``lp_oracle`` runs no
-flow at all, so this module is the only other max-flow in the project.
+first phase and Dinic's later phases on one table of (class, worker)
+flows, with no network built.  The tests check every flow it returns
+against this separate, straightforward code: :class:`_MaxFlow` on the
+network :func:`_build_flow` builds, whose node and edge order the table's
+search follows, so both take the same augmenting paths.  ``lp_oracle``
+runs no flow at all, so this module is the only other max-flow in the
+project.
 
 It is imported by the tests and is not collected as a test module.
 """

@@ -36,6 +36,7 @@ from dusec.straggler import (
     filtered_for_redundancy,
     redundant_assign,
 )
+import flow_reference
 from flow_reference import _build_flow, feasible_at
 
 scipy_opt = pytest.importorskip("scipy.optimize")
@@ -486,22 +487,41 @@ def test_the_bottleneck_set_steps_newton_and_attains_c_star(case):
 )
 def test_each_flow_branch_matches_the_reference(monkeypatch, case, r, flows):
     taken, built = [], []
-    transport, network = oracle._Transport.__init__, oracle._Transport._residual_network
+    transport, phases = oracle._Transport.__init__, oracle._Transport._later_phases
 
     def spy(self, *args):
         before = len(built)
         transport(self, *args)
         taken.append("greedy" if len(built) == before else "network" if self.saturated else "short")
 
-    def spy_network(self, *args):
+    def spy_phases(self, *args):
         built.append(self)
-        return network(self, *args)
+        return phases(self, *args)
 
     monkeypatch.setattr(oracle._Transport, "__init__", spy)
-    monkeypatch.setattr(oracle._Transport, "_residual_network", spy_network)
+    monkeypatch.setattr(oracle._Transport, "_later_phases", spy_phases)
     inst, prof = case()
     assert _flow_outputs(inst, prof, r) == _reference_flow(inst, prof, r)
     assert taken == flows
+
+
+def test_four_later_phases_match_the_reference(monkeypatch):
+    # one flow, saturated at the first T, whose greedy pass leaves demand for
+    # four more Dinic phases: the reference runs six BFS rounds (its own
+    # first phase, the four, and the one that finds no path), a depth the
+    # Hypothesis placements rarely reach
+    inst, prof = _bottleneck_profile(1440, 720, 9, 9, "7,4,2,7,9,4,5,12,10", 4)
+    levels, rounds = flow_reference._MaxFlow.reached_from, []
+
+    def spy(self, s):
+        rounds.append(s)
+        return levels(self, s)
+
+    monkeypatch.setattr(flow_reference._MaxFlow, "reached_from", spy)
+    outputs = _flow_outputs(inst, prof, 4)
+    assert outputs == _reference_flow(inst, prof, 4)
+    assert len(rounds) == 6
+    assert outputs[2] == lp_oracle(inst, prof, 4) == F(1261, 21600)
 
 
 @pytest.mark.parametrize("args, c_star, flows", [(_NEWTON5, F(2, 15), 2), (_NEWTON6, F(3, 100), 3)])

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 from importlib import resources
@@ -805,3 +806,23 @@ def test_gradient_demo_validation():
     bare = ElasticTimeline(vm_catalog=catalog, steps=timeline.steps, K=None)
     with pytest.raises(ScenarioError, match="K"):
         gradient_demo(bare, GradientDemoSpec())
+    # zero iterations is a valid spec: the loss before any update
+    assert len(gradient_demo(timeline, GradientDemoSpec(iterations=0))) == 1
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        # each of these used to run (one loss, one step) or end in a bare error
+        ("iterations", -1, "iterations must be >= 0, got -1"),
+        ("iterations", True, "iterations must be an integer, got True"),
+        ("iterations", 2.5, "iterations must be an integer, got 2.5"),
+        ("n_samples", 0, "n_samples must be >= 1, got 0"),
+        ("n_features", 2.0, "n_features must be an integer, got 2.0"),
+        ("n_features", 0, "n_features must be >= 1, got 0"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+    ],
+)
+def test_gradient_demo_spec_counts(field, value, message):
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        GradientDemoSpec(**{field: value})

@@ -118,26 +118,38 @@ def test_flow_assign_and_lp_oracle_share_no_flow_code():
 
     oracle_side, flow_side = reached("lp_oracle"), reached("flow_assign")
     assert {"_bottleneck", "_check_scope"} <= oracle_side
-    flow_only = {"_Transport", "_Residual", "_newton_search", "_flow_time", "flow_time"}
+    flow_only = {"_Transport", "_newton_search", "_flow_time", "flow_time"}
     assert not flow_only & oracle_side
-    assert {"_Transport", "_Residual"} <= flow_side
+    assert "_Transport" in flow_side
     # the time-only reader runs the same search and flow
     time_side = reached("flow_time")
-    assert {"_newton_search", "_flow_time", "_Transport", "_Residual"} <= time_side
+    assert {"_newton_search", "_flow_time", "_Transport"} <= time_side
     assert not {"_bottleneck", "_check_scope", "lp_oracle"} & time_side
     assert oracle_side & flow_side == {"_active_classes", "InfeasibleRedundancy", "_locked_ratio"}
 
 
 def test_one_max_flow_in_the_library():
-    # the tests' plain Dinic lives in tests/flow_reference.py, not in the package
+    # the tests' plain Dinic lives in tests/flow_reference.py, not in the
+    # package; the package's one flow is _Transport's table, and no class
+    # holds a residual network of its own
     found = [
-        f"{path.stem}.{node.name}"
+        f"{path.stem}.{node.name}.{f.name}"
         for path, tree in _modules()
         for node in ast.walk(tree)
         if isinstance(node, ast.ClassDef)
-        and any(isinstance(f, ast.FunctionDef) and f.name == "max_flow" for f in node.body)
+        for f in node.body
+        if isinstance(f, ast.FunctionDef) and f.name in ("max_flow", "levels", "_blocking_flow")
     ]
-    assert found == ["oracle._Residual"]
+    assert found == []
+    (tree,) = [tree for path, tree in _modules() if path.stem == "oracle"]
+    # besides its errors, oracle's only class is the one that pushes flow
+    others = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and not any(getattr(base, "id", None) == "ValueError" for base in node.bases)
+    }
+    assert others == {"_Transport"}
 
 
 def test_the_exact_pipeline_stays_on_integers():
@@ -371,15 +383,14 @@ def test_one_walk_gives_the_newton_set_and_n_star():
     # the saturated flow: the workers with no residual path to the sink
     (tree,) = [tree for path, tree in _modules() if path.stem == "oracle"]
     classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
-    for name in ("_Residual", "_Transport"):
-        stored = [
-            f"{name}.{item.name}.{n.attr}"
-            for item in classes[name].body
-            if isinstance(item, ast.FunctionDef) and item.name != "__init__"
-            for n in ast.walk(item)
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
-        ]
-        assert stored == [], name
+    stored = [
+        f"_Transport.{item.name}.{n.attr}"
+        for item in classes["_Transport"].body
+        if isinstance(item, ast.FunctionDef) and item.name != "__init__"
+        for n in ast.walk(item)
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+    ]
+    assert stored == []
     functions = dict(_functions())
 
     def calls(node, name):

@@ -252,6 +252,12 @@ def test_decode_input_validation():
     for index in (True, 1.5, "2"):
         with pytest.raises(StructureError, match=f"^vm_index must be an integer, got {re.escape(repr(index))}$"):
             CodedTransmission(vm_index=index, coded_vector=(1,), encoding_row={})
+    # a fleet size of True used to decode as one worker, and 1.5 or "3" ended in bare TypeErrors
+    for n_total in (True, 1.5, "3"):
+        with pytest.raises(StructureError, match=f"^n_total must be an integer, got {re.escape(repr(n_total))}$"):
+            decode(ts, cfg, n_total)
+    with pytest.raises(StructureError, match="^n_total must be >= 1, got 0$"):
+        decode(ts, cfg, 0)
 
 
 
