@@ -13,11 +13,13 @@ on, so a scenario built in code meets the same rules as one read from a file.
 
 Baselines rebuild classical centralized placements (cyclic, repetition,
 all-subsets) on the same fleet each step.  A placement is known by its
-blocks' holders, so its class profile has one class per holder set; it is
-priced with ``flow_time``, the Newton flow search that solves exact
-steps, so the comparison is apples to apples.  A step reports times only,
-so no share table is built: exact steps run ``flow_time`` too, the search
-read for its time result.
+blocks' holders, so its class profile has one class per holder set.  On
+these three placements the slowest k workers lock the most load any k
+workers can, so the profile's optimum is the largest prefix ratio, the
+first group time of the staircase that ``optimal_time`` and the flow
+search's start share; no flow runs for a baseline.  A step reports times
+only, so no share table is built: exact steps run ``flow_time``, the
+Newton flow search read for its time result.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .model import (
     frac_json,
     is_int,
 )
-from .optimizer import assign_loads, optimal_time
+from .optimizer import _staircase, assign_loads, optimal_time
 from .oracle import flow_assign, flow_time
 from .storage import (
     ExplicitStorage,
@@ -484,7 +486,7 @@ def run_timeline(scenario: Scenario) -> tuple[StepReport, ...]:
 def baseline_assign(
     kind: str, replication: int, instance: ProblemInstance
 ) -> tuple[ClassProfile, Fraction]:
-    """Centralized placement with replication factor r, priced by ``flow_time``.
+    """Centralized placement with replication factor r, priced by the staircase.
 
     cyclic: K/N contiguous blocks, worker n stores blocks n..n+r-1 (mod N).
     repetition: workers in N/r groups, each group stores its own K/(N/r) block.
@@ -493,9 +495,24 @@ def baseline_assign(
     All three give every worker rK/N datasets.  The block count must divide
     K (ConfigurationError otherwise; checked before any block is listed).
     The placement is its class profile: each block adds 1/#blocks to the
-    class of the workers holding it.  The value is that profile's optimum
-    T*, from the same Newton flow search that solves exact simulate steps;
-    no share table is built for it.
+    class of the workers holding it.  No share table is built for it.
+
+    The value is that profile's optimum T*, the largest locked(S)/speed(S)
+    over worker sets S, where locked(S) is the load of the blocks held
+    inside S.  Among the sets of k workers the k slowest have the smallest
+    speed sum, and on these placements they also lock the most blocks:
+
+    * man: locked(S) is C(|S|, r) blocks, so it depends on |S| alone;
+    * repetition: the k slowest hold floor(k/r) whole groups, the most any
+      k workers can hold;
+    * cyclic: the ring runs in sorted-speed order.  A proper subset made of
+      separated arcs of lengths L_i locks sum max(0, L_i - r + 1) <=
+      max(0, k - r + 1) blocks, which is what the k slowest (one arc) lock,
+      and all N workers lock every block.
+
+    So T* is max over k of L(k)/S(k), the first group time of
+    ``_staircase``, which is where the flow search would start T; the flow
+    would saturate there, and no flow runs.
     """
     N, K, r = instance.N, instance.K, replication
     if kind not in BASELINE_KINDS:
@@ -519,7 +536,8 @@ def baseline_assign(
     for mask in holders:  # cyclic at r = N puts every block in one class
         blocks[mask] = blocks.get(mask, 0) + 1
     profile = ClassProfile(n_workers=N, class_sizes=UnitMap(blocks, n_blocks))
-    return profile, flow_time(instance, profile).c_star
+    _, _, p, q = _staircase(*profile.cumulative_units, *instance.prefix_speed_units)[0]
+    return profile, Fraction(p, q)
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,18 @@ search follows, so both take the same augmenting paths.  ``lp_oracle``
 runs no flow at all, so this module is the only other max-flow in the
 project.
 
+It also holds known answers: the optimal times of the three centralized
+placements that ``simulator.baseline_assign`` builds, written from the
+placements' shape with no ``dusec`` code.  They reach past the 12 workers
+``lp_oracle`` can enumerate.
+
 It is imported by the tests and is not collected as a test module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from dusec.model import ClassProfile, ProblemInstance, UnitMap
 from dusec.oracle import _active_classes
@@ -157,3 +162,38 @@ def feasible_at(
     classes = _active_classes(instance, profile, redundancy)
     net, demand, _, _ = _build_flow(classes, instance.speeds, redundancy, T)
     return net.max_flow(0, len(net.adj) - 1) == demand
+
+
+def repetition_time(speeds: list[Fraction], r: int) -> Fraction:
+    """T* of the repetition placement: ``speeds`` slowest first, split into
+    G = N/r groups of r consecutive workers, each group alone holding its
+    own 1/G of the data, so each group finishes its block on its own."""
+    G = len(speeds) // r
+    return max(Fraction(1, G) / sum(speeds[g * r : (g + 1) * r]) for g in range(G))
+
+
+def man_time(speeds: list[Fraction], r: int) -> Fraction:
+    """T* of the all-subsets (MAN) placement: one block on every r-subset, so
+    a set of k workers locks C(k, r)/C(N, r) of the data, and the k slowest
+    have the least speed: the maximum over k of C(k, r)/C(N, r)/S(k)."""
+    N, best, total = len(speeds), Fraction(0), 0
+    for k, speed in enumerate(sorted(speeds), 1):
+        total += speed
+        best = max(best, Fraction(comb(k, r), comb(N, r)) / total)
+    return best
+
+
+def cyclic_time(ring: list[Fraction], r: int) -> Fraction:
+    """T* of the cyclic placement on workers in ``ring`` order, in any order
+    of speeds: N blocks, each on an arc of r consecutive workers.  A set of
+    separated arcs locks the blocks inside each arc, so its ratio is at
+    most its best arc's: the largest of 1/speed(all) and, over the proper
+    arcs A, max(0, |A| - r + 1)/N/speed(A)."""
+    N = len(ring)
+    best = Fraction(1) / sum(ring)
+    for start in range(N):
+        speed = 0
+        for length in range(1, N):
+            speed += ring[(start + length - 1) % N]
+            best = max(best, Fraction(max(0, length - r + 1), N) / speed)
+    return best

@@ -11,6 +11,7 @@ from dusec.model import (
     ClassProfile,
     ProblemInstance,
     StructureError,
+    UnitMap,
     iter_class_masks,
     locked_prefix_units,
     validate,
@@ -37,7 +38,7 @@ from dusec.straggler import (
     redundant_assign,
 )
 import flow_reference
-from flow_reference import _build_flow, feasible_at
+from flow_reference import _build_flow, cyclic_time, feasible_at
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -544,3 +545,56 @@ def test_the_time_only_route_takes_the_newton_steps(monkeypatch, args, c_star, f
     monkeypatch.setattr(oracle._Transport, "bottleneck", spy_walk)
     assert flow_time(inst, prof).c_star == c_star
     assert built == walked == [False] * (flows - 1) + [True]
+
+
+def _ring_profile(ring, r):
+    """The cyclic placement on workers in ``ring`` order (0-based sorted
+    positions): block b sits on ring positions b - r + 1 .. b (mod N), and
+    each block is 1/N of the data."""
+    N, blocks = len(ring), {}
+    for b in range(N):
+        mask = sum(1 << ring[(b - t) % N] for t in range(r))
+        blocks[mask] = blocks.get(mask, 0) + 1
+    return ClassProfile(n_workers=N, class_sizes=UnitMap(blocks, N))
+
+
+@st.composite
+def _ring_cases(draw):
+    # past lp_oracle's 12 workers; out of sorted order the slowest prefix need
+    # not be the bottleneck, so most of these take Newton steps
+    N = draw(st.integers(2, 40))
+    r = draw(st.integers(1, min(N, 4)))
+    if draw(st.booleans()):
+        speeds = [F(draw(st.integers(1, 2))) for _ in range(N)]  # many ties
+    else:
+        speeds = [F(draw(st.integers(1, 40)), draw(st.integers(1, 5))) for _ in range(N)]
+    return ProblemInstance(K=N, M=0, speeds=speeds), r, draw(st.permutations(range(N)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_ring_cases())
+def test_flow_equals_the_arc_formula_on_a_shuffled_ring(case):
+    inst, r, ring = case
+    prof = _ring_profile(ring, r)
+    expected = cyclic_time([inst.speeds[w] for w in ring], r)
+    asg, res = flow_assign(inst, prof)
+    assert res.c_star == flow_time(inst, prof).c_star == expected
+    assert max(res.per_worker_time) == expected
+    assert validate(inst, prof, asg) == []
+
+
+def test_a_shuffled_ring_takes_four_newton_steps(monkeypatch):
+    # 20 workers at speeds 1..20 on the ring 0, 7, 14, 1, 8, ... (stride 7):
+    # the slowest-prefix start is below T* = 3/520, and the search needs five flows
+    inst = ProblemInstance(K=20, M=0, speeds=[F(n) for n in range(1, 21)])
+    ring = [(7 * i) % 20 for i in range(20)]
+    transport, built = oracle._Transport.__init__, []
+
+    def spy(self, *rest):
+        transport(self, *rest)
+        built.append(self.saturated)
+
+    monkeypatch.setattr(oracle._Transport, "__init__", spy)
+    res = flow_time(inst, _ring_profile(ring, 2))
+    assert res.c_star == cyclic_time([inst.speeds[w] for w in ring], 2) == F(3, 520)
+    assert built == [False] * 4 + [True]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import dusec.cli as cli
 from dusec.model import ProblemInstance, ProfileMode, StructureError
 from dusec.optimizer import assign_loads
-from dusec.oracle import flow_assign, lp_oracle
+from dusec.oracle import flow_assign, flow_time, lp_oracle
 from dusec.simulator import (
     BASELINE_KINDS,
     CatalogEntry,
@@ -35,6 +35,7 @@ from dusec.simulator import (
 )
 from dusec.storage import ExplicitStorage, exact_profile, generate_worker_subset, profile_from_alpha
 from dusec.straggler import DEFAULT_FIELD_MODULUS, StragglerConfig
+from flow_reference import cyclic_time, man_time, repetition_time
 
 
 def _bundled(name):
@@ -617,6 +618,39 @@ def test_baseline_equals_oracle_on_its_placement(case):
     assert list(profile.classes.items()) == list(exact_profile(storage).classes.items())
 
 
+@st.composite
+def _known_answer_cases(draw):
+    # up to 40 workers, past lp_oracle's 12; MAN's C(N, r) blocks are capped
+    N = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(BASELINE_KINDS))
+    rs = [
+        r
+        for r in range(1, N + 1)
+        if (kind != "repetition" or N % r == 0) and (kind != "man" or comb(N, r) <= 300)
+    ]
+    r = draw(st.sampled_from(rs))
+    blocks = {"cyclic": N, "repetition": N // r, "man": comb(N, r)}[kind]
+    if draw(st.booleans()):
+        speeds = [F(draw(st.integers(1, 2))) for _ in range(N)]  # many ties
+    else:
+        speeds = [F(draw(st.integers(1, 40)), draw(st.integers(1, 5))) for _ in range(N)]
+    return kind, r, ProblemInstance(K=blocks, M=0, speeds=tuple(speeds))
+
+
+_KNOWN_ANSWERS = {"cyclic": cyclic_time, "repetition": repetition_time, "man": man_time}
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_known_answer_cases())
+def test_baseline_equals_its_known_answer(case):
+    # the placements' optimum from their shape (tests/flow_reference.py), the
+    # value baseline_assign reads from the staircase, and the flow search on
+    # its profile all agree
+    kind, r, inst = case
+    profile, value = baseline_assign(kind, r, inst)
+    assert value == _KNOWN_ANSWERS[kind](list(inst.speeds), r) == flow_time(inst, profile).c_star
+
+
 def test_baseline_past_the_class_mask_limit(tmp_path):
     # 63 workers: more than a measured placement's class masks can hold
     inst = ProblemInstance(K=63, M=1, speeds=tuple(F(n) for n in range(1, 64)))
@@ -722,6 +756,83 @@ def test_any_refusal_in_a_step_names_the_step():
     with pytest.raises(StructureError) as exc:
         run_timeline(load_scenario(obj))
     assert str(exc.value).startswith("steps[1]: refusing to materialize 2^23 classes")
+
+
+def _generated_exact_scenario():
+    # eight catalog vms at half storage with tied and rational speeds; K = 840
+    # takes every baseline at r = 2 on the 8-, 6- and 4-vm steps.  Two fast
+    # vms put n* at N - 2 or below, where c* depends on which vm holds which
+    # storage (L(N - 1) is the coverage less M whatever the order)
+    ids = [f"g{i}" for i in range(8)]
+    speeds = ["1", "1", "2", "2", "5/2", "3", "40", "60"]
+    return {
+        "schemaVersion": 1,
+        "mode": "exact",
+        "K": 840,
+        "vmCatalog": {v: {"seed": 40 + i, "storageFraction": "1/2"} for i, v in enumerate(ids)},
+        "steps": [
+            {"available": ids, "speeds": dict(zip(ids, speeds))},
+            {"available": ids[2:], "speeds": dict(zip(ids[2:], reversed(speeds[2:])))},
+            {"available": ids[::2], "speeds": {v: "4/3" for v in ids[::2]}},
+        ],
+        "baselines": [{"kind": kind, "replication": 2} for kind in BASELINE_KINDS],
+    }
+
+
+_METAMORPHIC_SCENARIOS = {
+    "paper_example": lambda: _bundled("paper_example.json"),
+    "elastic_10step": lambda: _bundled("elastic_10step.json"),
+    "generated_exact": _generated_exact_scenario,
+}
+
+
+def _renamed(obj):
+    """The scenario with every vm renamed, the sort order of the ids reversed."""
+    ids = sorted(obj["vmCatalog"])
+    name = {v: f"vm-{len(ids) - i:03d}" for i, v in enumerate(ids)}
+    out = copy.deepcopy(obj)
+    out["vmCatalog"] = {name[v]: entry for v, entry in obj["vmCatalog"].items()}
+    for step in out["steps"]:
+        step["available"] = [name[v] for v in step["available"]]
+        step["speeds"] = {name[v]: speed for v, speed in step["speeds"].items()}
+        step["stragglers"] = [name[v] for v in step.get("stragglers", [])]
+    return out
+
+
+def _steps(reports):
+    return reports_to_json_obj(reports)["steps"]
+
+
+@pytest.mark.parametrize("scenario", sorted(_METAMORPHIC_SCENARIOS))
+def test_renaming_the_vms_moves_no_result(scenario):
+    # ties sort by vm id, so the renaming reorders tied vms; no time, coverage
+    # or baseline may move, so the CSV (cStar, nStar, coverage, baseline_*) is
+    # byte-identical
+    obj = _METAMORPHIC_SCENARIOS[scenario]()
+    before, after = run_timeline(load_scenario(obj)), run_timeline(load_scenario(_renamed(obj)))
+    assert reports_to_csv(after) == reports_to_csv(before)
+    for old, new in zip(_steps(before), _steps(after), strict=True):
+        for key in ("cStar", "nStar", "coverage", "baselines"):
+            assert new[key] == old[key], key
+
+
+@pytest.mark.parametrize("scenario", sorted(_METAMORPHIC_SCENARIOS))
+def test_scaling_the_speeds_divides_the_times(scenario):
+    # every speed times lam: c* and every baseline divided by lam exactly,
+    # n* and the coverage unchanged
+    lam = F(7, 3)
+    obj = _METAMORPHIC_SCENARIOS[scenario]()
+    scaled = copy.deepcopy(obj)
+    for step in scaled["steps"]:
+        step["speeds"] = {v: str(F(speed) * lam) for v, speed in step["speeds"].items()}
+    before, after = run_timeline(load_scenario(obj)), run_timeline(load_scenario(scaled))
+    for old, new in zip(_steps(before), _steps(after), strict=True):
+        assert F(new["cStar"]["frac"]) == F(old["cStar"]["frac"]) / lam
+        assert (new["nStar"], new["coverage"]) == (old["nStar"], old["coverage"])
+        assert old["baselines"]
+        assert {kind: F(v["frac"]) for kind, v in new["baselines"].items()} == {
+            kind: F(v["frac"]) / lam for kind, v in old["baselines"].items()
+        }
 
 
 def test_csv_layout():

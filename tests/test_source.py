@@ -78,7 +78,7 @@ def test_only_the_cli_reaches_lp_oracle():
 def test_one_function_picks_the_solver():
     # dusec solve and every simulate step leave the choice to solve_snapshot,
     # whose time-only route on a measured profile is flow_time; baseline_assign
-    # prices its placements with that route alone
+    # calls no solver (it reads the staircase, see below)
     solvers = {"assign_loads", "optimal_time", "flow_assign", "flow_time", "redundant_assign"}
     calls = {}
     for path, tree in _modules():
@@ -92,9 +92,23 @@ def test_one_function_picks_the_solver():
                     if name in solvers:
                         caller = f"{path.stem}.{getattr(top, 'name', '<module>')}"
                         calls.setdefault(caller, set()).add(name)
-    assert calls == {
-        "simulator.solve_snapshot": solvers,
-        "simulator.baseline_assign": {"flow_time"},
+    assert calls == {"simulator.solve_snapshot": solvers}
+
+
+def test_baselines_are_priced_by_the_staircase():
+    # on the cyclic, repetition and MAN placements the prefix bound is the
+    # optimum, so baseline_assign reads the staircase once, outside any loop,
+    # and runs no flow; the staircase's callers are the closed form, the
+    # sweep, the flow search's start and the baselines
+    functions = dict(_functions())
+    baseline = functions["simulator.baseline_assign"]
+    assert _calls(baseline, "_staircase") == [False]
+    assert not _names(baseline) & {"flow_time", "flow_assign", "_newton_search", "_Transport"}
+    assert {name for name, node in functions.items() if _calls(node, "_staircase")} == {
+        "optimizer.optimal_time",
+        "optimizer.assign_loads",
+        "oracle._newton_search",
+        "simulator.baseline_assign",
     }
 
 
@@ -234,7 +248,7 @@ def test_each_shared_value_has_one_owner():
         "model.locked_prefix_units",
     }
     assert _calls(functions["model.ClassProfile.cumulative_units"], "locked_prefix_units") == [False]
-    staircase_callers = {"optimizer.optimal_time", "optimizer.assign_loads"}
+    staircase_callers = {"optimizer.optimal_time", "optimizer.assign_loads", "simulator.baseline_assign"}
     for attr, readers in (
         ("prefix_speed_units", staircase_callers | {"oracle._newton_search", "optimizer.cutset_bounds"}),
         ("cumulative_units", staircase_callers | {"model.ClassProfile.cumulative"}),
